@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import lpmv, roots_jacobi
+from scipy.special import roots_jacobi
 
 from . import gammafn
 from .errors import (
@@ -269,30 +269,85 @@ def delta_op_eigenvalue(j: int, n: int, lam: complex, ell: int) -> complex:
 # band-limited representation
 
 
-def _full_offsets(max_degree: int):
-    return [j * (j + 1) for j in range(max_degree + 1)]
+def _legendre_rows(x: np.ndarray, max_degree: int):
+    """Yield (m, P) for m = 0..J, where P[j - m] = Pbar_jm(x) for j = m..J.
+
+    Pbar_jm = sqrt((2j+1) (j-m)!/(j+m)!) P_j^m with the Condon-Shortley phase,
+    so that each Pbar_jm has unit norm under dx/2 on [-1, 1].  Seeded by
+    Pbar_00 = 1 and Pbar_mm = -sqrt((2m+1)/(2m)) sin(theta) Pbar_{m-1,m-1}, then
+    Pbar_jm = a_jm (x Pbar_{j-1,m} - b_jm Pbar_{j-2,m}) with
+    a_jm = sqrt((4j^2-1)/(j^2-m^2)) and b_jm = sqrt(((j-1)^2-m^2)/(4(j-1)^2-1)).
+    Every factor is O(1), so nothing overflows at high degree.
+    """
+    x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+    sin_t = np.sqrt((1.0 - x) * (1.0 + x))
+    pmm = np.ones_like(x)
+    for m in range(max_degree + 1):
+        if m:
+            pmm = -math.sqrt((2 * m + 1) / (2 * m)) * sin_t * pmm
+        rows = np.empty((max_degree - m + 1,) + x.shape)
+        rows[0] = pmm
+        for j in range(m + 1, max_degree + 1):
+            a = math.sqrt((4 * j * j - 1) / (j * j - m * m))
+            np.multiply(x, rows[j - m - 1], out=rows[j - m])
+            if j > m + 1:
+                b = math.sqrt(((j - 1) ** 2 - m * m) / (4 * (j - 1) ** 2 - 1))
+                rows[j - m] -= b * rows[j - m - 2]
+            rows[j - m] *= a
+        yield m, rows
 
 
-def _assoc_norm(j: int, m: int) -> float:
-    return math.sqrt((2 * j + 1) * math.exp(math.lgamma(j - m + 1) - math.lgamma(j + m + 1)))
+def _polar_azimuth(points: np.ndarray):
+    """cos(theta) and e^{i phi} of points on S^2."""
+    pts = np.asarray(points, dtype=float)
+    return pts[:, 2], np.exp(1j * np.arctan2(pts[:, 1], pts[:, 0]))
 
 
 def harmonic_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
     """Orthonormal (under the probability measure) complex harmonics on S^2.
 
-    Returns an (N, (J+1)^2) matrix; column j*(j+1)+m holds degree j, order m.
+    Returns an (N, (J+1)^2) matrix; column j*(j+1)+m holds degree j, order m:
+    Y_jm = Pbar_jm(cos theta) e^{i m phi} for m >= 0, with Pbar_jm the
+    orthonormal associated Legendre function (Condon-Shortley phase) from the
+    three-term recurrence of :func:`_legendre_rows`, and
+    Y_{j,-m} = (-1)^m conj(Y_jm).  Each Y_jm has unit mean square over S^2.
     """
-    pts = np.asarray(points, dtype=float)
-    ct = np.clip(pts[:, 2], -1.0, 1.0)
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    out = np.empty((pts.shape[0], (max_degree + 1) ** 2), dtype=complex)
-    for j in range(max_degree + 1):
-        base = j * (j + 1)
-        for m in range(j + 1):
-            col = _assoc_norm(j, m) * lpmv(m, j, ct) * np.exp(1j * m * phi)
-            out[:, base + m] = col
-            if m:
-                out[:, base - m] = (-1.0) ** m * np.conj(col)
+    ct, e_phi = _polar_azimuth(points)
+    out = np.empty((ct.shape[0], (max_degree + 1) ** 2), dtype=complex)
+    phase = np.ones_like(e_phi)
+    for m, rows in _legendre_rows(ct, max_degree):
+        if m:
+            phase = phase * e_phi
+        j = np.arange(m, max_degree + 1)
+        cols = rows.T * phase[:, None]
+        out[:, j * (j + 1) + m] = cols
+        if m:
+            out[:, j * (j + 1) - m] = (-1.0) ** m * np.conj(cols)
+    return out
+
+
+def _synthesize_full(points: np.ndarray, max_degree: int, coeffs: np.ndarray) -> np.ndarray:
+    """sum_jm c_jm Y_jm at the points, one order at a time.
+
+    For each m >= 0 the Legendre rows are contracted with the coefficients of
+    orders +m and -m, so the (N, (J+1)^2) basis is never formed:
+    sum_m e^{i m phi} sum_j c_jm Pbar_jm + (-1)^m e^{-i m phi} sum_j c_{j,-m} Pbar_jm.
+    """
+    ct, e_phi = _polar_azimuth(points)
+    out = np.zeros(ct.shape[0], dtype=complex)
+    phase = np.ones_like(e_phi)
+    for m, rows in _legendre_rows(ct, max_degree):
+        j = np.arange(m, max_degree + 1)
+        plus = coeffs[j * (j + 1) + m]
+        if not m:
+            sums = np.stack([plus.real, plus.imag]) @ rows
+            out += sums[0] + 1j * sums[1]
+            continue
+        phase = phase * e_phi
+        minus = (-1.0) ** m * coeffs[j * (j + 1) - m]
+        # real rows, so contract real and imaginary parts in one real product
+        sums = np.stack([plus.real, plus.imag, minus.real, minus.imag]) @ rows
+        out += phase * (sums[0] + 1j * sums[1]) + np.conj(phase) * (sums[2] + 1j * sums[3])
     return out
 
 
@@ -410,10 +465,17 @@ class HarmonicSpectrum:
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Synthesize sample values at unit points of shape (N, n)."""
+        """Synthesize sample values at unit points of shape (N, n).
+
+        Full tables sum sum_m e^{i m phi} sum_j c_jm Pbar_jm(cos theta) order by
+        order from the Legendre recurrence, taking the negative orders from the
+        same rows through Y_{j,-m} = (-1)^m conj(Y_jm); the result equals
+        ``harmonic_basis(points, J) @ coeffs`` without forming that matrix.
+        Zonal tables sum coeffs[j] times the degree-j profile of u.pole.
+        """
         pts = np.asarray(points, dtype=float)
         if self.pole is None:
-            return harmonic_basis(pts, self.max_degree) @ self.coeffs
+            return _synthesize_full(pts, self.max_degree, self.coeffs)
         t = pts @ self.pole
         out = np.zeros(pts.shape[0], dtype=complex)
         for j in range(self.max_degree + 1):

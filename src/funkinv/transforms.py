@@ -203,11 +203,17 @@ def great_circle_basis(u: np.ndarray):
 
 def complement_basis(u: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to unit u (n x (n-1)),
-    by Householder completion; deterministic in u."""
+    by Householder completion; deterministic in u.
+
+    A stack of directions of shape (..., n) gives a stack of bases of shape
+    (..., n, n-1) from one batched QR.
+    """
     u = np.asarray(u, dtype=float)
-    q, _ = np.linalg.qr(np.concatenate([u[:, None], np.eye(len(u))], axis=1))
+    n = u.shape[-1]
+    eye = np.broadcast_to(np.eye(n), u.shape[:-1] + (n, n))
+    q, _ = np.linalg.qr(np.concatenate([u[..., :, None], eye], axis=-1))
     # first column of q is +-u; the next n-1 columns span the complement
-    return q[:, 1:]
+    return q[..., 1:]
 
 
 def _subsphere_rule(d: int, resolution: int, circle_nodes: int):
@@ -240,7 +246,7 @@ def _shell_average_values(
     out = np.empty((points.shape[0], len(t_nodes)), dtype=complex)
     for lo in range(0, points.shape[0], chunk):
         batch = points[lo : lo + chunk]
-        dirs = np.stack([complement_basis(u) @ omega.T for u in batch])  # (B, n, R)
+        dirs = complement_basis(batch) @ omega.T  # (B, n, R)
         # pts[b, i, r, :] = t_i * u_b + sin_i * dirs[b, :, r]
         pts = (
             t_nodes[None, :, None, None] * batch[:, None, None, :]
@@ -348,8 +354,11 @@ def _moment_kernel_values(
         f_eval, np.asarray(points, float), t_nodes, n, subsphere_resolution, circle_nodes
     )
     cheb = np.polynomial.chebyshev.chebfit(t_nodes, shells.T, profile_degree)
-    mono = np.stack([np.polynomial.chebyshev.cheb2poly(cheb[:, i]) for i in range(cheb.shape[1])])
-    return pushforward_constant(n) * (mono @ moments[: mono.shape[1]])
+    # row k holds the monomial coefficients of T_k
+    to_mono = np.zeros((num, num))
+    for k, row in enumerate(np.eye(num)):
+        to_mono[k, : k + 1] = np.polynomial.chebyshev.cheb2poly(row)
+    return pushforward_constant(n) * (cheb.T @ (to_mono @ moments[:num]))
 
 
 def cosine_quadrature_values(
@@ -462,18 +471,16 @@ def log_sine_quadrature_values(
 
 def funk_geodesic_values(f_eval: Callable, points: np.ndarray, circle_nodes: int = 64) -> np.ndarray:
     """Great-circle averages on S^2 by the trapezoid rule (spectrally accurate
-    for band-limited integrands)."""
+    for band-limited integrands).
+
+    This is the t = 0 shell of :func:`_shell_average_values`: the circle
+    orthogonal to each output point, sampled at ``circle_nodes`` equally spaced
+    nodes, with all circles evaluated in one batched call per chunk.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.shape[1] != 3:
         raise DomainError("the geodesic path is implemented for n = 3 only")
-    ang = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
-    ca, sa = np.cos(ang), np.sin(ang)
-    out = np.empty(pts.shape[0], dtype=complex)
-    for i, u in enumerate(pts):
-        e1, e2 = great_circle_basis(u)
-        circle = np.outer(ca, e1) + np.outer(sa, e2)
-        out[i] = np.mean(np.asarray(f_eval(circle), dtype=complex))
-    return out
+    return _shell_average_values(f_eval, pts, np.zeros(1), 3, 0, circle_nodes)[:, 0]
 
 
 # ---------------------------------------------------------------------------

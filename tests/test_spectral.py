@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import lpmv
 
 from funkinv.errors import (
     DivergenceError,
@@ -306,6 +307,61 @@ def test_addition_formula_links_basis_and_zonal():
         got = np.sum(B[0, j * j : (j + 1) ** 2] * np.conj(B[1, j * j : (j + 1) ** 2]))
         want = (2 * j + 1) * zonal_eval(j, 3, float(u @ v))
         assert abs(got - want) <= 1e-12
+
+
+def _lpmv_basis(points, max_degree):
+    """Reference harmonics from scipy's lpmv (Condon-Shortley phase) and the
+    factorial normalization; overflows past degree ~85."""
+    ct = np.clip(points[:, 2], -1.0, 1.0)
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    out = np.empty((len(points), (max_degree + 1) ** 2), dtype=complex)
+    for j in range(max_degree + 1):
+        base = j * (j + 1)
+        for m in range(j + 1):
+            norm = math.sqrt((2 * j + 1) * math.exp(math.lgamma(j - m + 1) - math.lgamma(j + m + 1)))
+            col = norm * lpmv(m, j, ct) * np.exp(1j * m * phi)
+            out[:, base + m] = col
+            if m:
+                out[:, base - m] = (-1.0) ** m * np.conj(col)
+    return out
+
+
+def _test_points(num, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((num, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    special = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -1, 0], [0.6, 0.8, 0]]
+    return np.vstack([pts, special])
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 7, 16, 40])
+def test_harmonic_basis_matches_lpmv_reference(J):
+    pts = _test_points(40, seed=J)
+    assert np.max(np.abs(harmonic_basis(pts, J) - _lpmv_basis(pts, J))) <= 1e-12
+
+
+@pytest.mark.parametrize("J", [0, 1, 5, 13])
+def test_evaluate_matches_basis_product(J):
+    # odd degrees and no conjugate symmetry, so every (j, m) entry matters
+    pts = _test_points(60, seed=100 + J)
+    rng = np.random.default_rng(J)
+    c = rng.standard_normal((J + 1) ** 2) + 1j * rng.standard_normal((J + 1) ** 2)
+    want = harmonic_basis(pts, J) @ c
+    got = HarmonicSpectrum(3, J, c).evaluate(pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_harmonic_basis_finite_at_high_degree():
+    # the factorial normalization times lpmv turns non-finite from degree 86 on
+    J = 120
+    pts = _test_points(6, seed=3)
+    B = harmonic_basis(pts, J)
+    assert np.all(np.isfinite(B))
+    # addition theorem: sum_m |Y_Jm(u)|^2 = 2J + 1 at every point
+    power = np.sum(np.abs(B[:, J * J :]) ** 2, axis=1)
+    assert np.max(np.abs(power - (2 * J + 1))) <= 1e-10
+    f = HarmonicSpectrum(3, J, np.ones((J + 1) ** 2, dtype=complex))
+    assert np.all(np.isfinite(f.evaluate(pts)))
 
 
 def test_random_even_spectrum_is_real_and_even(grid3):

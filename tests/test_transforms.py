@@ -24,6 +24,7 @@ from funkinv.spectral import (
 from funkinv.diffops import WeightedOpSpec, weighted_laplacian_spectrum
 from funkinv.transforms import (
     TransformParams,
+    complement_basis,
     cosine_quadrature_values,
     cosine_spectrum,
     cosine_transform,
@@ -225,6 +226,22 @@ def test_great_circle_basis_determinism():
     assert_allclose(np.cross(u, e1), e2, atol=1e-15)
     # smallest-|component| axis wins; ties break to the lowest index
     assert np.argmax(np.abs(e1)) == 0
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_complement_basis_stack_matches_single(n):
+    # one batched QR gives the same bases as one QR per direction, so the
+    # quadrature shells keep their points
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((200, n))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    u = np.vstack([u, np.eye(n), -np.eye(n)])
+    stacked = complement_basis(u)
+    assert stacked.shape == (len(u), n, n - 1)
+    assert np.array_equal(stacked, np.stack([complement_basis(v) for v in u]))
+    assert np.max(np.abs(np.einsum("bi,bij->bj", u, stacked))) <= 1e-15
+    gram = np.einsum("bij,bik->bjk", stacked, stacked)
+    assert np.max(np.abs(gram - np.eye(n - 1))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
