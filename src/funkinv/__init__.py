@@ -43,7 +43,6 @@ from .spectral import (
     zonal_eval,
 )
 from .transforms import (
-    TransformParams,
     cosine_transform,
     delta_norm,
     frame_scale,

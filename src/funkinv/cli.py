@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import FunkinvError, InvalidArgumentError, PreconditionError
+from .errors import FunkinvError, InvalidArgumentError
 from .diffops import (
     WeightedOpSpec,
     beltrami_fd_values,
@@ -36,17 +36,10 @@ from .diffops import (
 )
 from .grids import build_grid, grid_function, integrate
 from .inversion import invert_cosine1, invert_funk, invert_general_between, invert_general_outside
-from .spectral import HarmonicSpectrum, multiplier_table, random_even_spectrum
+from .spectral import _TABLE_BUILDERS, HarmonicSpectrum, multiplier_table, random_even_spectrum
 from .stiefel import IDENTITY_TAGS, check_identity, dual_funk_k, funk_k_function
-from .transforms import (
-    cosine_transform,
-    funk_transform,
-    log_cosine_transform,
-    log_sine_transform,
-    sine_transform,
-)
+from .transforms import OPERATORS, _transform
 
-TRANSFORM_NAMES = ("cosine", "funk", "logcos", "sine", "logsine")
 THEOREMS = ("funk", "cosine1", "general-between", "general-outside")
 STUDIES = ("fd-beltrami", "fd-weighted", "quadrature", "mc-dual")
 
@@ -194,20 +187,6 @@ def _cmd_multipliers(args) -> int:
     return 0
 
 
-def _apply_forward(name, f_grid, lam, path, band_limit, pole):
-    if name == "cosine":
-        return cosine_transform(f_grid, lam=lam, path=path, band_limit=band_limit, pole=pole)
-    if name == "sine":
-        return sine_transform(f_grid, lam=lam, path=path, band_limit=band_limit, pole=pole)
-    if name == "funk":
-        return funk_transform(f_grid, path=path, band_limit=band_limit, pole=pole)
-    if name == "logcos":
-        return log_cosine_transform(f_grid, path=path, band_limit=band_limit, pole=pole)
-    if name == "logsine":
-        return log_sine_transform(f_grid, path=path, band_limit=band_limit, pole=pole)
-    raise InvalidArgumentError(f"unknown transform {name!r}")
-
-
 def _cmd_forward(args) -> int:
     defaults = {
         "transform": "cosine", "n": 3, "lambda_re": -0.5, "lambda_im": 0.0,
@@ -221,10 +200,8 @@ def _cmd_forward(args) -> int:
     grid = build_grid(n, cfg["resolution"])
     f_grid = spec.to_grid(grid)
     lam = complex(cfg["lambda_re"], cfg["lambda_im"])
-    pole = spec.pole
-    if cfg["transform"] in ("logcos", "logsine") and abs(spec.mean) > 1e-10:
-        raise PreconditionError("logarithmic transforms need a mean-zero input function")
-    out = _apply_forward(cfg["transform"], f_grid, lam, cfg["path"], spec.max_degree, pole)
+    out = _transform(cfg["transform"], f_grid, lam=lam, path=cfg["path"],
+                     band_limit=spec.max_degree, pole=spec.pole)
     columns = [f"x{i + 1}" for i in range(n)] + ["input_re", "input_im", "output_re", "output_im"]
     rows = []
     for node, fin, fout in zip(grid.nodes, f_grid.values, out.values):
@@ -450,13 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("multipliers", help="degree-multiplier tables as CSV")
-    p.add_argument("--operator", choices=("cosine", "sine", "funk", "log-cosine", "delta-op"),
-                   default=None)
+    p.add_argument("--operator", choices=tuple(_TABLE_BUILDERS), default=None)
     _add_common(p, "n", "lam", "ell", "J", "out")
     p.set_defaults(fn=_cmd_multipliers)
 
     p = sub.add_parser("forward", help="forward transform of a synthesized input")
-    p.add_argument("--transform", choices=TRANSFORM_NAMES, default=None)
+    p.add_argument("--transform", choices=tuple(OPERATORS), default=None)
     p.add_argument("--path", choices=("quadrature", "spectral", "auto"), default=None)
     p.add_argument("--input", default=None, help="zonal:j=..,pole=.. | const:c | random-even:J=..,seed=..")
     p.add_argument("--resolution", type=int, default=None)

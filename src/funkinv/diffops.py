@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .grids import GridFunction, QuadratureGrid
-from .spectral import HarmonicSpectrum, analyze, delta_op_eigenvalue
+from .spectral import HarmonicSpectrum, as_spectrum, delta_op_eigenvalue
 
 __all__ = [
     "WeightedOpSpec",
@@ -94,25 +94,13 @@ def weighted_laplacian_spectrum(
     return out
 
 
-def _coerce_spectrum(f, band_limit, pole):
-    if isinstance(f, HarmonicSpectrum):
-        return f, None
-    if isinstance(f, GridFunction):
-        if band_limit is None:
-            if "band_limit" not in f.meta:
-                raise InvalidArgumentError("grid samples need a band limit for spectral paths")
-            band_limit = int(f.meta["band_limit"])  # type: ignore[arg-type]
-        return analyze(f, band_limit, pole=pole), f.grid
-    raise InvalidArgumentError("expected a HarmonicSpectrum or GridFunction")
-
-
 def beltrami(f, *, band_limit: int | None = None, pole=None):
     """Sphere Laplacian of a band-limited function (spectral path).
 
     Accepts a spectrum or grid samples; grid samples are analyzed, scaled,
     and synthesized back onto their grid.
     """
-    spec, grid = _coerce_spectrum(f, band_limit, pole)
+    spec, grid = as_spectrum(f, band_limit, pole)
     out = beltrami_spectrum(spec)
     return out if grid is None else out.to_grid(grid)
 
@@ -121,7 +109,7 @@ def weighted_laplacian(f, op: WeightedOpSpec, *, method: str = "diagonal",
                        order: tuple | None = None, band_limit: int | None = None, pole=None):
     """Weighted Laplacian of a band-limited function; see
     :func:`weighted_laplacian_spectrum` for the method choices."""
-    spec, grid = _coerce_spectrum(f, band_limit, pole)
+    spec, grid = as_spectrum(f, band_limit, pole)
     out = weighted_laplacian_spectrum(spec, op, method=method, order=order)
     return out if grid is None else out.to_grid(grid)
 

@@ -25,6 +25,7 @@ from .grids import GridFunction
 from .spectral import (
     HarmonicSpectrum,
     analyze,
+    as_spectrum,
     cosine_multiplier,
     funk_multiplier,
 )
@@ -111,14 +112,11 @@ class InversionResult:
 
 
 def _as_spectrum(phi, band_limit, pole):
-    if isinstance(phi, HarmonicSpectrum):
-        return phi, None
-    if isinstance(phi, GridFunction):
-        if band_limit is None:
-            band_limit = int(phi.meta.get("band_limit", DEFAULT_BAND_CEILING))
-            band_limit = min(band_limit, DEFAULT_BAND_CEILING)
-        return analyze(phi, band_limit, pole=pole), phi.grid
-    raise InvalidArgumentError("expected a HarmonicSpectrum or GridFunction")
+    # grid data without band_limit= is analyzed to at most DEFAULT_BAND_CEILING
+    if band_limit is None and isinstance(phi, GridFunction):
+        band_limit = min(int(phi.meta.get("band_limit", DEFAULT_BAND_CEILING)),
+                         DEFAULT_BAND_CEILING)
+    return as_spectrum(phi, band_limit, pole)
 
 
 def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:

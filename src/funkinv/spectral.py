@@ -520,6 +520,28 @@ def analyze(f: GridFunction, max_degree: int, pole=None) -> HarmonicSpectrum:
     return HarmonicSpectrum(grid.n, max_degree, coeffs, pole)
 
 
+def as_spectrum(f, band_limit: int | None = None, pole=None):
+    """(spectrum, grid) for a spectrum or grid samples.
+
+    A spectrum comes back as it is, with grid None.  Grid samples are analyzed
+    up to ``band_limit`` (default: the band limit recorded by synthesis in
+    their metadata) and come back with their grid, so results can be
+    synthesized onto it again.
+    """
+    if isinstance(f, HarmonicSpectrum):
+        return f, None
+    if not isinstance(f, GridFunction):
+        raise InvalidArgumentError("expected a HarmonicSpectrum or GridFunction")
+    if band_limit is None:
+        if "band_limit" not in f.meta:
+            raise InvalidArgumentError(
+                "grid samples need a band limit; pass band_limit= or use samples "
+                "produced by synthesis"
+            )
+        band_limit = f.meta["band_limit"]  # type: ignore[assignment]
+    return analyze(f, int(band_limit), pole=pole), f.grid
+
+
 def synthesize(spectrum: HarmonicSpectrum, grid: QuadratureGrid) -> GridFunction:
     """Evaluate a spectrum on a grid (direct summation)."""
     return spectrum.to_grid(grid)

@@ -14,9 +14,12 @@ each other:
   input off-grid, which goes through band-limited synthesis (raw grids are
   never interpolated).
 
-A plain on-grid weighted sum is kept for the logarithmic and cosine kernels
+A plain on-grid weighted sum is kept for the logarithmic cosine kernel
 (``quadrature_method="ongrid"``) for convergence studies; near the singular
 set it loses accuracy, which is why it is not the default.
+
+The five public transforms, and ``funkinv forward``, run through one function
+that reads each operator's paths and quadrature domain from ``OPERATORS``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from .errors import (
 from .grids import GridFunction, build_grid, integrate
 from .spectral import (
     HarmonicSpectrum,
-    analyze,
+    analyze,  # noqa: F401  (re-exported: callers reach it as transforms.analyze)
+    as_spectrum,
     cosine_multiplier,
     funk_multiplier,
     log_cosine_multiplier,
@@ -46,7 +50,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "TransformParams",
     "gamma_norm",
     "delta_norm",
     "funk_scale",
@@ -127,20 +130,6 @@ def gamma_norm_k(lam: complex, n: int, k: int) -> complex:
         * gammafn.rgamma(n / 2.0)
         * gammafn.rgamma((lam + k) / 2.0)
     )
-
-
-@dataclass(frozen=True)
-class TransformParams:
-    lam: complex
-    n: int
-    path: str = "auto"
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise InvalidArgumentError("need n >= 3")
-        if self.path not in ("quadrature", "spectral", "auto"):
-            raise InvalidArgumentError(f"unknown path {self.path!r}")
-        object.__setattr__(self, "lam", complex(self.lam))
 
 
 def check_off_even_poles(lam: complex, tol: float = EVEN_POLE_TOL) -> None:
@@ -484,74 +473,133 @@ def funk_geodesic_values(f_eval: Callable, points: np.ndarray, circle_nodes: int
 
 
 # ---------------------------------------------------------------------------
-# plain on-grid sums (documented accuracy loss near the singular set)
+# plain on-grid sum (documented accuracy loss near the singular set)
 
 
-def _ongrid_values(f: GridFunction, kernel: Callable) -> np.ndarray:
+def _log_cosine_ongrid_values(f: GridFunction) -> np.ndarray:
+    """Literal weighted sum of the log(1/|u.v|) kernel over the stored grid,
+    with the kernel capped at log(1e14) where |u.v| < 1e-14."""
+    scale = 2.0 / math.gamma(f.grid.n / 2.0)
+    cap = math.log(1e14)
     nodes = f.grid.nodes
     wf = f.grid.weights * f.values
     out = np.empty(f.grid.num_nodes, dtype=complex)
     chunk = max(1, 2**22 // max(f.grid.num_nodes, 1))
     for lo in range(0, f.grid.num_nodes, chunk):
         dots = nodes[lo : lo + chunk] @ nodes.T
-        out[lo : lo + chunk] = kernel(dots) @ wf
+        kernel = scale * np.minimum(np.log(1.0 / np.maximum(np.abs(dots), 1e-300)), cap)
+        out[lo : lo + chunk] = kernel @ wf
     return out
 
 
 # ---------------------------------------------------------------------------
-# public transform operations
+# public transform operations: one table, one shared body
 
 
-def _engine_sizes(J, polar_nodes, subsphere_resolution, circle_nodes) -> dict:
-    """Quadrature sizes sufficient for exactness at band limit J."""
-    return {
-        "polar_nodes": polar_nodes if polar_nodes is not None else max(24, J + 6),
-        "subsphere_resolution": subsphere_resolution
-        if subsphere_resolution is not None
-        else max(4, J // 2 + 2),
-        "circle_nodes": circle_nodes if circle_nodes is not None else max(24, 2 * J + 2),
-    }
+def _sizes(J: int, given: dict) -> dict:
+    """Quadrature sizes sufficient for exactness at band limit J, except where
+    ``given`` sets them."""
+    defaults = {"polar_nodes": max(24, J + 6), "subsphere_resolution": max(4, J // 2 + 2),
+                "circle_nodes": max(24, 2 * J + 2)}
+    return {k: v if given.get(k) is None else given[k] for k, v in defaults.items()}
 
 
-def _resolve(f, params, lam, path):
-    if params is not None:
-        return complex(params.lam), params.path
-    return (None if lam is None else complex(lam)), (path or "auto")
+@dataclass(frozen=True)
+class _Operator:
+    """A forward transform as :func:`_transform` runs it.
+
+    ``spectral(spec, lam)`` is the spectral path and ``quadrature(f_eval,
+    points, n, lam, J, sizes)`` the quadrature path, given the caller's
+    quadrature sizes; ``auto`` takes quadrature where ``quadrature_domain(lam,
+    n)`` holds (everywhere by default).  The paths look their functions up in this module at call
+    time, so a tracer that replaces those attributes sees every call.
+    """
+
+    name: str
+    spectral: Callable
+    quadrature: Callable
+    quadrature_domain: Callable = lambda lam, n: True
+    mean_zero: bool = False
 
 
-def _band_limit_of(f: GridFunction, band_limit):
-    if band_limit is not None:
-        return int(band_limit)
-    if "band_limit" in f.meta:
-        return int(f.meta["band_limit"])  # type: ignore[arg-type]
-    raise InvalidArgumentError(
-        "this path evaluates the input off-grid, which requires a band limit; "
-        "pass band_limit= or use samples produced by synthesis"
-    )
+# keyed by the names ``funkinv forward --transform`` takes
+OPERATORS = {
+    "cosine": _Operator(
+        "cosine",
+        lambda spec, lam: cosine_spectrum(spec, lam),
+        lambda ev, x, n, lam, J, kw: cosine_quadrature_values(ev, x, n, lam, **_sizes(J, kw)),
+        lambda lam, n: lam.real > -1.0,
+    ),
+    "funk": _Operator(
+        "funk",
+        lambda spec, lam: funk_spectrum(spec),
+        lambda ev, x, n, lam, J, kw: funk_geodesic_values(
+            ev, x, max(kw.get("circle_nodes") or 64, 2 * J + 2)
+        ),
+        lambda lam, n: n == 3,
+    ),
+    "logcos": _Operator(
+        "log-cosine",
+        lambda spec, lam: log_cosine_spectrum(spec),
+        lambda ev, x, n, lam, J, kw: log_cosine_quadrature_values(ev, x, n, **_sizes(J, kw)),
+        mean_zero=True,
+    ),
+    "sine": _Operator(
+        "sine",
+        lambda spec, lam: sine_spectrum(spec, lam),
+        lambda ev, x, n, lam, J, kw: sine_quadrature_values(ev, x, n, lam, **_sizes(J, kw)),
+        lambda lam, n: lam.real > 1.0 - n,
+    ),
+    "logsine": _Operator(
+        "log-sine",
+        lambda spec, lam: log_sine_spectrum(spec),
+        lambda ev, x, n, lam, J, kw: log_sine_quadrature_values(ev, x, n, **_sizes(J, kw)),
+        mean_zero=True,
+    ),
+}
 
 
-def _spectral_on_grid(f: GridFunction, op_spec, band_limit, pole, meta):
-    J = _band_limit_of(f, band_limit)
-    spec = analyze(f, J, pole=pole)
-    out = op_spec(spec)
-    g = out.to_grid(f.grid)
-    return g.with_values(g.values, **meta)
-
-
-def _pick_path(path: str, lam_ok_for_quadrature: bool, f, band_limit) -> str:
-    if path in ("quadrature", "spectral"):
-        return path
-    if lam_ok_for_quadrature:
-        return "quadrature"
-    return "spectral"
+def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None,
+               quadrature_method=None, **sizes):
+    """Apply ``OPERATORS[key]`` to a spectrum (spectral path, returns a
+    spectrum) or to grid samples (returns samples on the same grid, with the
+    operator, the path taken, lambda and the quadrature method in the metadata).
+    ``quadrature_method="ongrid"`` is the plain on-grid sum of the log-cosine
+    kernel.
+    """
+    for value, allowed in ((key, tuple(OPERATORS)), (path, ("auto", "spectral", "quadrature")),
+                           (quadrature_method, (None, "adapted", "ongrid"))):
+        if value not in allowed:
+            raise InvalidArgumentError(f"unknown choice {value!r}; expected one of {allowed}")
+    op = OPERATORS[key]
+    lam = None if lam is None else complex(lam)
+    if isinstance(f, HarmonicSpectrum):
+        if path == "quadrature":
+            raise InvalidArgumentError("quadrature path needs grid samples, not a spectrum")
+        return op.spectral(f, lam)
+    if not isinstance(f, GridFunction):
+        raise InvalidArgumentError("expected a HarmonicSpectrum or GridFunction")
+    if op.mean_zero and abs(integrate(f)) > MEAN_ZERO_TOL:
+        raise PreconditionError(f"{op.name} transform requires a mean-zero input")
+    if path == "auto":
+        path = "quadrature" if op.quadrature_domain(lam, f.grid.n) else "spectral"
+    meta = {"operator": op.name, "path": path, "lam": lam, "method": quadrature_method}
+    meta = {k: v for k, v in meta.items() if v is not None}
+    if path == "quadrature" and quadrature_method == "ongrid":
+        return GridFunction(f.grid, _log_cosine_ongrid_values(f), meta)
+    spec, grid = as_spectrum(f, band_limit, pole)
+    if path == "spectral":
+        out = op.spectral(spec, lam).to_grid(grid)
+        return out.with_values(out.values, **meta)
+    values = op.quadrature(spec.evaluate, grid.nodes, grid.n, lam, spec.max_degree, sizes)
+    return GridFunction(grid, values, meta)
 
 
 def cosine_transform(
     f,
-    params: TransformParams | None = None,
     *,
-    lam: complex | None = None,
-    path: str | None = None,
+    lam: complex,
+    path: str = "auto",
     band_limit: int | None = None,
     pole=None,
     polar_nodes: int | None = None,
@@ -561,28 +609,12 @@ def cosine_transform(
     """lam-cosine transform of an even function.
 
     Accepts a HarmonicSpectrum (spectral path, returns a spectrum) or a
-    GridFunction (path per ``params``/``path``; returns samples on the same
-    grid with the chosen path recorded in the metadata).
+    GridFunction (path per ``path``; returns samples on the same grid with the
+    chosen path recorded in the metadata).
     """
-    lam, path = _resolve(f, params, lam, path)
-    if lam is None:
-        raise InvalidArgumentError("cosine transform needs lambda")
-    if isinstance(f, HarmonicSpectrum):
-        if path == "quadrature":
-            raise InvalidArgumentError("quadrature path needs grid samples, not a spectrum")
-        return cosine_spectrum(f, lam)
-    chosen = _pick_path(path, lam.real > -1.0, f, band_limit)
-    meta = {"operator": "cosine", "path": chosen, "lam": lam}
-    if chosen == "spectral":
-        return _spectral_on_grid(f, lambda s: cosine_spectrum(s, lam), band_limit, pole, meta)
-    J = _band_limit_of(f, band_limit)
-    spec = analyze(f, J, pole=pole)
-    vals = cosine_quadrature_values(
-        spec.evaluate, f.grid.nodes, f.grid.n, lam, **_engine_sizes(
-            J, polar_nodes, subsphere_resolution, circle_nodes
-        ),
-    )
-    return GridFunction(f.grid, vals, meta)
+    return _transform("cosine", f, lam=lam, path=path, band_limit=band_limit, pole=pole,
+                      polar_nodes=polar_nodes, subsphere_resolution=subsphere_resolution,
+                      circle_nodes=circle_nodes)
 
 
 def funk_transform(
@@ -591,27 +623,16 @@ def funk_transform(
     path: str = "auto",
     band_limit: int | None = None,
     pole=None,
-    circle_nodes: int = 64,
+    circle_nodes: int | None = None,
 ):
     """Funk transform: average over the great subsphere orthogonal to u.
 
-    The quadrature (geodesic) path is the n = 3 great-circle trapezoid rule;
-    the spectral path works for any n.
+    The quadrature (geodesic) path is the n = 3 great-circle trapezoid rule on
+    max(circle_nodes, 2J+2) nodes, circle_nodes defaulting to 64; the spectral
+    path works for any n.
     """
-    if isinstance(f, HarmonicSpectrum):
-        if path == "quadrature":
-            raise InvalidArgumentError("quadrature path needs grid samples, not a spectrum")
-        return funk_spectrum(f)
-    chosen = _pick_path(path, f.grid.n == 3, f, band_limit)
-    meta = {"operator": "funk", "path": chosen}
-    if chosen == "spectral":
-        return _spectral_on_grid(f, funk_spectrum, band_limit, pole, meta)
-    if f.grid.n != 3:
-        raise DomainError("the geodesic quadrature path is n = 3 only; use the spectral path")
-    J = _band_limit_of(f, band_limit)
-    spec = analyze(f, J, pole=pole)
-    vals = funk_geodesic_values(spec.evaluate, f.grid.nodes, max(circle_nodes, 2 * J + 2))
-    return GridFunction(f.grid, vals, meta)
+    return _transform("funk", f, path=path, band_limit=band_limit, pole=pole,
+                      circle_nodes=circle_nodes)
 
 
 def log_cosine_transform(
@@ -632,40 +653,16 @@ def log_cosine_transform(
     converges slowly near the singular circle and exists for convergence
     studies.  The default adapted rule is accurate to roughly 1e-10.
     """
-    if isinstance(f, HarmonicSpectrum):
-        if path == "quadrature":
-            raise InvalidArgumentError("quadrature path needs grid samples, not a spectrum")
-        return log_cosine_spectrum(f)
-    if abs(integrate(f)) > MEAN_ZERO_TOL:
-        raise PreconditionError("logarithmic cosine transform requires a mean-zero input")
-    chosen = "quadrature" if path == "auto" else path
-    meta = {"operator": "log-cosine", "path": chosen, "method": quadrature_method}
-    if chosen == "spectral":
-        return _spectral_on_grid(f, log_cosine_spectrum, band_limit, pole, meta)
-    if quadrature_method == "ongrid":
-        scale = 2.0 / math.gamma(f.grid.n / 2.0)
-        cap = math.log(1e14)
-
-        def kernel(dots):
-            return scale * np.minimum(np.log(1.0 / np.maximum(np.abs(dots), 1e-300)), cap)
-
-        return GridFunction(f.grid, _ongrid_values(f, kernel), meta)
-    J = _band_limit_of(f, band_limit)
-    spec = analyze(f, J, pole=pole)
-    vals = log_cosine_quadrature_values(
-        spec.evaluate, f.grid.nodes, f.grid.n, **_engine_sizes(
-            J, polar_nodes, subsphere_resolution, circle_nodes
-        ),
-    )
-    return GridFunction(f.grid, vals, meta)
+    return _transform("logcos", f, path=path, band_limit=band_limit, pole=pole,
+                      quadrature_method=quadrature_method, polar_nodes=polar_nodes,
+                      subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)
 
 
 def sine_transform(
     f,
-    params: TransformParams | None = None,
     *,
-    lam: complex | None = None,
-    path: str | None = None,
+    lam: complex,
+    path: str = "auto",
     band_limit: int | None = None,
     pole=None,
     polar_nodes: int | None = None,
@@ -673,25 +670,9 @@ def sine_transform(
     circle_nodes: int | None = None,
 ):
     """lam-sine transform of an even function."""
-    lam, path = _resolve(f, params, lam, path)
-    if lam is None:
-        raise InvalidArgumentError("sine transform needs lambda")
-    if isinstance(f, HarmonicSpectrum):
-        if path == "quadrature":
-            raise InvalidArgumentError("quadrature path needs grid samples, not a spectrum")
-        return sine_spectrum(f, lam)
-    chosen = _pick_path(path, lam.real > 1.0 - f.grid.n, f, band_limit)
-    meta = {"operator": "sine", "path": chosen, "lam": lam}
-    if chosen == "spectral":
-        return _spectral_on_grid(f, lambda s: sine_spectrum(s, lam), band_limit, pole, meta)
-    J = _band_limit_of(f, band_limit)
-    spec = analyze(f, J, pole=pole)
-    vals = sine_quadrature_values(
-        spec.evaluate, f.grid.nodes, f.grid.n, lam, **_engine_sizes(
-            J, polar_nodes, subsphere_resolution, circle_nodes
-        ),
-    )
-    return GridFunction(f.grid, vals, meta)
+    return _transform("sine", f, lam=lam, path=path, band_limit=band_limit, pole=pole,
+                      polar_nodes=polar_nodes, subsphere_resolution=subsphere_resolution,
+                      circle_nodes=circle_nodes)
 
 
 def log_sine_transform(
@@ -705,21 +686,6 @@ def log_sine_transform(
     circle_nodes: int | None = None,
 ):
     """Logarithmic sine transform of a mean-zero function."""
-    if isinstance(f, HarmonicSpectrum):
-        if path == "quadrature":
-            raise InvalidArgumentError("quadrature path needs grid samples, not a spectrum")
-        return log_sine_spectrum(f)
-    if abs(integrate(f)) > MEAN_ZERO_TOL:
-        raise PreconditionError("logarithmic sine transform requires a mean-zero input")
-    chosen = "quadrature" if path == "auto" else path
-    meta = {"operator": "log-sine", "path": chosen}
-    if chosen == "spectral":
-        return _spectral_on_grid(f, log_sine_spectrum, band_limit, pole, meta)
-    J = _band_limit_of(f, band_limit)
-    spec = analyze(f, J, pole=pole)
-    vals = log_sine_quadrature_values(
-        spec.evaluate, f.grid.nodes, f.grid.n, **_engine_sizes(
-            J, polar_nodes, subsphere_resolution, circle_nodes
-        ),
-    )
-    return GridFunction(f.grid, vals, meta)
+    return _transform("logsine", f, path=path, band_limit=band_limit, pole=pole,
+                      polar_nodes=polar_nodes, subsphere_resolution=subsphere_resolution,
+                      circle_nodes=circle_nodes)

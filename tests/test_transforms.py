@@ -23,7 +23,6 @@ from funkinv.spectral import (
 )
 from funkinv.diffops import WeightedOpSpec, weighted_laplacian_spectrum
 from funkinv.transforms import (
-    TransformParams,
     complement_basis,
     cosine_quadrature_values,
     cosine_spectrum,
@@ -75,13 +74,25 @@ def test_normalization_constants():
         gamma_norm(2.0, 3)
 
 
-def test_params_validation():
-    p = TransformParams(lam=0.5, n=3, path="auto")
-    assert p.lam == 0.5 + 0j
+@pytest.mark.parametrize("transform, kw", [
+    (cosine_transform, {"lam": 0.5}),
+    (funk_transform, {}),
+    (log_cosine_transform, {}),
+    (sine_transform, {"lam": 0.5}),
+    (log_sine_transform, {}),
+])
+def test_unknown_choices_and_inputs_are_rejected(grid3, transform, kw):
+    spec = random_even_spectrum(3, 4, seed=5).with_zero_mean()
+    x0 = spec.to_grid(grid3)
+    for f in (spec, x0):
+        for path in ("spectrl", "nope", None):
+            with pytest.raises(InvalidArgumentError):
+                transform(f, path=path, **kw)
     with pytest.raises(InvalidArgumentError):
-        TransformParams(lam=0.5, n=2)
-    with pytest.raises(InvalidArgumentError):
-        TransformParams(lam=0.5, n=3, path="nope")
+        transform(x0.values, **kw)  # neither a spectrum nor grid samples
+    if transform is log_cosine_transform:
+        with pytest.raises(InvalidArgumentError):
+            transform(x0, quadrature_method="nope")
 
 
 # ---------------------------------------------------------------------------
