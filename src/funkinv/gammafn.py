@@ -1,38 +1,27 @@
-"""Gamma function for complex arguments.
+"""Gamma function for complex arguments, on top of :mod:`scipy.special`.
 
-Lanczos approximation (g = 7, 9 coefficients) with the reflection formula for
-Re z < 1/2.  Relative accuracy is better than 1e-12 on the strip
-|Re z| <= 20, |Im z| <= 20 as long as the argument stays at least 1e-6 away
-from the poles 0, -1, -2, ...  Arguments within ``POLE_TOLERANCE`` of a pole
-raise :class:`~funkinv.errors.PoleError` instead of returning a huge value.
+Real arguments go to scipy's real gamma and stay exactly real; complex ones
+to its complex gamma, whose relative accuracy is better than 1e-12 on the
+strip |Re z| <= 20, |Im z| <= 20 away from the poles.  Arguments within
+``POLE_TOLERANCE`` of a pole 0, -1, -2, ... raise
+:class:`~funkinv.errors.PoleError` instead of returning a huge value, and a
+result too large for double precision raises
+:class:`~funkinv.errors.DomainError` instead of returning inf.
 
-The reciprocal ``rgamma`` is entire: it returns exactly 0 at the poles and
-never raises.
+The reciprocal ``rgamma`` is entire: it returns exactly 0 at the poles.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
-from .errors import PoleError
+from scipy import special
+
+from .errors import DomainError, PoleError
 
 __all__ = ["gamma", "rgamma", "sinpi", "POLE_TOLERANCE"]
 
 POLE_TOLERANCE = 1e-12
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 def sinpi(z: complex) -> complex:
@@ -59,14 +48,11 @@ def nearest_pole(z: complex) -> int | None:
     return None
 
 
-def _lanczos_positive(z: complex) -> complex:
-    # Valid for Re z >= 0.5.
-    z -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+def _finite(name: str, z: complex, fn) -> complex:
+    out = complex(fn(z.real) if z.imag == 0.0 else fn(z))
+    if not cmath.isfinite(out):
+        raise DomainError(f"{name}({z}) is out of the double-precision range")
+    return out
 
 
 def gamma(z: complex) -> complex:
@@ -75,14 +61,9 @@ def gamma(z: complex) -> complex:
     m = nearest_pole(z)
     if m is not None:
         raise PoleError(f"gamma argument {z} within {POLE_TOLERANCE} of pole at {-m}", pole=-m)
-    if z.real < 0.5:
-        return cmath.pi / (sinpi(z) * _lanczos_positive(1.0 - z))
-    return _lanczos_positive(z)
+    return _finite("gamma", z, special.gamma)
 
 
 def rgamma(z: complex) -> complex:
     """1/Gamma(z), entire in z; returns exactly 0 at the poles of Gamma."""
-    z = complex(z)
-    if z.real < 0.5:
-        return sinpi(z) * _lanczos_positive(1.0 - z) / cmath.pi
-    return 1.0 / _lanczos_positive(z)
+    return _finite("rgamma", complex(z), special.rgamma)

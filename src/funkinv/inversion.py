@@ -24,7 +24,6 @@ from .diffops import WeightedOpSpec, weighted_laplacian_spectrum
 from .grids import GridFunction
 from .spectral import (
     HarmonicSpectrum,
-    analyze,
     as_spectrum,
     cosine_multiplier,
     funk_multiplier,
@@ -122,7 +121,7 @@ def _as_spectrum(phi, band_limit, pole):
 def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:
     """Deterministic evaluation points for pointwise error reports."""
     from .spectral import zonal_profile_rule
-    from .transforms import complement_basis
+    from .transforms import null_space_basis
 
     if spec.kind == "full":
         golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -131,7 +130,7 @@ def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:
         r = np.sqrt(1.0 - z * z)
         return np.stack([r * np.cos(golden * k), r * np.sin(golden * k), z], axis=1)
     t, _ = zonal_profile_rule(spec.n, spec.max_degree + 2)
-    q = complement_basis(spec.pole)[:, 0]
+    q = null_space_basis(spec.pole[:, None])[:, 0]
     return t[:, None] * spec.pole[None, :] + np.sqrt(1.0 - t * t)[:, None] * q[None, :]
 
 
@@ -153,9 +152,7 @@ def _finish(
     max_err = None
     per_degree = None
     if reference is not None:
-        ref_spec = reference if isinstance(reference, HarmonicSpectrum) else analyze(
-            reference, band_limit
-        )
+        ref_spec = as_spectrum(reference, band_limit)[0]
         diff = outputs[0] - ref_spec
         per_degree = {j: diff.degree_l2(j) for j in range(diff.max_degree + 1)}
         max_err = float(np.max(np.abs(outputs[0].evaluate(pts) - ref_spec.evaluate(pts))))

@@ -20,15 +20,15 @@ full (j, m) tables for n = 3, zonal tables about a stored pole for n > 3.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import loggamma, roots_jacobi
 
-from . import gammafn
 from .errors import (
     DivergenceError,
     DomainError,
@@ -107,6 +107,23 @@ def _jacobi_rule(num_nodes: int, alpha: float, beta: float):
 
 
 @lru_cache(maxsize=None)
+def _split_jacobi_rule(num_nodes: int, alpha: float, power: float):
+    """Rule (t, w) on (0, 1) with sum w g(t) ~ int_0^1 g(t) t^power (1-t^2)^alpha dt.
+
+    The Gauss-Jacobi rule for (1-x)^alpha (1+x)^power mapped to t = (1+x)/2,
+    with the residual ((3+x)/2)^alpha 2^-(power+alpha+1) of the substitution
+    multiplied into the weights.  The kernels split at t = 0 use it on each
+    half.
+    """
+    x, w = _jacobi_rule(num_nodes, alpha, power)
+    t = 0.5 * (1.0 + x)
+    wts = w * ((0.5 * (3.0 + x)) ** alpha * 0.5 ** (power + alpha + 1.0))
+    t.setflags(write=False)
+    wts.setflags(write=False)
+    return t, wts
+
+
+@lru_cache(maxsize=None)
 def zonal_norm_sq(j: int, n: int) -> float:
     """Squared L2 norm of the degree-j zonal profile against the pushforward measure."""
     x, w = _jacobi_rule(max(j + 1, 2), (n - 3) / 2.0, (n - 3) / 2.0)
@@ -164,15 +181,13 @@ def funk_hecke_multiplier_quadrature(
         )
 
     def one_pass(num: int) -> complex:
-        x, w = _jacobi_rule(num, alpha, power)
-        t = 0.5 * (1.0 + x)
-        # t^power dt (1-t)^alpha absorbed into the rule; divide them back out
-        # of the full kernel and keep the smooth remainder.
-        resid = (0.5 * (3.0 + x)) ** alpha * 0.5 ** (power + alpha + 1.0)
+        t, w = _split_jacobi_rule(num, alpha, power)
+        # t^power (1-t^2)^alpha is absorbed into the rule; divide the declared
+        # factors back out of the full kernel and keep the smooth remainder.
         desing = t ** (-power) * (1.0 - t * t) ** (-edge_power)
         plus = np.asarray(kernel(t), dtype=complex) * desing * zonal_eval(j, n, t)
         minus = np.asarray(kernel(-t), dtype=complex) * desing * zonal_eval(j, n, -t)
-        return complex(pushforward_constant(n) * np.dot(w, resid * (plus + minus)))
+        return complex(pushforward_constant(n) * np.dot(w, plus + minus))
 
     coarse = one_pass(num_nodes)
     fine = one_pass(2 * num_nodes)
@@ -188,6 +203,24 @@ def funk_hecke_multiplier_quadrature(
 
 # ---------------------------------------------------------------------------
 # multipliers in closed form (gated by the quadrature oracle)
+
+
+def _gamma_ratio(a: complex, b: complex) -> complex:
+    """Gamma(a)/Gamma(b) as exp(loggamma(a) - loggamma(b)), which stays finite
+    at high degree where each factor alone overflows.
+
+    Exactly 0 at the poles of Gamma(b) and exactly real for real arguments;
+    DomainError when the ratio is out of the double-precision range (or a is
+    a pole of Gamma, which callers rule out first).
+    """
+    a, b = complex(a), complex(b)
+    if b.imag == 0.0 and b.real <= 0.0 and b.real == round(b.real):
+        return 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = complex(np.exp(loggamma(a) - loggamma(b)))
+    if not cmath.isfinite(out):
+        raise DomainError(f"Gamma({a})/Gamma({b}) is out of the double-precision range")
+    return complex(out.real) if a.imag == b.imag == 0.0 else out
 
 
 def _require_even(j: int) -> None:
@@ -211,7 +244,7 @@ def cosine_multiplier(j: int, n: int, lam: complex) -> complex:
             pole=j - 2 * k,
         )
     sign = -1.0 if (j // 2) % 2 else 1.0
-    return sign * gammafn.gamma(num) * gammafn.rgamma((j + lam + n) / 2.0)
+    return sign * _gamma_ratio(num, (j + lam + n) / 2.0)
 
 
 def funk_multiplier(j: int, n: int) -> float:
@@ -220,12 +253,8 @@ def funk_multiplier(j: int, n: int) -> float:
     constant relating the two transforms)."""
     _require_even(j)
     sign = -1.0 if (j // 2) % 2 else 1.0
-    return (
-        sign
-        * math.gamma((j + 1) / 2.0)
-        * math.gamma((n - 1) / 2.0)
-        / (math.sqrt(math.pi) * math.gamma((j + n - 1) / 2.0))
-    )
+    ratio = _gamma_ratio((j + 1) / 2.0, (j + n - 1) / 2.0).real
+    return sign * ratio * math.gamma((n - 1) / 2.0) / math.sqrt(math.pi)
 
 
 def sine_multiplier(j: int, n: int, lam: complex) -> complex:
@@ -244,7 +273,7 @@ def log_cosine_multiplier(j: int, n: int) -> float:
         raise ExcludedComponentError("degree 0 is excluded from the logarithmic transform")
     _require_even(j)
     sign = -1.0 if (j // 2) % 2 else 1.0
-    return sign * math.gamma(j / 2.0) * float(gammafn.rgamma((j + n) / 2.0).real)
+    return sign * _gamma_ratio(j / 2.0, (j + n) / 2.0).real
 
 
 def delta_op_eigenvalue(j: int, n: int, lam: complex, ell: int) -> complex:

@@ -31,6 +31,7 @@ from .grids import as_direction
 from .inversion import InversionReport, invert_cosine1, invert_funk
 from .spectral import (
     HarmonicSpectrum,
+    _split_jacobi_rule,
     cosine_multiplier,
     delta_op_eigenvalue,
     funk_multiplier,
@@ -41,10 +42,10 @@ from .spectral import (
 from .transforms import (
     _subsphere_rule,
     check_off_even_poles,
-    complement_basis,
     frame_scale,
     funk_scale,
     gamma_norm_k,
+    null_space_basis,
     null_sphere_scale,
 )
 
@@ -159,21 +160,8 @@ def haar_frame(n: int, k: int, seed: int) -> Frame:
     return Frame(haar_frames(n, k, 1, seed=seed)[0])
 
 
-def null_space_basis(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of u^T (n x (n-k)), by Householder
-    completion of the frame; deterministic in u."""
-    u = np.asarray(u, dtype=float)
-    q = np.linalg.qr(u, mode="complete")[0]
-    return q[:, u.shape[1] :]
-
-
 # ---------------------------------------------------------------------------
 # forward transforms (exact product quadrature)
-
-
-def _batched_null_bases(frames: np.ndarray) -> np.ndarray:
-    q = np.linalg.qr(frames, mode="complete")[0]
-    return q[:, :, frames.shape[2] :]
 
 
 def _funk_k_values(
@@ -186,7 +174,7 @@ def _funk_k_values(
     """Averages of f over the null-space subspheres of a stack of frames."""
     count, n, k = frames.shape
     omega, rho = _subsphere_rule(n - k, fiber_resolution, circle_nodes)
-    bases = _batched_null_bases(frames)  # (S, n, n-k)
+    bases = null_space_basis(frames)  # (S, n, n-k)
     pts = np.einsum("snd,rd->srn", bases, omega)
     vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex).reshape(count, len(omega))
     return vals @ rho
@@ -230,8 +218,6 @@ def _cosine_k_values(
     fiber_resolution: int = 6,
     circle_nodes: int = 32,
 ) -> np.ndarray:
-    from .spectral import _jacobi_rule
-
     count, n, k = frames.shape
     lam = complex(lam)
     if lam.real <= -k:
@@ -239,17 +225,15 @@ def _cosine_k_values(
     check_off_even_poles(lam)
     a = (n - k - 2) / 2.0
     b = k - 1.0 + lam.real
-    x, w = _jacobi_rule(radial_nodes, a, b)
-    r = 0.5 * (1.0 + x)
-    resid = (0.5 * (3.0 + x)) ** a * 0.5 ** (a + b + 1.0)
-    wts = (w * resid).astype(complex)
+    r, wts = _split_jacobi_rule(radial_nodes, a, b)
+    wts = wts.astype(complex)
     if lam.imag:
         wts *= np.exp(1j * lam.imag * np.log(r))
     norm_const = 2.0 * math.gamma(n / 2.0) / (math.gamma(k / 2.0) * math.gamma((n - k) / 2.0))
 
     theta, tw = _subsphere_rule(k, span_resolution, circle_nodes)
     omega, ow = _subsphere_rule(n - k, fiber_resolution, circle_nodes)
-    bases = _batched_null_bases(frames)
+    bases = null_space_basis(frames)
     span_dirs = np.einsum("snk,tk->stn", frames, theta)  # (S, T, n)
     null_dirs = np.einsum("snd,rd->srn", bases, omega)  # (S, R, n)
     sin_r = np.sqrt(1.0 - r * r)
@@ -300,7 +284,7 @@ def _check_samples(samples: int) -> None:
 def _frames_orthogonal_to(v: np.ndarray, k: int, count: int, rng) -> np.ndarray:
     """Haar frames of the hyperplane orthogonal to v, embedded in R^n."""
     n = len(v)
-    basis = complement_basis(v)  # (n, n-1)
+    basis = null_space_basis(v[:, None])  # (n, n-1)
     small = haar_frames(n - 1, k, count, rng=rng)
     return np.einsum("nm,smk->snk", basis, small)
 
@@ -487,7 +471,7 @@ def _profile_directions(f: HarmonicSpectrum, num: int):
     """Evaluation directions along a meridian through the pole, at the nodes
     of the profile quadrature (enough for exact zonal analysis)."""
     t, w = zonal_profile_rule(f.n, num)
-    q = complement_basis(f.pole)[:, 0]
+    q = null_space_basis(f.pole[:, None])[:, 0]
     dirs = t[:, None] * f.pole[None, :] + np.sqrt(1.0 - t * t)[:, None] * q[None, :]
     return t, w, dirs
 

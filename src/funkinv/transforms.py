@@ -40,6 +40,8 @@ from .errors import (
 from .grids import GridFunction, build_grid, integrate
 from .spectral import (
     HarmonicSpectrum,
+    _jacobi_rule,
+    _split_jacobi_rule,
     analyze,  # noqa: F401  (re-exported: callers reach it as transforms.analyze)
     as_spectrum,
     cosine_multiplier,
@@ -71,8 +73,7 @@ __all__ = [
     "log_cosine_quadrature_values",
     "log_sine_quadrature_values",
     "funk_geodesic_values",
-    "great_circle_basis",
-    "complement_basis",
+    "null_space_basis",
 ]
 
 EVEN_POLE_TOL = 1e-10
@@ -85,29 +86,17 @@ MEAN_ZERO_TOL = 1e-10
 
 def gamma_norm(lam: complex, n: int) -> complex:
     """Normalizing coefficient of the lam-cosine transform."""
-    lam = complex(lam)
-    return (
-        math.sqrt(math.pi)
-        * gammafn.gamma(-lam / 2.0)
-        * gammafn.rgamma(n / 2.0)
-        * gammafn.rgamma((lam + 1.0) / 2.0)
-    )
+    return gamma_norm_k(lam, n, 1)
 
 
 def delta_norm(lam: complex, n: int) -> complex:
     """Normalizing coefficient of the lam-sine transform."""
-    lam = complex(lam)
-    return (
-        math.sqrt(math.pi)
-        * gammafn.gamma(-lam / 2.0)
-        * gammafn.rgamma(n / 2.0)
-        * gammafn.rgamma((n - 1.0 + lam) / 2.0)
-    )
+    return gamma_norm_k(lam, n, n - 1)
 
 
 def funk_scale(n: int) -> float:
     """Constant relating the (-1)-cosine transform to the Funk transform."""
-    return math.sqrt(math.pi) / math.gamma((n - 1) / 2.0)
+    return null_sphere_scale(n, 1)
 
 
 def frame_scale(n: int, k: int) -> float:
@@ -122,7 +111,8 @@ def null_sphere_scale(n: int, k: int) -> float:
 
 
 def gamma_norm_k(lam: complex, n: int, k: int) -> complex:
-    """Normalizing coefficient of the codimension-k cosine transform."""
+    """Normalizing coefficient of the codimension-k cosine transform; k = 1 is
+    the lam-cosine and k = n-1 the lam-sine transform."""
     lam = complex(lam)
     return (
         math.sqrt(math.pi)
@@ -175,34 +165,16 @@ def log_sine_spectrum(spec: HarmonicSpectrum) -> HarmonicSpectrum:
 # adapted quadrature engine
 
 
-def great_circle_basis(u: np.ndarray):
-    """Deterministic orthonormal basis (e1, e2) of the plane orthogonal to u in R^3.
+def null_space_basis(u: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of u^T (n x (n-k)) for a frame u
+    (n x k), by Householder completion; deterministic in u.
 
-    e1 points along the standard basis vector with the smallest |a.u| (lowest
-    index on ties) projected off u; e2 = u x e1.  Never degenerate.
+    A stack of frames (..., n, k) gives a stack of bases (..., n, n-k) from one
+    batched QR; a unit vector as an n x 1 frame gives its orthogonal hyperplane.
     """
     u = np.asarray(u, dtype=float)
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(u)))] = 1.0
-    e1 = a - (a @ u) * u
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    return e1, e2
-
-
-def complement_basis(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to unit u (n x (n-1)),
-    by Householder completion; deterministic in u.
-
-    A stack of directions of shape (..., n) gives a stack of bases of shape
-    (..., n, n-1) from one batched QR.
-    """
-    u = np.asarray(u, dtype=float)
-    n = u.shape[-1]
-    eye = np.broadcast_to(np.eye(n), u.shape[:-1] + (n, n))
-    q, _ = np.linalg.qr(np.concatenate([u[..., :, None], eye], axis=-1))
-    # first column of q is +-u; the next n-1 columns span the complement
-    return q[..., 1:]
+    q = np.linalg.qr(u, mode="complete")[0]
+    return q[..., u.shape[-1] :]
 
 
 def _subsphere_rule(d: int, resolution: int, circle_nodes: int):
@@ -235,7 +207,7 @@ def _shell_average_values(
     out = np.empty((points.shape[0], len(t_nodes)), dtype=complex)
     for lo in range(0, points.shape[0], chunk):
         batch = points[lo : lo + chunk]
-        dirs = complement_basis(batch) @ omega.T  # (B, n, R)
+        dirs = null_space_basis(batch[:, :, None]) @ omega.T  # (B, n, R)
         # pts[b, i, r, :] = t_i * u_b + sin_i * dirs[b, :, r]
         pts = (
             t_nodes[None, :, None, None] * batch[:, None, None, :]
@@ -267,14 +239,8 @@ def _apply_panels(
 def _cosine_panels(lam: complex, n: int, polar_nodes: int):
     """Panels realizing int_{-1}^{1} |t|^lam q(t) (1-t^2)^((n-3)/2) dt / A_n
     with the |t|^Re(lam) factor absorbed into split Gauss-Jacobi weights."""
-    from .spectral import _jacobi_rule
-
     lam = complex(lam)
-    alpha = (n - 3) / 2.0
-    x, w = _jacobi_rule(polar_nodes, alpha, lam.real)
-    t = 0.5 * (1.0 + x)
-    resid = (0.5 * (3.0 + x)) ** alpha * 0.5 ** (lam.real + alpha + 1.0)
-    wts = w * resid
+    t, wts = _split_jacobi_rule(polar_nodes, (n - 3) / 2.0, lam.real)
     if lam.imag:
         wts = wts * np.exp(1j * lam.imag * np.log(t))
     return [(t, wts), (-t, wts)]
@@ -283,8 +249,6 @@ def _cosine_panels(lam: complex, n: int, polar_nodes: int):
 def _sine_panels(lam: complex, n: int, polar_nodes: int):
     """Panels for the (1-t^2)^(lam/2) kernel: symmetric Gauss-Jacobi with the
     full (1-t^2)^((lam+n-3)/2) weight absorbed."""
-    from .spectral import _jacobi_rule
-
     lam = complex(lam)
     a = (lam.real + n - 3.0) / 2.0
     x, w = _jacobi_rule(polar_nodes, a, a)
@@ -294,24 +258,15 @@ def _sine_panels(lam: complex, n: int, polar_nodes: int):
     return [(x, wts)]
 
 
-def _log_cosine_panels(n: int, polar_nodes: int, eps: float = 1e-5):
-    """Panels for the log(1/|t|) kernel: minus the derivative in the absorbed
-    power at 0, realized as a central difference of |t|^(+-eps) rules."""
-    panels = []
-    for sgn in (+1.0, -1.0):
-        for t, wts in _cosine_panels(sgn * eps, n, polar_nodes):
-            panels.append((t, (-sgn / (2.0 * eps)) * wts))
-    return panels
-
-
-def _log_sine_panels(n: int, polar_nodes: int, eps: float = 1e-5):
-    """Panels for the log(1/(1-t^2)) kernel via the same differencing of the
-    absorbed (1-t^2)^(+-eps) power."""
-    panels = []
-    for sgn in (+1.0, -1.0):
-        for t, wts in _sine_panels(2.0 * sgn * eps, n, polar_nodes):
-            panels.append((t, (-sgn / (2.0 * eps)) * wts))
-    return panels
+def _log_panels(power_panels: Callable, n: int, polar_nodes: int, eps: float = 1e-5):
+    """Panels for the logarithm of a power kernel: minus the derivative of
+    ``power_panels(p, n, polar_nodes)`` in the absorbed power p at 0, realized
+    as a central difference of the p = +-eps rules."""
+    return [
+        (t, (-sgn / (2.0 * eps)) * wts)
+        for sgn in (+1.0, -1.0)
+        for t, wts in power_panels(sgn * eps, n, polar_nodes)
+    ]
 
 
 def _even_abs_moment(lam: complex, alpha: float, m: int) -> complex:
@@ -434,7 +389,7 @@ def log_cosine_quadrature_values(
     circle_nodes: int = 64,
 ) -> np.ndarray:
     raw = _apply_panels(
-        f_eval, np.asarray(points, float), n, _log_cosine_panels(n, polar_nodes),
+        f_eval, np.asarray(points, float), n, _log_panels(_cosine_panels, n, polar_nodes),
         subsphere_resolution, circle_nodes,
     )
     return (2.0 / math.gamma(n / 2.0)) * raw
@@ -449,9 +404,10 @@ def log_sine_quadrature_values(
     subsphere_resolution: int = 8,
     circle_nodes: int = 64,
 ) -> np.ndarray:
+    # log(1/(1-t^2)) is the derivative of (1-t^2)^(lam/2) in lam/2
+    panels = _log_panels(lambda p, n, m: _sine_panels(2.0 * p, n, m), n, polar_nodes)
     raw = _apply_panels(
-        f_eval, np.asarray(points, float), n, _log_sine_panels(n, polar_nodes),
-        subsphere_resolution, circle_nodes,
+        f_eval, np.asarray(points, float), n, panels, subsphere_resolution, circle_nodes
     )
     # prefactor fixed by the limit of the lam-sine family at lam = 0, equal to
     # the factorization through the Funk transform (see tests)

@@ -41,6 +41,18 @@ def test_multipliers_csv(tmp_path):
     assert len(lines) == 2 + 5  # even degrees 0..8
 
 
+def test_multipliers_high_degree_are_finite(tmp_path):
+    # the gamma ratios used to overflow from degree 282 on
+    for operator in ("cosine", "sine", "funk", "log-cosine"):
+        out = tmp_path / f"{operator}.csv"
+        assert main(["multipliers", "--operator", operator, "--J", "400",
+                     "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert rows[-1][2] == "400"
+        values = np.array([[float(r[6]), float(r[7])] for r in rows])
+        assert np.all(np.isfinite(values))
+
+
 def test_forward_csv(tmp_path):
     out = tmp_path / "f.csv"
     code = main([

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import lpmv
 
+from funkinv import gammafn
 from funkinv.errors import (
     DivergenceError,
     DomainError,
     ExcludedComponentError,
+    FunkinvError,
     InvalidArgumentError,
     PoleError,
     ResolutionError,
@@ -383,3 +386,48 @@ def test_multiplier_table():
     assert log_table.degrees == (2, 4, 6, 8)
     with pytest.raises(InvalidArgumentError):
         multiplier_table("nope", 3, 8)
+
+
+def _mp_cosine(j, n, lam):
+    sign = -1 if (j // 2) % 2 else 1
+    lam = mpmath.mpc(lam)
+    return sign * mpmath.gamma((j - lam) / 2) / mpmath.gamma((j + lam + n) / 2)
+
+
+def test_multipliers_match_mpmath_to_high_degree():
+    # the gamma ratios are taken in log space, so no table overflows however
+    # high the degree; every entry stays within 1e-11 relative of mpmath
+    cases = [
+        (lambda j, n=n, lam=lam: cosine_multiplier(j, n, lam),
+         lambda j, n=n, lam=lam: _mp_cosine(j, n, lam))
+        for n, lam in ((3, -1.0), (4, 0.5), (7, -2.5), (3, 0.5 + 1j), (5, -1.5 - 2j))
+    ]
+    cases += [
+        (lambda j: sine_multiplier(j, 3, 0.5),
+         lambda j: _mp_cosine(j, 3, 0.5) * _mp_cosine(j, 3, -1)),
+        (lambda j: funk_multiplier(j, 5),
+         lambda j: _mp_cosine(j, 5, -1) * mpmath.gamma(2) / mpmath.sqrt(mpmath.pi)),
+        # the removable value of the cosine multiplier at lam = 0
+        (lambda j: log_cosine_multiplier(max(j, 2), 4),
+         lambda j: _mp_cosine(max(j, 2), 4, 0)),
+    ]
+    with mpmath.workdps(30):
+        for mine, ref in cases:
+            for j in range(0, 2001, 2):
+                want = complex(ref(j))
+                got = complex(mine(j))
+                assert abs(got - want) <= 1e-11 * abs(want), (j, got, want)
+    assert np.all(np.isfinite(multiplier_table("funk", 3, 2000).values))
+
+
+def test_multiplier_and_gamma_failures_are_funkinv_errors():
+    # zeros of 1/Gamma stay exact zeros, poles stay PoleError
+    assert cosine_multiplier(0, 3, -3.0) == 0.0
+    assert cosine_multiplier(400, 3, -403.0) == 0.0
+    with pytest.raises(PoleError):
+        cosine_multiplier(400, 3, 404.0)
+    # out of the double range: an error of the package, never inf, NaN or OverflowError
+    for call in (lambda: cosine_multiplier(0, 3, -700.0), lambda: gammafn.gamma(180.0),
+                 lambda: gammafn.rgamma(-180.5), lambda: gammafn.gamma(200 + 1j)):
+        with pytest.raises(FunkinvError):
+            call()

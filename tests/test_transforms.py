@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,7 +24,6 @@ from funkinv.spectral import (
 )
 from funkinv.diffops import WeightedOpSpec, weighted_laplacian_spectrum
 from funkinv.transforms import (
-    complement_basis,
     cosine_quadrature_values,
     cosine_spectrum,
     cosine_transform,
@@ -35,13 +35,13 @@ from funkinv.transforms import (
     funk_transform,
     gamma_norm,
     gamma_norm_k,
-    great_circle_basis,
     log_cosine_quadrature_values,
     log_cosine_spectrum,
     log_cosine_transform,
     log_sine_quadrature_values,
     log_sine_spectrum,
     log_sine_transform,
+    null_space_basis,
     null_sphere_scale,
     sine_quadrature_values,
     sine_spectrum,
@@ -67,9 +67,13 @@ def test_normalization_constants():
     assert abs(funk_scale(4) - 2.0) <= 1e-13  # sqrt(pi)/Gamma(3/2)
     assert abs(frame_scale(4, 2) - 1.0 / math.gamma(1.5) * math.gamma(1.0)) <= 1e-13
     assert abs(null_sphere_scale(4, 2) - SQPI / math.gamma(1.0)) <= 1e-13
-    # codimension-1 coefficient reduces to the sphere coefficient
-    for lam in (-0.5, 0.7, 1.3):
-        assert abs(gamma_norm_k(lam, 4, 1) - gamma_norm(lam, 4)) <= 1e-12
+    # one closed form serves the cosine (k = 1), sine (k = n-1) and frame
+    # transforms; check it against mpmath
+    for lam, n, k in ((-0.5, 4, 1), (0.7, 4, 1), (1.3 + 0.4j, 5, 2), (-1.5, 6, 5)):
+        lam_mp = mpmath.mpc(lam)
+        want = complex(mpmath.sqrt(mpmath.pi) * mpmath.gamma(-lam_mp / 2)
+                       / (mpmath.gamma(mpmath.mpf(n) / 2) * mpmath.gamma((lam_mp + k) / 2)))
+        assert abs(gamma_norm_k(lam, n, k) - want) <= 1e-12 * abs(want)
     with pytest.raises(PoleError):
         gamma_norm(2.0, 3)
 
@@ -229,30 +233,23 @@ def test_funk_grid_api(grid3, even_f3):
                        path="quadrature", pole=np.eye(4)[0])
 
 
-def test_great_circle_basis_determinism():
-    u = np.array([0.0, 0.6, 0.8])
-    e1, e2 = great_circle_basis(u)
-    assert abs(e1 @ u) <= 1e-15 and abs(e2 @ u) <= 1e-15
-    assert abs(e1 @ e2) <= 1e-15
-    assert_allclose(np.cross(u, e1), e2, atol=1e-15)
-    # smallest-|component| axis wins; ties break to the lowest index
-    assert np.argmax(np.abs(e1)) == 0
-
-
 @pytest.mark.parametrize("n", [3, 5])
 def test_complement_basis_stack_matches_single(n):
-    # one batched QR gives the same bases as one QR per direction, so the
-    # quadrature shells keep their points
+    # one batched QR gives the same bases as one QR per frame, so the
+    # quadrature shells and the frame fibers keep their points
     rng = np.random.default_rng(n)
     u = rng.standard_normal((200, n))
     u /= np.linalg.norm(u, axis=1)[:, None]
     u = np.vstack([u, np.eye(n), -np.eye(n)])
-    stacked = complement_basis(u)
-    assert stacked.shape == (len(u), n, n - 1)
-    assert np.array_equal(stacked, np.stack([complement_basis(v) for v in u]))
-    assert np.max(np.abs(np.einsum("bi,bij->bj", u, stacked))) <= 1e-15
-    gram = np.einsum("bij,bik->bjk", stacked, stacked)
-    assert np.max(np.abs(gram - np.eye(n - 1))) <= 1e-15
+    frames = np.linalg.qr(rng.standard_normal((50, n, 2)))[0]
+    for stack in (u[:, :, None], frames):
+        k = stack.shape[2]
+        bases = null_space_basis(stack)
+        assert bases.shape == (len(stack), n, n - k)
+        assert np.array_equal(bases, np.stack([null_space_basis(fr) for fr in stack]))
+        assert np.max(np.abs(np.einsum("bik,bij->bkj", stack, bases))) <= 1e-15
+        gram = np.einsum("bij,bik->bjk", bases, bases)
+        assert np.max(np.abs(gram - np.eye(n - k))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
