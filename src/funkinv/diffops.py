@@ -15,7 +15,6 @@ Three independent realizations, used to cross-validate one another:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 

@@ -115,7 +115,7 @@ def _as_spectrum(phi, band_limit, pole):
     if band_limit is None and isinstance(phi, GridFunction):
         band_limit = min(int(phi.meta.get("band_limit", DEFAULT_BAND_CEILING)),
                          DEFAULT_BAND_CEILING)
-    return as_spectrum(phi, band_limit, pole)
+    return as_spectrum(phi, band_limit, pole)[0]
 
 
 def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:
@@ -134,17 +134,33 @@ def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:
     return t[:, None] * spec.pole[None, :] + np.sqrt(1.0 - t * t)[:, None] * q[None, :]
 
 
+def _zero_padded(spec: HarmonicSpectrum, max_degree: int) -> HarmonicSpectrum:
+    """The same function as a spectrum of the higher band ``max_degree``
+    (both storage kinds keep degree j ahead of degree j+1)."""
+    size = (max_degree + 1) ** 2 if spec.pole is None else max_degree + 1
+    coeffs = np.zeros(size, dtype=complex)
+    coeffs[: len(spec.coeffs)] = spec.coeffs
+    return HarmonicSpectrum(spec.n, max_degree, coeffs, spec.pole)
+
+
 def _finish(
     outputs,
     methods,
+    phi,
     phi_spec,
-    grid,
     params,
     condition,
     reference,
     band_limit,
     extras=None,
 ):
+    grid = phi.grid if isinstance(phi, GridFunction) else None
+    if grid is not None and band_limit is None:
+        # the band actually analyzed is recorded as band_limit; keep the
+        # input's own band beside it when the ceiling cut it down
+        input_band = int(phi.meta.get("band_limit", DEFAULT_BAND_CEILING))
+        if input_band > phi_spec.max_degree:
+            params = {**params, "input_band_limit": input_band}
     pts = _probe_points(outputs[0])
     agreement = None
     if len(outputs) == 2:
@@ -153,7 +169,11 @@ def _finish(
     per_degree = None
     if reference is not None:
         ref_spec = as_spectrum(reference, band_limit)[0]
-        diff = outputs[0] - ref_spec
+        out = outputs[0]
+        if ref_spec.max_degree > out.max_degree:
+            # degrees above the output's band count in full as errors
+            out = _zero_padded(out, ref_spec.max_degree)
+        diff = out - ref_spec
         per_degree = {j: diff.degree_l2(j) for j in range(diff.max_degree + 1)}
         max_err = float(np.max(np.abs(outputs[0].evaluate(pts) - ref_spec.evaluate(pts))))
     odd_norm = phi_spec.odd_part_norm()
@@ -185,7 +205,7 @@ def invert_general_between(
     """Undo the (lam+2*ell)-cosine transform: weighted Laplacian of order ell
     sandwiched between the data and a (-lam-n)-cosine transform."""
     lam = complex(lam)
-    phi_spec, grid = _as_spectrum(phi, band_limit, pole)
+    phi_spec = _as_spectrum(phi, band_limit, pole)
     n = phi_spec.n
     _guard(-lam - n, "-lambda-n")
     _guard(lam + 2 * ell, "lambda+2*ell")
@@ -196,7 +216,7 @@ def invert_general_between(
         for j in range(0, phi_spec.max_degree + 1, 2)
     }
     params = {"lam": lam, "ell": ell, "n": n, "band_limit": phi_spec.max_degree}
-    return _finish([out], ["between"], phi_spec, grid, params, condition, reference, band_limit)
+    return _finish([out], ["between"], phi, phi_spec, params, condition, reference, band_limit)
 
 
 def invert_general_outside(
@@ -211,7 +231,7 @@ def invert_general_outside(
     """Undo the lam-cosine transform: (-lam-n+2*ell)-cosine transform of the
     data followed by the weighted Laplacian outside."""
     lam = complex(lam)
-    phi_spec, grid = _as_spectrum(phi, band_limit, pole)
+    phi_spec = _as_spectrum(phi, band_limit, pole)
     n = phi_spec.n
     _guard(lam, "lambda")
     _guard(-lam - n + 2 * ell, "-lambda-n+2*ell")
@@ -222,7 +242,7 @@ def invert_general_outside(
         for j in range(0, phi_spec.max_degree + 1, 2)
     }
     params = {"lam": lam, "ell": ell, "n": n, "band_limit": phi_spec.max_degree}
-    return _finish([out], ["outside"], phi_spec, grid, params, condition, reference, band_limit)
+    return _finish([out], ["outside"], phi, phi_spec, params, condition, reference, band_limit)
 
 
 def invert_funk(
@@ -238,7 +258,7 @@ def invert_funk(
     averaging) are returned and their agreement reported.  Odd n: the
     logarithmic branch, with the mean restored additively.
     """
-    phi_spec, grid = _as_spectrum(phi, band_limit, pole)
+    phi_spec = _as_spectrum(phi, band_limit, pole)
     n = phi_spec.n
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
@@ -253,7 +273,7 @@ def invert_funk(
         second = cn * cn * weighted_laplacian_spectrum(funk_spectrum(phi_spec), op)
         params = {"n": n, "ell": op.ell, "lam": op.lam, "band_limit": phi_spec.max_degree}
         return _finish(
-            [first, second], ["between", "outside"], phi_spec, grid, params, condition,
+            [first, second], ["between", "outside"], phi, phi_spec, params, condition,
             reference, band_limit,
         )
     mean = phi_spec.mean
@@ -262,7 +282,7 @@ def invert_funk(
     out = cn * weighted_laplacian_spectrum(logged, op)
     out = _add_constant(out, mean)
     params = {"n": n, "ell": op.ell, "lam": op.lam, "band_limit": phi_spec.max_degree}
-    return _finish([out], ["log-branch"], phi_spec, grid, params, condition, reference, band_limit)
+    return _finish([out], ["log-branch"], phi, phi_spec, params, condition, reference, band_limit)
 
 
 def invert_cosine1(
@@ -273,7 +293,7 @@ def invert_cosine1(
     reference=None,
 ) -> InversionResult:
     """Reconstruct an even function from its 1-cosine transform."""
-    phi_spec, grid = _as_spectrum(phi, band_limit, pole)
+    phi_spec = _as_spectrum(phi, band_limit, pole)
     n = phi_spec.n
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
@@ -289,7 +309,7 @@ def invert_cosine1(
         second = cn * weighted_laplacian_spectrum(funk_spectrum(phi_spec), op2)
         params = {"n": n, "ell": n // 2, "band_limit": phi_spec.max_degree}
         return _finish(
-            [first, second], ["between", "outside"], phi_spec, grid, params, condition,
+            [first, second], ["between", "outside"], phi, phi_spec, params, condition,
             reference, band_limit,
         )
     # constant restoring coefficient: the reciprocal of the degree-0 multiplier
@@ -300,7 +320,7 @@ def invert_cosine1(
     out = weighted_laplacian_spectrum(logged, op)
     out = _add_constant(out, c * mean)
     params = {"n": n, "ell": op.ell, "c": c, "band_limit": phi_spec.max_degree}
-    return _finish([out], ["log-branch"], phi_spec, grid, params, condition, reference, band_limit)
+    return _finish([out], ["log-branch"], phi, phi_spec, params, condition, reference, band_limit)
 
 
 def _add_constant(spec: HarmonicSpectrum, value: complex) -> HarmonicSpectrum:

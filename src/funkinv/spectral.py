@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import loggamma, roots_jacobi
@@ -66,13 +66,14 @@ POLE_TOL = 1e-12
 # zonal profiles
 
 
-def zonal_eval(j: int, n: int, t):
-    """Degree-j zonal profile on [-1, 1], normalized to 1 at t = 1.
+def _zonal_rows(n: int, t, max_degree: int):
+    """Yield (j, Z_j(t)) for j = 0..max_degree from one pass of the recurrence.
 
-    Three-term recurrence for the Gegenbauer family with index (n-2)/2
-    (Legendre polynomials when n = 3).
+    Z_j is the degree-j zonal profile of :func:`zonal_eval`.  The domain is
+    checked and t clipped once; each row is computed from the two before it,
+    so a row must not be modified while the generator is still running.
     """
-    if j < 0 or n < 3:
+    if max_degree < 0 or n < 3:
         raise InvalidArgumentError("need j >= 0 and n >= 3")
     arr = np.asarray(t, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-12):
@@ -80,15 +81,28 @@ def zonal_eval(j: int, n: int, t):
     arr = np.clip(arr, -1.0, 1.0)
     alpha = (n - 2) / 2.0
     prev = np.ones_like(arr)
-    if j == 0:
-        out = prev
-    else:
-        cur = arr.copy()
-        for jj in range(2, j + 1):
-            prev, cur = cur, (2.0 * (jj + alpha - 1.0) * arr * cur - (jj - 1.0) * prev) / (
-                jj + 2.0 * alpha - 1.0
-            )
-        out = cur
+    yield 0, prev
+    if max_degree == 0:
+        return
+    cur = arr.copy()
+    yield 1, cur
+    for jj in range(2, max_degree + 1):
+        prev, cur = cur, (2.0 * (jj + alpha - 1.0) * arr * cur - (jj - 1.0) * prev) / (
+            jj + 2.0 * alpha - 1.0
+        )
+        yield jj, cur
+
+
+def zonal_eval(j: int, n: int, t):
+    """Degree-j zonal profile on [-1, 1], normalized to 1 at t = 1.
+
+    Three-term recurrence for the Gegenbauer family with index (n-2)/2
+    (Legendre polynomials when n = 3), run from degree 0 up to j by
+    :func:`_zonal_rows`; code that needs every degree up to j draws the rows
+    from that one pass instead of calling this once per degree.
+    """
+    for _, out in _zonal_rows(n, t, j):
+        pass
     return out if np.ndim(t) else float(out)
 
 
@@ -141,8 +155,8 @@ def zonal_profile_rule(n: int, num_nodes: int):
 def zonal_analysis_matrix(t: np.ndarray, w_prob: np.ndarray, max_degree: int, n: int) -> np.ndarray:
     """Matrix M with (M @ profile_values)[j] = zonal coefficient of degree j."""
     M = np.empty((max_degree + 1, len(t)))
-    for j in range(max_degree + 1):
-        M[j] = w_prob * zonal_eval(j, n, t) / zonal_norm_sq(j, n)
+    for j, row in _zonal_rows(n, t, max_degree):
+        M[j] = w_prob * row / zonal_norm_sq(j, n)
     return M
 
 
@@ -500,16 +514,22 @@ class HarmonicSpectrum:
         order from the Legendre recurrence, taking the negative orders from the
         same rows through Y_{j,-m} = (-1)^m conj(Y_jm); the result equals
         ``harmonic_basis(points, J) @ coeffs`` without forming that matrix.
-        Zonal tables sum coeffs[j] times the degree-j profile of u.pole.
+        Zonal tables sum coeffs[j] times the degree-j profile of u.pole, with
+        the profiles drawn from one pass of the recurrence
+        (:func:`_zonal_rows`) and the real and imaginary parts accumulated as
+        real arrays, degree by degree.
         """
         pts = np.asarray(points, dtype=float)
         if self.pole is None:
             return _synthesize_full(pts, self.max_degree, self.coeffs)
-        t = pts @ self.pole
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for j in range(self.max_degree + 1):
-            if self.coeffs[j] != 0.0:
-                out += self.coeffs[j] * zonal_eval(j, self.n, t)
+        re, im = np.zeros(pts.shape[0]), np.zeros(pts.shape[0])
+        for j, row in _zonal_rows(self.n, pts @ self.pole, self.max_degree):
+            c = self.coeffs[j]
+            if c != 0.0:
+                re += c.real * row
+                im += c.imag * row
+        out = np.empty(pts.shape[0], dtype=complex)
+        out.real, out.imag = re, im
         return out
 
     def to_grid(self, grid: QuadratureGrid) -> GridFunction:
@@ -527,7 +547,10 @@ def analyze(f: GridFunction, max_degree: int, pole=None) -> HarmonicSpectrum:
     """Project grid samples onto harmonics up to ``max_degree`` by quadrature.
 
     Needs grid exactness degree >= 2*max_degree.  For n > 3 the projection is
-    restricted to zonal functions and ``pole`` must be supplied.
+    restricted to zonal functions and ``pole`` must be supplied; the profiles
+    of all degrees come from one pass of the recurrence (:func:`_zonal_rows`),
+    and each coefficient is the weighted inner product with its profile over
+    the profile's squared norm.
     """
     grid = f.grid
     if grid.exactness_degree < 2 * max_degree:
@@ -542,10 +565,9 @@ def analyze(f: GridFunction, max_degree: int, pole=None) -> HarmonicSpectrum:
         basis = harmonic_basis(grid.nodes, max_degree)
         return HarmonicSpectrum(3, max_degree, basis.conj().T @ wf)
     pole = as_direction(pole)
-    t = grid.nodes @ pole
     coeffs = np.empty(max_degree + 1, dtype=complex)
-    for j in range(max_degree + 1):
-        coeffs[j] = np.dot(wf, zonal_eval(j, grid.n, t)) / zonal_norm_sq(j, grid.n)
+    for j, row in _zonal_rows(grid.n, grid.nodes @ pole, max_degree):
+        coeffs[j] = np.dot(wf, row) / zonal_norm_sq(j, grid.n)
     return HarmonicSpectrum(grid.n, max_degree, coeffs, pole)
 
 

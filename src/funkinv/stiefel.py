@@ -20,13 +20,12 @@ replaced by Monte Carlo and errors compared against 3 standard deviations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError, InvalidArgumentError
-from .diffops import WeightedOpSpec, weighted_laplacian_spectrum
 from .grids import as_direction
 from .inversion import InversionReport, invert_cosine1, invert_funk
 from .spectral import (
@@ -147,7 +146,7 @@ def haar_frames(n: int, k: int, count: int, seed: int | None = None, rng=None) -
     while len(todo):
         g = rng.standard_normal((len(todo), n, k))
         q, r = np.linalg.qr(g)
-        diag = np.einsum("sii->si", r)
+        diag = np.diagonal(r, axis1=1, axis2=2)
         bad = np.any(np.abs(diag) < 1e-13, axis=1)
         signs = np.where(diag < 0, -1.0, 1.0)
         out[todo] = q * signs[:, None, :]
@@ -175,7 +174,7 @@ def _funk_k_values(
     count, n, k = frames.shape
     omega, rho = _subsphere_rule(n - k, fiber_resolution, circle_nodes)
     bases = null_space_basis(frames)  # (S, n, n-k)
-    pts = np.einsum("snd,rd->srn", bases, omega)
+    pts = omega @ bases.transpose(0, 2, 1)  # (S, R, n)
     vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex).reshape(count, len(omega))
     return vals @ rho
 
@@ -234,15 +233,15 @@ def _cosine_k_values(
     theta, tw = _subsphere_rule(k, span_resolution, circle_nodes)
     omega, ow = _subsphere_rule(n - k, fiber_resolution, circle_nodes)
     bases = null_space_basis(frames)
-    span_dirs = np.einsum("snk,tk->stn", frames, theta)  # (S, T, n)
-    null_dirs = np.einsum("snd,rd->srn", bases, omega)  # (S, R, n)
+    span_dirs = theta @ frames.transpose(0, 2, 1)  # (S, T, n)
+    null_dirs = omega @ bases.transpose(0, 2, 1)  # (S, R, n)
     sin_r = np.sqrt(1.0 - r * r)
     out = np.zeros(count, dtype=complex)
     for i, (ri, wi) in enumerate(zip(r, wts)):
         pts = ri * span_dirs[:, :, None, :] + sin_r[i] * null_dirs[:, None, :, :]
         vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex)
         vals = vals.reshape(count, len(theta), len(omega))
-        out += wi * np.einsum("str,t,r->s", vals, tw, ow)
+        out += wi * ((vals @ ow) @ tw)
     return gamma_norm_k(lam, n, k) * norm_const * out
 
 
@@ -286,7 +285,7 @@ def _frames_orthogonal_to(v: np.ndarray, k: int, count: int, rng) -> np.ndarray:
     n = len(v)
     basis = null_space_basis(v[:, None])  # (n, n-1)
     small = haar_frames(n - 1, k, count, rng=rng)
-    return np.einsum("nm,smk->snk", basis, small)
+    return basis @ small
 
 
 def dual_funk_k(
@@ -338,7 +337,7 @@ def dual_cosine_k(
     for lo in range(0, samples, chunk):
         hi = min(lo + chunk, samples)
         frames = haar_frames(phi.n, phi.k, hi - lo, rng=rng)
-        w = np.linalg.norm(np.einsum("snk,n->sk", frames, v), axis=1) ** lam
+        w = np.linalg.norm(v @ frames, axis=1) ** lam
         vals[lo:hi] = phi(frames) * w
     return _scale_mc(_mc(vals), gamma_norm_k(lam, phi.n, phi.k))
 
@@ -404,7 +403,7 @@ def sine_mc_via_dual_funk(
         hi = min(lo + chunk, samples)
         frames = _frames_orthogonal_to(v, k, hi - lo, rng)
         w_pts = _uniform_sphere(n, hi - lo, rng)
-        dots = np.linalg.norm(np.einsum("snk,sn->sk", frames, w_pts), axis=1)
+        dots = np.linalg.norm((w_pts[:, None, :] @ frames)[:, 0], axis=1)
         vals[lo:hi] = np.asarray(f.evaluate(w_pts), dtype=complex) * dots**lam
     scale = frame_scale(n, k) * gamma_norm_k(lam, n, k)
     return _scale_mc(_mc(vals), scale)
@@ -476,23 +475,28 @@ def _profile_directions(f: HarmonicSpectrum, num: int):
     return t, w, dirs
 
 
+def _profile_analysis(f: HarmonicSpectrum, num: int):
+    """The ``num`` profile directions and the zonal analysis matrix of their
+    nodes, up to the degree of f."""
+    t, w, dirs = _profile_directions(f, num)
+    return dirs, zonal_analysis_matrix(t, w, f.max_degree, f.n)
+
+
 def _zonal_mc_reconstruction(
-    f: HarmonicSpectrum,
+    M: np.ndarray,
     node_estimates,
     degree_factor: Callable[[int], complex],
 ):
-    """Propagate per-node MC estimates through zonal analysis and a diagonal
-    degree chain; returns per-degree reconstructed coefficients, their sigmas,
-    and the reference coefficients."""
-    t, w, _ = _profile_directions(f, len(node_estimates))
-    M = zonal_analysis_matrix(t, w, f.max_degree, f.n)
+    """Propagate per-node MC estimates through the zonal analysis matrix M and
+    a diagonal degree chain; returns per-degree reconstructed coefficients and
+    their sigmas."""
     g_vals = np.array([e.value for e in node_estimates])
     g_sig = np.array([e.sigma for e in node_estimates])
     coeffs = M @ g_vals
     sigmas = np.sqrt((M**2) @ g_sig**2)
-    recon = np.empty(f.max_degree + 1, dtype=complex)
-    recon_sig = np.empty(f.max_degree + 1)
-    for j in range(f.max_degree + 1):
+    recon = np.empty(len(coeffs), dtype=complex)
+    recon_sig = np.empty(len(coeffs))
+    for j in range(len(coeffs)):
         c = complex(degree_factor(j))
         recon[j] = c * coeffs[j]
         recon_sig[j] = abs(c) * sigmas[j]
@@ -536,7 +540,7 @@ def invert_funk_k(
         raise InvalidArgumentError("the dual-cosine mode needs even n-k")
 
     num = profile_nodes or (f.max_degree + 3)
-    _, _, dirs = _profile_directions(f, num)
+    dirs, M = _profile_analysis(f, num)
     psi = funk_k_function(
         f.evaluate, n, k, fiber_resolution=fiber_resolution, circle_nodes=circle_nodes
     )
@@ -556,7 +560,7 @@ def invert_funk_k(
         ]
         tag = "thm4.1-ii"
     recon, recon_sig = _zonal_mc_reconstruction(
-        f, estimates, lambda j: delta_op_eigenvalue(j, n, 1 - n, ell)
+        M, estimates, lambda j: delta_op_eigenvalue(j, n, 1 - n, ell)
     )
     return _mc_report(f, recon, recon_sig, tag, mode, k, samples, seed, ell)
 
@@ -580,39 +584,33 @@ def invert_cosine1_k(
     if f.kind != "zonal":
         raise InvalidArgumentError("reconstruction checks run on zonal test functions")
     num = profile_nodes or (f.max_degree + 3)
-    _, _, dirs = _profile_directions(f, num)
+    dirs, M = _profile_analysis(f, num)
     estimates = [
         sine_mc_via_dual_funk(f, k, dirs[i], 1.0, samples, seed + i) for i in range(num)
     ]
     if n % 2 == 0:
         ell = n // 2
         recon, recon_sig = _zonal_mc_reconstruction(
-            f, estimates, lambda j: delta_op_eigenvalue(j, n, 1 - n, ell)
+            M, estimates, lambda j: delta_op_eigenvalue(j, n, 1 - n, ell)
         )
         return _mc_report(f, recon, recon_sig, "4.13", "dual-funk", k, samples, seed, ell)
 
     # odd n: the estimates approximate the sine transform at 1 (the
     # frame_scale prefactor already matches the factorization); invert the
     # 1-cosine and Funk factors through the sphere inversion theorems
-    noisy = HarmonicSpectrum(n, f.max_degree, _coeffs_from_estimates(f, estimates), f.pole)
+    noisy = HarmonicSpectrum(n, f.max_degree, M @ np.array([e.value for e in estimates]), f.pole)
     unscaled = (1.0 / funk_scale(n)) * noisy
     step1 = invert_cosine1(unscaled).primary
     recon_spec = invert_funk(step1).primary
     recon = recon_spec.coeffs
     _, recon_sig = _zonal_mc_reconstruction(
-        f,
+        M,
         estimates,
         lambda j: 1.0 / (funk_scale(n) * cosine_multiplier(j, n, 1.0) * funk_multiplier(j, n))
         if j % 2 == 0
         else 0.0,
     )
     return _mc_report(f, recon, recon_sig, "4.14", "product-inverse", k, samples, seed, None)
-
-
-def _coeffs_from_estimates(f: HarmonicSpectrum, estimates) -> np.ndarray:
-    t, w, _ = _profile_directions(f, len(estimates))
-    M = zonal_analysis_matrix(t, w, f.max_degree, f.n)
-    return M @ np.array([e.value for e in estimates])
 
 
 def _mc_report(

@@ -1,0 +1,62 @@
+"""Every module-level import in the funkinv package is used.
+
+A name counts as used when the module reads it or exports it through
+``__all__``; an import kept only so that other code can reach it through the
+module is marked ``# noqa: F401`` on its line.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import funkinv
+
+PACKAGE = Path(funkinv.__file__).resolve().parent
+
+
+def _exported(tree: ast.Module, module: str) -> set:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
+        ):
+            try:
+                return set(ast.literal_eval(stmt.value))
+            except ValueError:  # computed at import, as the package namespace is
+                return set(importlib.import_module(module).__all__)
+    return set()
+
+
+def unused_imports(path: Path, module: str) -> list:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree, module)
+    unused = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        for alias in stmt.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_no_unused_module_level_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "funkinv" if path.stem == "__init__" else f"funkinv.{path.stem}"
+        found += unused_imports(path, module)
+    assert found == []
+
+
+def test_unused_import_is_found(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import math\nimport os  # noqa: F401\nfrom json import dumps, loads\n"
+        "__all__ = ['dumps']\n"
+    )
+    assert unused_imports(path, "probe") == ["probe.py:1: math", "probe.py:3: loads"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from funkinv.errors import InvalidArgumentError, PoleError
+from funkinv.grids import build_grid
 from funkinv.inversion import (
     invert_cosine1,
     invert_funk,
@@ -177,3 +178,23 @@ def test_band_ceiling_default(grid3_fine):
     result = invert_funk(phi_grid, band_limit=14, reference=f)
     assert result.report.params["band_limit"] == 14
     assert result.report.max_error <= 1e-6
+
+
+def test_band_ceiling_clamp_is_reported():
+    # band-16 grid input without band_limit= is analyzed to band 12; the report
+    # keeps the input's band, and degrees 14-16 of a band-16 reference count
+    # as errors instead of making the comparison fail
+    f = random_even_spectrum(3, 16, seed=41)
+    phi_grid = funk_spectrum(f).to_grid(build_grid(3, 17))
+    rep = invert_funk(phi_grid, reference=f).report
+    assert rep.params["band_limit"] == 12
+    assert rep.params["input_band_limit"] == 16
+    errs = rep.per_degree_errors
+    assert set(errs) == set(range(17))
+    assert max(errs[j] for j in range(13)) <= 1e-8
+    assert errs[14] == f.degree_l2(14) > 0.0 and errs[16] == f.degree_l2(16) > 0.0
+    assert rep.max_error >= 0.1 * max(errs[14], errs[16])
+    assert rep.to_dict()["params"]["input_band_limit"] == 16
+    # an explicit band_limit is taken as given
+    rep = invert_funk(phi_grid, band_limit=16, reference=f).report
+    assert "input_band_limit" not in rep.params and rep.max_error <= 1e-6

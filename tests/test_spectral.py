@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import lpmv
+from scipy.special import eval_gegenbauer, lpmv
 
 from funkinv import gammafn
 from funkinv.errors import (
@@ -34,6 +34,7 @@ from funkinv.spectral import (
     random_even_spectrum,
     sine_multiplier,
     synthesize,
+    zonal_analysis_matrix,
     zonal_eval,
     zonal_norm_sq,
 )
@@ -53,6 +54,62 @@ def test_zonal_values():
     t = np.linspace(-1, 1, 7)
     assert_allclose(zonal_eval(2, 3, t), (3 * t**2 - 1) / 2, atol=1e-14)
     assert zonal_eval(6, 4, 1.0) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_zonal_eval_matches_scipy_gegenbauer(n):
+    alpha = (n - 2) / 2.0
+    t = np.concatenate([np.linspace(-1.0, 1.0, 81), [0.0, 1e-3, -0.999]])
+    for j in range(41):
+        want = eval_gegenbauer(j, alpha, t) / eval_gegenbauer(j, alpha, 1.0)
+        assert_allclose(zonal_eval(j, n, t), want, rtol=0, atol=1e-12)
+
+
+def _zonal_profile_restarted(j, n, t):
+    """The degree-j profile by its own run of the recurrence from degree 0."""
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    alpha = (n - 2) / 2.0
+    prev = np.ones_like(t)
+    if j == 0:
+        return prev
+    cur = t.copy()
+    for jj in range(2, j + 1):
+        prev, cur = cur, (2.0 * (jj + alpha - 1.0) * t * cur - (jj - 1.0) * prev) / (
+            jj + 2.0 * alpha - 1.0
+        )
+    return cur
+
+
+def test_zonal_one_pass_matches_per_degree_reference():
+    # analysis and synthesis draw every degree from one pass of the recurrence;
+    # the arithmetic is unchanged, so the results equal a per-degree restart
+    # bit for bit
+    grid, J, n = build_grid(5, 9), 8, 5
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(J + 1) + 1j * rng.standard_normal(J + 1)
+    coeffs[[1, 4, 7]] = 0.0
+    coeffs[2] = 0.25  # real coefficient
+    pole = np.array([0.6, 0.0, 0.0, 0.8, 0.0])
+    spec = HarmonicSpectrum(n, J, coeffs, pole)
+    t = np.clip(grid.nodes @ spec.pole, -1.0, 1.0)
+
+    want = np.zeros(grid.num_nodes, dtype=complex)
+    for j in range(J + 1):
+        if coeffs[j] != 0.0:
+            want += spec.coeffs[j] * _zonal_profile_restarted(j, n, t)
+    values = spec.to_grid(grid)
+    assert np.array_equal(values.values, want)
+
+    wf = grid.weights * values.values
+    want = np.array([
+        np.dot(wf, _zonal_profile_restarted(j, n, t)) / zonal_norm_sq(j, n) for j in range(J + 1)
+    ])
+    assert np.array_equal(analyze(values, J, pole=spec.pole).coeffs, want)
+
+    x, w = np.linspace(-1.0, 1.0, 13), np.full(13, 1.0 / 13)
+    want = np.array([w * _zonal_profile_restarted(j, n, x) / zonal_norm_sq(j, n)
+                     for j in range(J + 1)])
+    assert np.array_equal(zonal_analysis_matrix(x, w, J, n), want)
 
 
 def test_zonal_domain_error():

@@ -11,12 +11,17 @@ from funkinv.errors import (
 )
 from funkinv.spectral import (
     HarmonicSpectrum,
+    _split_jacobi_rule,
     random_even_spectrum,
     sine_multiplier,
     zonal_eval,
 )
 from funkinv.stiefel import (
     Frame,
+    _cosine_k_values,
+    _frames_orthogonal_to,
+    _funk_k_values,
+    _rng,
     check_identity,
     cosine_k,
     cosine_k_function,
@@ -34,9 +39,12 @@ from funkinv.stiefel import (
     spectral_identity_error,
 )
 from funkinv.transforms import (
+    _subsphere_rule,
+    check_off_even_poles,
     cosine_spectrum,
     frame_scale,
     funk_geodesic_values,
+    gamma_norm_k,
     null_sphere_scale,
     sine_spectrum,
 )
@@ -99,6 +107,53 @@ def test_null_space_basis():
     assert np.max(np.abs(fr.matrix.T @ B)) <= 1e-12
     # deterministic completion
     assert np.array_equal(B, null_space_basis(fr.matrix))
+
+
+# ---------------------------------------------------------------------------
+# frame products against einsum references
+
+
+def _funk_k_einsum(f_eval, frames, fiber_resolution=6, circle_nodes=32):
+    count, n, k = frames.shape
+    omega, rho = _subsphere_rule(n - k, fiber_resolution, circle_nodes)
+    pts = np.einsum("snd,rd->srn", null_space_basis(frames), omega)
+    vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex).reshape(count, len(omega))
+    return vals @ rho
+
+
+def _cosine_k_einsum(f_eval, frames, lam, radial_nodes=24, resolution=6, circle_nodes=32):
+    count, n, k = frames.shape
+    lam = complex(lam)
+    check_off_even_poles(lam)
+    r, wts = _split_jacobi_rule(radial_nodes, (n - k - 2) / 2.0, k - 1.0 + lam.real)
+    wts = wts * np.exp(1j * lam.imag * np.log(r))
+    norm_const = 2.0 * math.gamma(n / 2.0) / (math.gamma(k / 2.0) * math.gamma((n - k) / 2.0))
+    theta, tw = _subsphere_rule(k, resolution, circle_nodes)
+    omega, ow = _subsphere_rule(n - k, resolution, circle_nodes)
+    span_dirs = np.einsum("snk,tk->stn", frames, theta)
+    null_dirs = np.einsum("snd,rd->srn", null_space_basis(frames), omega)
+    out = np.zeros(count, dtype=complex)
+    for ri, wi in zip(r, wts):
+        pts = ri * span_dirs[:, :, None, :] + math.sqrt(1.0 - ri * ri) * null_dirs[:, None, :, :]
+        vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex)
+        out += wi * np.einsum("str,t,r->s", vals.reshape(count, len(theta), len(omega)), tw, ow)
+    return gamma_norm_k(lam, n, k) * norm_const * out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_frame_products_match_einsum_references(n, k):
+    f = random_even_spectrum(n, 4, seed=310 + n, zonal=True)
+    frames = haar_frames(n, k, 7, seed=12)
+    assert_allclose(_funk_k_values(f.evaluate, frames), _funk_k_einsum(f.evaluate, frames),
+                    rtol=1e-14, atol=0)
+    for lam in (0.5, 1.0 - 0.7j):
+        assert_allclose(_cosine_k_values(f.evaluate, frames, lam),
+                        _cosine_k_einsum(f.evaluate, frames, lam), rtol=1e-14, atol=0)
+    v = np.eye(n)[1]
+    want = np.einsum("nm,smk->snk", null_space_basis(v[:, None]),
+                     haar_frames(n - 1, k, 9, rng=_rng(4)))
+    assert_allclose(_frames_orthogonal_to(v, k, 9, _rng(4)), want, rtol=1e-14, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
