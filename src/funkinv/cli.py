@@ -35,9 +35,15 @@ from .diffops import (
 )
 from .grids import build_grid, grid_function, integrate
 from .inversion import invert_cosine1, invert_funk, invert_general_between, invert_general_outside
-from .spectral import _TABLE_BUILDERS, HarmonicSpectrum, multiplier_table, random_even_spectrum
+from .spectral import (
+    _TABLE_BUILDERS,
+    HarmonicSpectrum,
+    multiplier_table,
+    random_even_spectrum,
+    zonal_eval,
+)
 from .stiefel import IDENTITY_TAGS, check_identity, dual_funk_k, funk_k_function
-from .transforms import OPERATORS, _transform
+from .transforms import OPERATORS, _transform, cosine_spectrum, funk_spectrum
 
 THEOREMS = ("funk", "cosine1", "general-between", "general-outside")
 STUDIES = ("fd-beltrami", "fd-weighted", "quadrature", "mc-dual")
@@ -170,15 +176,14 @@ def _cmd_multipliers(args) -> int:
     h = _config_hash(cfg)
     lam = complex(cfg["lambda_re"], cfg["lambda_im"])
     table = multiplier_table(cfg["operator"], cfg["n"], cfg["J"], lam=lam, ell=cfg["ell"])
-    lam_used = cfg["operator"] in ("cosine", "sine", "delta-op")
-    ell_used = cfg["operator"] == "delta-op"
+    builder = _TABLE_BUILDERS[cfg["operator"]]
     rows = []
     for j, val in zip(table.degrees, table.values):
         rows.append([
             cfg["operator"], str(cfg["n"]), str(j),
-            _fmt(lam.real) if lam_used else "",
-            _fmt(lam.imag) if lam_used else "",
-            str(cfg["ell"]) if ell_used else "",
+            _fmt(lam.real) if builder.reads_lam else "",
+            _fmt(lam.imag) if builder.reads_lam else "",
+            str(cfg["ell"]) if builder.reads_ell else "",
             _fmt(val.real), _fmt(val.imag),
         ])
     _write_csv(cfg["out"], ["operator", "n", "j", "lambda_re", "lambda_im", "ell",
@@ -265,8 +270,6 @@ def _cmd_invert(args) -> int:
     input_spec = cfg["input"] or f"random-even:J={cfg['J']},seed={cfg['seed']}"
     f = parse_function_spec(input_spec, n, cfg["J"])
     lam = complex(cfg["lambda_re"], cfg["lambda_im"])
-    from .transforms import cosine_spectrum, funk_spectrum
-
     if cfg["theorem"] == "funk":
         phi = funk_spectrum(f)
         result = invert_funk(phi, reference=f)
@@ -346,8 +349,6 @@ def _cmd_convergence(args) -> int:
         pole = np.array([0.6, 0.0, 0.8])
         for res in resolutions:
             grid = build_grid(3, res)
-            from .spectral import zonal_eval
-
             f = grid_function(grid, lambda v: zonal_eval(6, 3, v @ pole))
             err = abs(integrate(f))
             rows.append([str(res), _fmt(err)])

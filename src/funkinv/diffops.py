@@ -60,8 +60,8 @@ class WeightedOpSpec:
 
 def beltrami_spectrum(spec: HarmonicSpectrum) -> HarmonicSpectrum:
     """Sphere Laplacian: degree j scaled by -j(j+n-2)."""
-    n = spec.n
-    return spec.scale_degrees(lambda j: -float(j * (j + n - 2)))
+    j = np.arange(spec.max_degree + 1)
+    return spec.scale_degrees(-(j * (j + spec.n - 2)).astype(float))
 
 
 def weighted_laplacian_spectrum(
@@ -79,7 +79,8 @@ def weighted_laplacian_spectrum(
     if op.n != spec.n:
         raise InvalidArgumentError("operator and spectrum dimensions differ")
     if method == "diagonal":
-        return spec.scale_degrees(lambda j: delta_op_eigenvalue(j, op.n, op.lam, op.ell))
+        degrees = np.arange(spec.max_degree + 1)
+        return spec.scale_degrees(delta_op_eigenvalue(degrees, op.n, op.lam, op.ell))
     if method != "factored":
         raise InvalidArgumentError(f"unknown method {method!r}")
     if order is None:

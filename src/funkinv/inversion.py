@@ -27,6 +27,7 @@ from .spectral import (
     as_spectrum,
     cosine_multiplier,
     funk_multiplier,
+    zonal_profile_rule,
 )
 from .transforms import (
     check_off_even_poles,
@@ -34,6 +35,7 @@ from .transforms import (
     funk_scale,
     funk_spectrum,
     log_cosine_spectrum,
+    null_space_basis,
 )
 
 __all__ = [
@@ -120,9 +122,6 @@ def _as_spectrum(phi, band_limit, pole):
 
 def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:
     """Deterministic evaluation points for pointwise error reports."""
-    from .spectral import zonal_profile_rule
-    from .transforms import null_space_basis
-
     if spec.kind == "full":
         golden = math.pi * (3.0 - math.sqrt(5.0))
         k = np.arange(32)
@@ -135,11 +134,10 @@ def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:
 
 
 def _zero_padded(spec: HarmonicSpectrum, max_degree: int) -> HarmonicSpectrum:
-    """The same function as a spectrum of the higher band ``max_degree``
-    (both storage kinds keep degree j ahead of degree j+1)."""
-    size = (max_degree + 1) ** 2 if spec.pole is None else max_degree + 1
-    coeffs = np.zeros(size, dtype=complex)
-    coeffs[: len(spec.coeffs)] = spec.coeffs
+    """The same function as a spectrum of the higher band ``max_degree``."""
+    padded = HarmonicSpectrum.zeros(spec.n, max_degree, spec.pole)
+    coeffs = np.array(padded.coeffs)
+    coeffs[padded.degrees <= spec.max_degree] = spec.coeffs
     return HarmonicSpectrum(spec.n, max_degree, coeffs, spec.pole)
 
 
@@ -168,13 +166,13 @@ def _finish(
     max_err = None
     per_degree = None
     if reference is not None:
-        ref_spec = as_spectrum(reference, band_limit)[0]
+        ref_spec = as_spectrum(reference, band_limit, phi_spec.pole)[0]
         out = outputs[0]
         if ref_spec.max_degree > out.max_degree:
             # degrees above the output's band count in full as errors
             out = _zero_padded(out, ref_spec.max_degree)
         diff = out - ref_spec
-        per_degree = {j: diff.degree_l2(j) for j in range(diff.max_degree + 1)}
+        per_degree = dict(enumerate(diff.degree_l2(np.arange(diff.max_degree + 1)).tolist()))
         max_err = float(np.max(np.abs(outputs[0].evaluate(pts) - ref_spec.evaluate(pts))))
     odd_norm = phi_spec.odd_part_norm()
     report = InversionReport(
@@ -211,10 +209,7 @@ def invert_general_between(
     _guard(lam + 2 * ell, "lambda+2*ell")
     op = WeightedOpSpec(lam=lam, ell=ell, n=n)
     out = cosine_spectrum(weighted_laplacian_spectrum(phi_spec, op), -lam - n)
-    condition = {
-        j: _safe_abs_inv(cosine_multiplier(j, n, lam + 2 * ell))
-        for j in range(0, phi_spec.max_degree + 1, 2)
-    }
+    condition = _condition(lambda j: cosine_multiplier(j, n, lam + 2 * ell), phi_spec)
     params = {"lam": lam, "ell": ell, "n": n, "band_limit": phi_spec.max_degree}
     return _finish([out], ["between"], phi, phi_spec, params, condition, reference, band_limit)
 
@@ -237,10 +232,7 @@ def invert_general_outside(
     _guard(-lam - n + 2 * ell, "-lambda-n+2*ell")
     op = WeightedOpSpec(lam=-lam - n, ell=ell, n=n)
     out = weighted_laplacian_spectrum(cosine_spectrum(phi_spec, -lam - n + 2 * ell), op)
-    condition = {
-        j: _safe_abs_inv(cosine_multiplier(j, n, lam))
-        for j in range(0, phi_spec.max_degree + 1, 2)
-    }
+    condition = _condition(lambda j: cosine_multiplier(j, n, lam), phi_spec)
     params = {"lam": lam, "ell": ell, "n": n, "band_limit": phi_spec.max_degree}
     return _finish([out], ["outside"], phi, phi_spec, params, condition, reference, band_limit)
 
@@ -263,9 +255,7 @@ def invert_funk(
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
     cn = funk_scale(n)
-    condition = {
-        j: _safe_abs_inv(funk_multiplier(j, n)) for j in range(0, phi_spec.max_degree + 1, 2)
-    }
+    condition = _condition(lambda j: funk_multiplier(j, n), phi_spec)
     if n % 2 == 0:
         op = WeightedOpSpec(lam=1 - n, ell=(n - 2) // 2, n=n)
         d_phi = cn * cn * weighted_laplacian_spectrum(phi_spec, op)
@@ -298,10 +288,7 @@ def invert_cosine1(
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
     cn = funk_scale(n)
-    condition = {
-        j: _safe_abs_inv(cosine_multiplier(j, n, 1.0))
-        for j in range(0, phi_spec.max_degree + 1, 2)
-    }
+    condition = _condition(lambda j: cosine_multiplier(j, n, 1.0), phi_spec)
     if n % 2 == 0:
         op1 = WeightedOpSpec(lam=1 - n, ell=n // 2, n=n)
         op2 = WeightedOpSpec(lam=-1 - n, ell=n // 2, n=n)
@@ -325,7 +312,7 @@ def invert_cosine1(
 
 def _add_constant(spec: HarmonicSpectrum, value: complex) -> HarmonicSpectrum:
     coeffs = np.array(spec.coeffs)
-    coeffs[0] += value
+    coeffs[spec.degrees == 0] += value
     return HarmonicSpectrum(spec.n, spec.max_degree, coeffs, spec.pole)
 
 
@@ -336,6 +323,10 @@ def _guard(lam: complex, name: str) -> None:
         raise PoleError(f"inversion constraint violated: {name} = {lam} is a pole", pole=exc.pole)
 
 
-def _safe_abs_inv(x: complex) -> float:
-    a = abs(x)
-    return math.inf if a == 0.0 else 1.0 / a
+def _condition(multiplier, spec: HarmonicSpectrum) -> dict:
+    """Per even degree of spec, the reciprocal modulus of the forward
+    multiplier (inf where it vanishes), from one evaluation on all degrees."""
+    degrees = np.arange(0, spec.max_degree + 1, 2)
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / np.abs(multiplier(degrees))
+    return dict(zip(degrees.tolist(), inverse.tolist()))

@@ -20,8 +20,8 @@ full (j, m) tables for n = 3, zonal tables about a stored pole for n > 3.
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-12
+# every spectrum normalizes its pole again, which moves some unit vectors by an ulp
+AXIS_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -219,93 +221,106 @@ def funk_hecke_multiplier_quadrature(
 # multipliers in closed form (gated by the quadrature oracle)
 
 
-def _gamma_ratio(a: complex, b: complex) -> complex:
-    """Gamma(a)/Gamma(b) as exp(loggamma(a) - loggamma(b)), which stays finite
-    at high degree where each factor alone overflows.
+def _gamma_ratio(a, b):
+    """Gamma(a)/Gamma(b) elementwise as exp(loggamma(a) - loggamma(b)), which
+    stays finite at high degree where each factor alone overflows.
 
-    Exactly 0 at the poles of Gamma(b) and exactly real for real arguments;
-    DomainError when the ratio is out of the double-precision range (or a is
-    a pole of Gamma, which callers rule out first).
+    Exactly 0 at the poles of Gamma(b) and exactly real where both arguments
+    are real; DomainError when a ratio is out of the double-precision range
+    (or a is a pole of Gamma, which callers rule out first).
     """
-    a, b = complex(a), complex(b)
-    if b.imag == 0.0 and b.real <= 0.0 and b.real == round(b.real):
-        return 0j
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = complex(np.exp(loggamma(a) - loggamma(b)))
-    if not cmath.isfinite(out):
-        raise DomainError(f"Gamma({a})/Gamma({b}) is out of the double-precision range")
-    return complex(out.real) if a.imag == b.imag == 0.0 else out
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    zero = (b.imag == 0.0) & (b.real <= 0.0) & (b.real == np.round(b.real))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.exp(loggamma(a) - loggamma(b))
+    bad = np.flatnonzero(~zero & ~np.isfinite(out))
+    if len(bad):
+        raise DomainError(f"Gamma({a.flat[bad[0]]})/Gamma({b.flat[bad[0]]}) is out of range")
+    real = (a.imag == 0.0) & (b.imag == 0.0)
+    return np.where(zero, 0j, np.where(real, out.real + 0j, out))
 
 
-def _require_even(j: int) -> None:
-    if j < 0 or j % 2:
-        raise InvalidArgumentError(f"degree must be even and nonnegative, got {j}")
+def _even_degrees(j) -> np.ndarray:
+    """Degree or degrees j as an array; InvalidArgumentError names the first
+    that is odd or negative."""
+    j = np.asarray(j)
+    bad = np.flatnonzero((j < 0) | (j % 2 != 0))
+    if len(bad):
+        raise InvalidArgumentError(f"degree must be even and nonnegative, got {j.flat[bad[0]]}")
+    return j
 
 
-def cosine_multiplier(j: int, n: int, lam: complex) -> complex:
-    """Eigenvalue of the normalized |u.v|^lam kernel operator on degree j.
+def cosine_multiplier(j, n: int, lam: complex):
+    """Eigenvalue of the normalized |u.v|^lam kernel operator on degree j, an
+    even degree or an array of them (a scalar for a scalar degree).
 
     Gamma-ratio form, meromorphic in lam with poles at lam in
     {j, j+2, j+4, ...}; arguments within 1e-12 of a pole raise PoleError.
     """
-    _require_even(j)
+    j = _even_degrees(j)
     lam = complex(lam)
     num = (j - lam) / 2.0
-    k = round(num.real)
-    if k <= 0 and abs(num - k) <= 0.5 * POLE_TOL:
-        raise PoleError(
-            f"degree-{j} cosine multiplier has a pole at lambda = {j - 2 * k}",
-            pole=j - 2 * k,
-        )
-    sign = -1.0 if (j // 2) % 2 else 1.0
-    return sign * _gamma_ratio(num, (j + lam + n) / 2.0)
+    k = np.round(num.real)
+    at_pole = np.flatnonzero((k <= 0) & (np.abs(num - k) <= 0.5 * POLE_TOL))
+    if len(at_pole):
+        jp, pole = j.flat[at_pole[0]], int(j.flat[at_pole[0]] - 2 * k.flat[at_pole[0]])
+        raise PoleError(f"degree-{jp} cosine multiplier has a pole at lambda = {pole}", pole=pole)
+    return ((-1.0) ** (j // 2) * _gamma_ratio(num, (j + lam + n) / 2.0))[()]
 
 
-def funk_multiplier(j: int, n: int) -> float:
-    """Eigenvalue of the great-subsphere average on degree j (value of the
-    zonal profile at 0; equals cosine_multiplier(j, n, -1) up to the
-    constant relating the two transforms)."""
-    _require_even(j)
-    sign = -1.0 if (j // 2) % 2 else 1.0
+def funk_multiplier(j, n: int):
+    """Eigenvalue of the great-subsphere average on an even degree j or an
+    array of them (value of the zonal profile at 0; equals
+    cosine_multiplier(j, n, -1) up to the constant relating the two transforms)."""
+    j = _even_degrees(j)
     ratio = _gamma_ratio((j + 1) / 2.0, (j + n - 1) / 2.0).real
-    return sign * ratio * math.gamma((n - 1) / 2.0) / math.sqrt(math.pi)
+    return ((-1.0) ** (j // 2) * ratio * math.gamma((n - 1) / 2.0) / math.sqrt(math.pi))[()]
 
 
-def sine_multiplier(j: int, n: int, lam: complex) -> complex:
-    """Eigenvalue of the normalized (1-(u.v)^2)^(lam/2) kernel operator:
-    the product of the lam-cosine and the (-1)-cosine multipliers."""
+def sine_multiplier(j, n: int, lam: complex):
+    """Eigenvalue of the normalized (1-(u.v)^2)^(lam/2) kernel operator on an
+    even degree j or an array of them: the product of the lam-cosine and the
+    (-1)-cosine multipliers."""
     return cosine_multiplier(j, n, lam) * cosine_multiplier(j, n, -1.0)
 
 
-def log_cosine_multiplier(j: int, n: int) -> float:
-    """Eigenvalue of the log(1/|u.v|) kernel operator on degree j >= 2.
+def log_cosine_multiplier(j, n: int):
+    """Eigenvalue of the log(1/|u.v|) kernel operator on degree j, an even
+    degree >= 2 or an array of them.
 
     This is the removable-singularity value of the lam-cosine multiplier at
     lam = 0; degree 0 is excluded (the operator is used on mean-zero input).
     """
-    if j == 0:
+    if np.any(np.asarray(j) == 0):
         raise ExcludedComponentError("degree 0 is excluded from the logarithmic transform")
-    _require_even(j)
-    sign = -1.0 if (j // 2) % 2 else 1.0
-    return sign * _gamma_ratio(j / 2.0, (j + n) / 2.0).real
+    j = _even_degrees(j)
+    return ((-1.0) ** (j // 2) * _gamma_ratio(j / 2.0, (j + n) / 2.0).real)[()]
 
 
-def delta_op_eigenvalue(j: int, n: int, lam: complex, ell: int) -> complex:
-    """Exact eigenvalue of the weighted spherical Laplacian of order ell.
+def delta_op_eigenvalue(j, n: int, lam: complex, ell: int):
+    """Exact eigenvalue of the weighted spherical Laplacian of order ell on
+    degree j, a degree or an array of them.
 
     (-1/4)^ell * prod_{m=1..ell} [(lam+2m)(lam+2m+n-2) - j(j+n-2)]; entire in
     lam, equal to 1 when ell = 0.
     """
     if ell < 0:
         raise InvalidArgumentError(f"need ell >= 0, got {ell}")
-    if j < 0 or n < 3:
+    j = np.asarray(j)
+    if np.any(j < 0) or n < 3:
         raise InvalidArgumentError("need j >= 0 and n >= 3")
     lam = complex(lam)
-    jj = float(j * (j + n - 2))
-    out = complex(1.0)
+    jj = (j * (j + n - 2)).astype(float)
+    # multiplied in real arithmetic: numpy's vector complex multiply fuses its
+    # products, so its last bit would depend on how many degrees are passed
+    re, im = np.ones(j.shape), np.zeros(j.shape)
     for m in range(1, ell + 1):
-        out *= (lam + 2.0 * m) * (lam + 2.0 * m + n - 2.0) - jj
-    return out * (-0.25) ** ell
+        shift = (lam + 2.0 * m) * (lam + 2.0 * m + n - 2.0)
+        fr, fi = shift.real - jj, shift.imag
+        re, im = re * fr - im * fi, re * fi + im * fr
+    out = np.empty(j.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return (out * (-0.25) ** ell)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +409,15 @@ def _synthesize_full(points: np.ndarray, max_degree: int, coeffs: np.ndarray) ->
     return out
 
 
+@lru_cache(maxsize=None)
+def _degree_index(max_degree: int, full: bool) -> np.ndarray:
+    """The read-only ``HarmonicSpectrum.degrees`` of each storage kind."""
+    j = np.arange(max_degree + 1)
+    out = np.repeat(j, 2 * j + 1) if full else j
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class HarmonicSpectrum:
     """Coefficients of a band-limited function up to degree ``max_degree``.
@@ -404,6 +428,9 @@ class HarmonicSpectrum:
       (J+1)^2 against the orthonormal basis of :func:`harmonic_basis`;
     * zonal (any n): ``coeffs[j]`` multiplies the degree-j zonal profile
       about the stored ``pole``.
+
+    ``degrees`` gives the degree of each coefficient, so a degree-wise
+    operator is one product ``coeffs * table[degrees]``.
     """
 
     n: int
@@ -416,16 +443,14 @@ class HarmonicSpectrum:
         if self.pole is None:
             if self.n != 3:
                 raise InvalidArgumentError("full (j, m) tables are only kept for n = 3")
-            if coeffs.shape != ((self.max_degree + 1) ** 2,):
-                raise InvalidArgumentError("full coefficient table has wrong length")
         else:
             pole = as_direction(self.pole)
             if len(pole) != self.n:
                 raise InvalidArgumentError("pole dimension mismatch")
-            if coeffs.shape != (self.max_degree + 1,):
-                raise InvalidArgumentError("zonal coefficient table has wrong length")
             pole.setflags(write=False)
             object.__setattr__(self, "pole", pole)
+        if coeffs.shape != self.degrees.shape:
+            raise InvalidArgumentError(f"{self.kind} coefficient table has wrong length")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -434,27 +459,39 @@ class HarmonicSpectrum:
         return "full" if self.pole is None else "zonal"
 
     # -- degree access -----------------------------------------------------
-    def degree_slice(self, j: int) -> np.ndarray:
-        if self.pole is None:
-            return self.coeffs[j * j : (j + 1) * (j + 1)]
-        return self.coeffs[j : j + 1]
+    @property
+    def degrees(self) -> np.ndarray:
+        """Degree of each entry of ``coeffs`` (read-only): ``arange(J+1)`` for
+        zonal tables, each j repeated 2j+1 times (orders -j..j) for full ones."""
+        return _degree_index(int(self.max_degree), self.pole is None)
 
-    def degree_l2(self, j: int) -> float:
-        """L2(probability measure) norm of the degree-j component."""
-        block = self.degree_slice(j)
-        if self.pole is None:
-            return float(np.linalg.norm(block))
-        return float(abs(block[0]) * math.sqrt(zonal_norm_sq(j, self.n)))
+    def degree_slice(self, j: int) -> np.ndarray:
+        return self.coeffs[self.degrees == j]
+
+    def _degree_energy(self) -> np.ndarray:
+        """Squared L2(probability measure) norm of each degree 0..J's component."""
+        c = self.coeffs
+        energy = np.bincount(
+            self.degrees, weights=c.real * c.real + c.imag * c.imag, minlength=self.max_degree + 1
+        )
+        if self.pole is not None:
+            energy *= [zonal_norm_sq(j, self.n) for j in range(self.max_degree + 1)]
+        return energy
+
+    def degree_l2(self, j):
+        """L2(probability measure) norm of the degree-j component; j is a
+        degree or an integer array of them."""
+        return np.sqrt(self._degree_energy()[j])
 
     @property
     def mean(self) -> complex:
         return complex(self.coeffs[0])
 
     def norm(self) -> float:
-        return math.sqrt(sum(self.degree_l2(j) ** 2 for j in range(self.max_degree + 1)))
+        return math.sqrt(self._degree_energy().sum())
 
     def odd_part_norm(self) -> float:
-        return math.sqrt(sum(self.degree_l2(j) ** 2 for j in range(1, self.max_degree + 1, 2)))
+        return math.sqrt(self._degree_energy()[1::2].sum())
 
     # -- algebra -------------------------------------------------------------
     def _compatible(self, other: "HarmonicSpectrum") -> None:
@@ -463,7 +500,7 @@ class HarmonicSpectrum:
             or other.n != self.n
             or other.max_degree != self.max_degree
             or other.kind != self.kind
-            or (self.pole is not None and not np.array_equal(self.pole, other.pole))
+            or (self.pole is not None and np.max(np.abs(self.pole - other.pole)) > AXIS_TOL)
         ):
             raise InvalidArgumentError("spectra are not compatible")
 
@@ -483,20 +520,12 @@ class HarmonicSpectrum:
     def __neg__(self):
         return self * (-1.0)
 
-    def scale_degrees(self, factor: Callable[[int], complex], *, even_only: bool = False):
-        """New spectrum with each degree-j block multiplied by factor(j);
-        odd degrees are annihilated when even_only is set."""
-        out = np.array(self.coeffs)
-        for j in range(self.max_degree + 1):
-            if even_only and j % 2:
-                c = 0.0
-            else:
-                c = complex(factor(j))
-            if self.pole is None:
-                out[j * j : (j + 1) * (j + 1)] *= c
-            else:
-                out[j] *= c
-        return HarmonicSpectrum(self.n, self.max_degree, out, self.pole)
+    def scale_degrees(self, table):
+        """New spectrum with each degree-j coefficient multiplied by table[j];
+        ``table`` has an entry for every degree 0..J (for instance a multiplier
+        evaluated on an array of degrees), and a zero annihilates that degree."""
+        scaled = self.coeffs * np.asarray(table)[self.degrees]
+        return HarmonicSpectrum(self.n, self.max_degree, scaled, self.pole)
 
     def with_zero_mean(self):
         out = np.array(self.coeffs)
@@ -504,7 +533,7 @@ class HarmonicSpectrum:
         return HarmonicSpectrum(self.n, self.max_degree, out, self.pole)
 
     def even_projected(self):
-        return self.scale_degrees(lambda j: 1.0, even_only=True)
+        return self.scale_degrees(np.arange(self.max_degree + 1) % 2 == 0)
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -539,7 +568,7 @@ class HarmonicSpectrum:
 
     @staticmethod
     def zeros(n: int, max_degree: int, pole=None) -> "HarmonicSpectrum":
-        size = (max_degree + 1) ** 2 if pole is None else max_degree + 1
+        size = len(_degree_index(int(max_degree), pole is None))
         return HarmonicSpectrum(n, max_degree, np.zeros(size, dtype=complex), pole)
 
 
@@ -641,12 +670,21 @@ def random_even_spectrum(
 # multiplier tables
 
 
+# How multiplier_table builds one operator's table: multiplier(j, n, lam, ell)
+# on the even degrees from ``first`` up, and whether the values read lambda and
+# ell.  Keyed by the names ``funkinv multipliers --operator`` takes; the lambdas
+# look each multiplier up in this module at call time.
+_TableBuilder = namedtuple("_TableBuilder", "multiplier first reads_lam reads_ell")
 _TABLE_BUILDERS = {
-    "cosine": lambda j, n, lam, ell: cosine_multiplier(j, n, lam),
-    "sine": lambda j, n, lam, ell: sine_multiplier(j, n, lam),
-    "funk": lambda j, n, lam, ell: funk_multiplier(j, n),
-    "log-cosine": lambda j, n, lam, ell: log_cosine_multiplier(j, n),
-    "delta-op": lambda j, n, lam, ell: delta_op_eigenvalue(j, n, lam, ell),
+    "cosine": _TableBuilder(lambda j, n, lam, ell: cosine_multiplier(j, n, lam), 0, True, False),
+    "sine": _TableBuilder(lambda j, n, lam, ell: sine_multiplier(j, n, lam), 0, True, False),
+    "funk": _TableBuilder(lambda j, n, lam, ell: funk_multiplier(j, n), 0, False, False),
+    "log-cosine": _TableBuilder(
+        lambda j, n, lam, ell: log_cosine_multiplier(j, n), 2, False, False
+    ),
+    "delta-op": _TableBuilder(
+        lambda j, n, lam, ell: delta_op_eigenvalue(j, n, lam, ell), 0, True, True
+    ),
 }
 
 
@@ -684,8 +722,7 @@ def multiplier_table(
     """Table of even-degree multipliers for one named operator."""
     if operator not in _TABLE_BUILDERS:
         raise InvalidArgumentError(f"unknown operator {operator!r}")
-    start = 2 if operator == "log-cosine" else 0
-    degrees = list(range(start, max_degree + 1, 2))
-    fn = _TABLE_BUILDERS[operator]
-    values = np.array([fn(j, n, lam, ell if ell is not None else 0) for j in degrees], dtype=complex)
+    builder = _TABLE_BUILDERS[operator]
+    degrees = np.arange(builder.first, max_degree + 1, 2)
+    values = builder.multiplier(degrees, n, lam, ell if ell is not None else 0)
     return MultiplierTable(operator, n, lam, ell, tuple(degrees), values)

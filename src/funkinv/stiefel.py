@@ -34,6 +34,7 @@ from .spectral import (
     cosine_multiplier,
     delta_op_eigenvalue,
     funk_multiplier,
+    random_even_spectrum,
     sine_multiplier,
     zonal_analysis_matrix,
     zonal_profile_rule,
@@ -46,6 +47,7 @@ from .transforms import (
     gamma_norm_k,
     null_space_basis,
     null_sphere_scale,
+    sine_spectrum,
 )
 
 __all__ = [
@@ -416,6 +418,19 @@ def sine_mc_via_dual_funk(
 IDENTITY_TAGS = ("4.8", "4.9", "thm4.1-i", "thm4.1-ii", "4.13", "4.14")
 
 
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b by Smith's method with true divisions, as Python's complex division
+    rounds; numpy's divide multiplies by a reciprocal, which moves the last
+    bit of the near-1 chain ratios below."""
+    swap = np.abs(b.imag) > np.abs(b.real)
+    x, y = np.where(swap, b.imag, b.real), np.where(swap, b.real, b.imag)
+    p, q = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
+    ratio = y / x
+    denom = x + y * ratio
+    imag = np.where(swap, p * ratio - q, q - p * ratio)
+    return (p + q * ratio) / denom + 1j * (imag / denom)
+
+
 def spectral_identity_error(
     identity: str, n: int, k: int, max_degree: int = 10, lam: complex | None = None
 ) -> float:
@@ -429,41 +444,36 @@ def spectral_identity_error(
     """
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError("need 1 <= k <= n-1")
-    degs = range(0, max_degree + 1, 2)
-    cn = funk_scale(n)
-
-    def chain(j: int) -> complex:
-        if identity == "4.8":
-            if lam is None:
-                raise InvalidArgumentError("factorization check needs lambda")
-            return sine_multiplier(j, n, lam) / (
-                cosine_multiplier(j, n, lam) * cn * funk_multiplier(j, n)
-            )
-        if identity == "4.9":
-            return sine_multiplier(j, n, 1 - n)
-        if identity == "thm4.1-i":
-            if (n - k) % 2 == 0:
-                raise InvalidArgumentError("this mode needs odd n-k")
-            ell = (n - k - 1) // 2
-            return delta_op_eigenvalue(j, n, 1 - n, ell) * sine_multiplier(j, n, -k)
-        if identity == "thm4.1-ii":
-            if (n - k) % 2 or k == 1:
-                raise InvalidArgumentError("this mode needs even n-k and k > 1")
-            ell = (n - k) // 2
-            return delta_op_eigenvalue(j, n, 1 - n, ell) * sine_multiplier(j, n, 1 - k)
-        if identity == "4.13":
-            if n % 2:
-                raise InvalidArgumentError("this identity needs even n")
-            return delta_op_eigenvalue(j, n, 1 - n, n // 2) * sine_multiplier(j, n, 1.0)
+    j = np.arange(0, max_degree + 1, 2)
+    if identity in ("4.8", "4.14"):
+        # the sine = cosine x Funk factorization; 4.14 is its lam = 1 case
         if identity == "4.14":
             if n % 2 == 0:
                 raise InvalidArgumentError("this identity needs odd n")
-            return sine_multiplier(j, n, 1.0) / (
-                cn * cosine_multiplier(j, n, 1.0) * funk_multiplier(j, n)
-            )
+            lam = 1.0
+        elif lam is None:
+            raise InvalidArgumentError("factorization check needs lambda")
+        den = cosine_multiplier(j, n, lam) * funk_scale(n) * funk_multiplier(j, n)
+        if not np.all(den):
+            raise DomainError(f"the cosine multiplier vanishes at lambda = {lam}: no ratio")
+        chain = _quotient(sine_multiplier(j, n, lam), den)
+    elif identity == "4.9":
+        chain = sine_multiplier(j, n, 1 - n)
+    elif identity == "thm4.1-i":
+        if (n - k) % 2 == 0:
+            raise InvalidArgumentError("this mode needs odd n-k")
+        chain = delta_op_eigenvalue(j, n, 1 - n, (n - k - 1) // 2) * sine_multiplier(j, n, -k)
+    elif identity == "thm4.1-ii":
+        if (n - k) % 2 or k == 1:
+            raise InvalidArgumentError("this mode needs even n-k and k > 1")
+        chain = delta_op_eigenvalue(j, n, 1 - n, (n - k) // 2) * sine_multiplier(j, n, 1 - k)
+    elif identity == "4.13":
+        if n % 2:
+            raise InvalidArgumentError("this identity needs even n")
+        chain = delta_op_eigenvalue(j, n, 1 - n, n // 2) * sine_multiplier(j, n, 1.0)
+    else:
         raise InvalidArgumentError(f"unknown identity tag {identity!r}")
-
-    return max(abs(chain(j) - 1.0) for j in degs)
+    return float(np.max(np.abs(chain - 1.0)))
 
 
 def _profile_directions(f: HarmonicSpectrum, num: int):
@@ -482,25 +492,14 @@ def _profile_analysis(f: HarmonicSpectrum, num: int):
     return dirs, zonal_analysis_matrix(t, w, f.max_degree, f.n)
 
 
-def _zonal_mc_reconstruction(
-    M: np.ndarray,
-    node_estimates,
-    degree_factor: Callable[[int], complex],
-):
+def _zonal_mc_reconstruction(M: np.ndarray, node_estimates, factor: np.ndarray):
     """Propagate per-node MC estimates through the zonal analysis matrix M and
-    a diagonal degree chain; returns per-degree reconstructed coefficients and
-    their sigmas."""
+    the diagonal degree chain ``factor`` (one entry per degree); returns
+    per-degree reconstructed coefficients and their sigmas."""
     g_vals = np.array([e.value for e in node_estimates])
     g_sig = np.array([e.sigma for e in node_estimates])
-    coeffs = M @ g_vals
     sigmas = np.sqrt((M**2) @ g_sig**2)
-    recon = np.empty(len(coeffs), dtype=complex)
-    recon_sig = np.empty(len(coeffs))
-    for j in range(len(coeffs)):
-        c = complex(degree_factor(j))
-        recon[j] = c * coeffs[j]
-        recon_sig[j] = abs(c) * sigmas[j]
-    return recon, recon_sig
+    return factor * (M @ g_vals), np.abs(factor) * sigmas
 
 
 def invert_funk_k(
@@ -560,7 +559,7 @@ def invert_funk_k(
         ]
         tag = "thm4.1-ii"
     recon, recon_sig = _zonal_mc_reconstruction(
-        M, estimates, lambda j: delta_op_eigenvalue(j, n, 1 - n, ell)
+        M, estimates, delta_op_eigenvalue(np.arange(f.max_degree + 1), n, 1 - n, ell)
     )
     return _mc_report(f, recon, recon_sig, tag, mode, k, samples, seed, ell)
 
@@ -591,7 +590,7 @@ def invert_cosine1_k(
     if n % 2 == 0:
         ell = n // 2
         recon, recon_sig = _zonal_mc_reconstruction(
-            M, estimates, lambda j: delta_op_eigenvalue(j, n, 1 - n, ell)
+            M, estimates, delta_op_eigenvalue(np.arange(f.max_degree + 1), n, 1 - n, ell)
         )
         return _mc_report(f, recon, recon_sig, "4.13", "dual-funk", k, samples, seed, ell)
 
@@ -603,13 +602,11 @@ def invert_cosine1_k(
     step1 = invert_cosine1(unscaled).primary
     recon_spec = invert_funk(step1).primary
     recon = recon_spec.coeffs
-    _, recon_sig = _zonal_mc_reconstruction(
-        M,
-        estimates,
-        lambda j: 1.0 / (funk_scale(n) * cosine_multiplier(j, n, 1.0) * funk_multiplier(j, n))
-        if j % 2 == 0
-        else 0.0,
-    )
+    even = np.arange(0, f.max_degree + 1, 2)
+    factor = np.zeros(f.max_degree + 1, dtype=complex)
+    factor[even] = 1.0 / (funk_scale(n) * cosine_multiplier(even, n, 1.0)
+                          * funk_multiplier(even, n))
+    _, recon_sig = _zonal_mc_reconstruction(M, estimates, factor)
     return _mc_report(f, recon, recon_sig, "4.14", "product-inverse", k, samples, seed, None)
 
 
@@ -624,36 +621,29 @@ def _mc_report(
     seed: int,
     ell,
 ) -> InversionReport:
-    diffs = {}
-    within = True
-    worst_err = 0.0
-    worst_sig = 0.0
-    for j in range(0, f.max_degree + 1, 2):
-        err = abs(recon[j] - f.coeffs[j])
-        diffs[j] = float(err)
-        if err > worst_err:
-            worst_err, worst_sig = float(err), float(recon_sig[j])
-        if err > 3.0 * recon_sig[j] + 1e-13:
-            within = False
+    even = np.arange(0, f.max_degree + 1, 2)
+    errors = np.abs(recon[even] - f.coeffs[even])
+    sigmas = recon_sig[even]
+    worst = int(np.argmax(errors))
+    within = bool(np.all(errors <= 3.0 * sigmas + 1e-13))
     spectral = spectral_identity_error(identity, f.n, k, f.max_degree, lam=1.0)
     return InversionReport(
         method="outside" if mode != "product-inverse" else "log-branch",
         params={"n": f.n, "k": k, "ell": ell, "samples": samples, "seed": seed,
                 "band_limit": f.max_degree},
-        degree_condition={
-            j: abs(delta_op_eigenvalue(j, f.n, 1 - f.n, ell or 0))
-            for j in range(0, f.max_degree + 1, 2)
-        },
-        max_error=worst_err,
-        per_degree_errors=diffs,
+        degree_condition=dict(
+            zip(even.tolist(), np.abs(delta_op_eigenvalue(even, f.n, 1 - f.n, ell or 0)).tolist())
+        ),
+        max_error=float(errors[worst]),
+        per_degree_errors=dict(zip(even.tolist(), errors.tolist())),
         extras={
             "identity": identity,
             "mode": mode,
-            "mc_error": worst_err,
-            "mc_sigma": worst_sig,
+            "mc_error": float(errors[worst]),
+            "mc_sigma": float(sigmas[worst]),
             "within_3sigma": within,
             "spectral_error": float(spectral),
-            "per_degree_sigma": {j: float(recon_sig[j]) for j in range(0, f.max_degree + 1, 2)},
+            "per_degree_sigma": dict(zip(even.tolist(), sigmas.tolist())),
         },
     )
 
@@ -678,13 +668,9 @@ def check_identity(
     """
     if identity not in IDENTITY_TAGS:
         raise InvalidArgumentError(f"unknown identity tag {identity!r}")
-    f = _zonal_test_function(n, max_degree, seed)
+    spectral = spectral_identity_error(identity, n, k, max_degree, lam=lam)
+    f = random_even_spectrum(n, max_degree, seed, zonal=True)
     if identity == "4.8":
-        if lam is None:
-            raise InvalidArgumentError("factorization check needs lambda")
-        spectral = spectral_identity_error(identity, n, k, max_degree, lam=lam)
-        from .transforms import sine_spectrum
-
         truth_spec = sine_spectrum(f, lam)
         _, _, dirs = _profile_directions(f, 3)
         v = dirs[0]
@@ -697,51 +683,27 @@ def check_identity(
         err_a, err_b = abs(est_a.value - truth), abs(est_b.value - truth)
         mc_error, mc_sigma = (err_a, est_a.sigma) if err_a / max(est_a.sigma, 1e-300) >= err_b / max(est_b.sigma, 1e-300) else (err_b, est_b.sigma)
         within = err_a <= 3 * est_a.sigma and err_b <= 3 * est_b.sigma
-        report_params = {"n": n, "k": k, "lam": _fmt_lam(lam), "samples": samples, "seed": seed,
-                         "max_degree": max_degree}
-        return {
-            "identity": identity, "params": report_params,
-            "spectral_error": float(spectral), "mc_error": float(mc_error),
-            "mc_sigma": float(mc_sigma), "within_3sigma": bool(within),
-        }
-    if identity in ("4.9", "thm4.1-i", "thm4.1-ii"):
-        if identity == "4.9":
-            mode = "auto"
-            spectral = spectral_identity_error("4.9", n, k, max_degree)
+    else:
+        if identity in ("4.13", "4.14"):
+            report = invert_cosine1_k(f, k, samples=samples, seed=seed)
         else:
-            mode = "dual-funk" if identity == "thm4.1-i" else "dual-cosine"
-            spectral = spectral_identity_error(identity, n, k, max_degree)
-        report = invert_funk_k(
-            f, k, mode=mode, samples=samples, seed=seed,
-            fiber_resolution=fiber_resolution, circle_nodes=circle_nodes,
-        )
-    elif identity == "4.13":
-        if n % 2:
-            raise InvalidArgumentError("this identity needs even n")
-        spectral = spectral_identity_error(identity, n, k, max_degree)
-        report = invert_cosine1_k(f, k, samples=samples, seed=seed)
-    else:  # 4.14
-        if n % 2 == 0:
-            raise InvalidArgumentError("this identity needs odd n")
-        spectral = spectral_identity_error(identity, n, k, max_degree)
-        report = invert_cosine1_k(f, k, samples=samples, seed=seed)
+            mode = {"4.9": "auto", "thm4.1-i": "dual-funk", "thm4.1-ii": "dual-cosine"}[identity]
+            report = invert_funk_k(
+                f, k, mode=mode, samples=samples, seed=seed,
+                fiber_resolution=fiber_resolution, circle_nodes=circle_nodes,
+            )
+        mc_error, mc_sigma = report.extras["mc_error"], report.extras["mc_sigma"]
+        within = report.extras["within_3sigma"]
     return {
         "identity": identity,
         "params": {"n": n, "k": k, "lam": _fmt_lam(lam), "samples": samples, "seed": seed,
                    "max_degree": max_degree},
         "spectral_error": float(spectral),
-        "mc_error": float(report.extras["mc_error"]),
-        "mc_sigma": float(report.extras["mc_sigma"]),
-        "within_3sigma": bool(report.extras["within_3sigma"]),
+        "mc_error": float(mc_error),
+        "mc_sigma": float(mc_sigma),
+        "within_3sigma": bool(within),
     }
 
 
 def _fmt_lam(lam):
     return None if lam is None else [complex(lam).real, complex(lam).imag]
-
-
-def _zonal_test_function(n: int, max_degree: int, seed: int) -> HarmonicSpectrum:
-    from .spectral import random_even_spectrum
-
-    return random_even_spectrum(n, max_degree, seed, zonal=True)
-

@@ -134,26 +134,33 @@ def check_off_even_poles(lam: complex, tol: float = EVEN_POLE_TOL) -> None:
 # spectrum-level (spectral path) transforms
 
 
+def _even_scaled(spec: HarmonicSpectrum, multiplier: Callable, first: int = 0) -> HarmonicSpectrum:
+    """spec with the even degrees from ``first`` up scaled by
+    ``multiplier(degrees)``, evaluated once on all of them, and every other
+    degree annihilated."""
+    table = np.zeros(spec.max_degree + 1, dtype=complex)
+    table[first::2] = multiplier(np.arange(first, spec.max_degree + 1, 2))
+    return spec.scale_degrees(table)
+
+
 def cosine_spectrum(spec: HarmonicSpectrum, lam: complex) -> HarmonicSpectrum:
     check_off_even_poles(lam)
-    return spec.scale_degrees(lambda j: cosine_multiplier(j, spec.n, lam), even_only=True)
+    return _even_scaled(spec, lambda j: cosine_multiplier(j, spec.n, lam))
 
 
 def funk_spectrum(spec: HarmonicSpectrum) -> HarmonicSpectrum:
-    return spec.scale_degrees(lambda j: funk_multiplier(j, spec.n), even_only=True)
+    return _even_scaled(spec, lambda j: funk_multiplier(j, spec.n))
 
 
 def log_cosine_spectrum(spec: HarmonicSpectrum) -> HarmonicSpectrum:
     if abs(spec.mean) > MEAN_ZERO_TOL:
         raise PreconditionError("logarithmic cosine transform requires a mean-zero input")
-    return spec.scale_degrees(
-        lambda j: log_cosine_multiplier(j, spec.n) if j else 0.0, even_only=True
-    )
+    return _even_scaled(spec, lambda j: log_cosine_multiplier(j, spec.n), first=2)
 
 
 def sine_spectrum(spec: HarmonicSpectrum, lam: complex) -> HarmonicSpectrum:
     check_off_even_poles(lam)
-    return spec.scale_degrees(lambda j: sine_multiplier(j, spec.n, lam), even_only=True)
+    return _even_scaled(spec, lambda j: sine_multiplier(j, spec.n, lam))
 
 
 def log_sine_spectrum(spec: HarmonicSpectrum) -> HarmonicSpectrum:

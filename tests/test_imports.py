@@ -1,8 +1,11 @@
-"""Every module-level import in the funkinv package is used.
+"""Every module-level import in the funkinv package is used, and imports
+inside functions are kept for import cycles.
 
 A name counts as used when the module reads it or exports it through
 ``__all__``; an import kept only so that other code can reach it through the
-module is marked ``# noqa: F401`` on its line.
+module is marked ``# noqa: F401`` on its line.  A relative import inside a
+function must say on its line why it is there (for example ``# import
+cycle``); otherwise it belongs at the top of the module.
 """
 
 import ast
@@ -60,3 +63,36 @@ def test_unused_import_is_found(tmp_path):
         "__all__ = ['dumps']\n"
     )
     assert unused_imports(path, "probe") == ["probe.py:1: math", "probe.py:3: loads"]
+
+
+def function_level_relative_imports(path: Path) -> list:
+    """Relative imports inside functions whose line carries no comment."""
+    source = path.read_text()
+    lines = source.splitlines()
+    found = set()  # a nested function is walked again inside its parent
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if "#" not in lines[node.lineno - 1]:
+                    found.add(node.lineno)
+    return [f"{path.name}:{lineno}" for lineno in sorted(found)]
+
+
+def test_no_unexplained_function_level_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += function_level_relative_imports(path)
+    assert found == []
+
+
+def test_function_level_import_is_found(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "from . import a\n"
+        "def f():\n    from .b import c\n    from .d import e  # import cycle\n"
+        "    def g():\n        from .h import i\n"
+        "class K:\n    def m(self):\n        import os\n        from ..p import q\n"
+    )
+    assert function_level_relative_imports(path) == ["probe.py:3", "probe.py:6", "probe.py:10"]

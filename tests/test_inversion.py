@@ -198,3 +198,23 @@ def test_band_ceiling_clamp_is_reported():
     # an explicit band_limit is taken as given
     rep = invert_funk(phi_grid, band_limit=16, reference=f).report
     assert "input_band_limit" not in rep.params and rep.max_error <= 1e-6
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("theorem", ["funk", "cosine1"])
+def test_grid_reference_for_n_above_3(n, theorem):
+    # zonal grid data with pole=: a grid reference is analyzed about the same
+    # pole, so the comparison runs instead of asking for a pole
+    pole = np.random.default_rng(n).standard_normal(n)
+    f = random_even_spectrum(n, 6, seed=43, pole=pole)
+    grid = build_grid(n, 7)
+    if theorem == "funk":
+        result = invert_funk(funk_spectrum(f).to_grid(grid), pole=f.pole, reference=f.to_grid(grid))
+    else:
+        result = invert_cosine1(
+            cosine_spectrum(f, 1.0).to_grid(grid), pole=f.pole, reference=f.to_grid(grid)
+        )
+    rep = result.report
+    assert rep.max_error <= 1e-12
+    assert set(rep.per_degree_errors) == set(range(7))
+    assert max(rep.per_degree_errors.values()) <= 1e-12

@@ -488,3 +488,106 @@ def test_multiplier_and_gamma_failures_are_funkinv_errors():
                  lambda: gammafn.rgamma(-180.5), lambda: gammafn.gamma(200 + 1j)):
         with pytest.raises(FunkinvError):
             call()
+
+
+# ---------------------------------------------------------------------------
+# degree-vector multipliers and the per-coefficient degree index
+
+MULTIPLIERS = {
+    "cosine": (lambda j, lam: cosine_multiplier(j, 5, lam), 0),
+    "sine": (lambda j, lam: sine_multiplier(j, 5, lam), 0),
+    "funk": (lambda j, lam: funk_multiplier(j, 5), 0),
+    "log-cosine": (lambda j, lam: log_cosine_multiplier(j, 5), 2),
+    "delta-op": (lambda j, lam: delta_op_eigenvalue(j, 5, lam, 3), 0),
+}
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.5, -2.5, 0.3 - 0.7j, -1.5 + 2j])
+@pytest.mark.parametrize("name", list(MULTIPLIERS))
+def test_multiplier_on_degree_array_matches_scalar_loop(name, lam):
+    mult, first = MULTIPLIERS[name]
+    # the weighted Laplacian acts on every degree, the kernels on even ones
+    degrees = np.arange(first, 401, 1 if name == "delta-op" else 2)
+    got = mult(degrees, lam)
+    want = np.array([mult(int(j), lam) for j in degrees], dtype=got.dtype)
+    assert got.shape == degrees.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scalar_degree_returns_a_scalar():
+    for j in (4, np.int64(4)):
+        assert isinstance(cosine_multiplier(j, 3, 0.5), complex)
+        assert isinstance(sine_multiplier(j, 3, 0.5 + 1j), complex)
+        assert isinstance(funk_multiplier(j, 3), float)
+        assert isinstance(log_cosine_multiplier(j, 3), float)
+        assert isinstance(delta_op_eigenvalue(j, 3, 0.5, 2), complex)
+
+
+def test_bad_degree_in_array_raises_the_scalar_error():
+    for bad in (3, -2):
+        for call in (lambda j: cosine_multiplier(j, 3, 0.5), lambda j: funk_multiplier(j, 3),
+                     lambda j: sine_multiplier(j, 3, 0.5), lambda j: log_cosine_multiplier(j, 3)):
+            with pytest.raises(InvalidArgumentError):
+                call(bad)
+            with pytest.raises(InvalidArgumentError):
+                call(np.array([2, 4, bad, 6]))
+    with pytest.raises(InvalidArgumentError):
+        delta_op_eigenvalue(np.array([0, 1, -1]), 3, 0.5, 1)
+    with pytest.raises(PoleError) as scalar:
+        cosine_multiplier(6, 3, 8.0)
+    with pytest.raises(PoleError) as array:
+        cosine_multiplier(np.array([0, 2, 4, 6, 8]), 3, 8.0)
+    assert array.value.pole == scalar.value.pole == 8
+    with pytest.raises(ExcludedComponentError):
+        log_cosine_multiplier(np.array([2, 0, 4]), 3)
+    with pytest.raises(DomainError):
+        cosine_multiplier(np.array([0, 2]), 3, -700.0)
+
+
+def _random_spectrum(n, max_degree, seed, zonal):
+    rng = np.random.default_rng(seed)
+    size = max_degree + 1 if zonal else (max_degree + 1) ** 2
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return HarmonicSpectrum(n, max_degree, coeffs, rng.standard_normal(n) if zonal else None)
+
+
+@pytest.mark.parametrize("n, zonal", [(3, False), (3, True), (5, True)])
+def test_degree_index_matches_per_degree_reference(n, zonal):
+    J = 9
+    spec = _random_spectrum(n, J, seed=7, zonal=zonal)
+
+    def block(j):  # the storage layout, written out per degree
+        return slice(j, j + 1) if zonal else slice(j * j, (j + 1) ** 2)
+
+    want = np.empty(len(spec.coeffs), dtype=int)
+    for j in range(J + 1):
+        want[block(j)] = j
+    assert np.array_equal(spec.degrees, want)
+    assert not spec.degrees.flags.writeable
+    table = np.random.default_rng(8).standard_normal(J + 1) * (1 - 0.5j)
+    scaled = spec.scale_degrees(table)
+    l2 = []
+    for j in range(J + 1):
+        part = spec.coeffs[block(j)]
+        assert_allclose(scaled.coeffs[block(j)], table[j] * part, rtol=1e-15, atol=0)
+        assert np.array_equal(spec.degree_slice(j), part)
+        l2.append(float(np.linalg.norm(part)) * (math.sqrt(zonal_norm_sq(j, n)) if zonal else 1.0))
+        assert spec.degree_l2(j) == pytest.approx(l2[j], rel=1e-15)
+    assert_allclose(spec.degree_l2(np.arange(J + 1)), l2, rtol=1e-15)
+    assert spec.norm() == pytest.approx(math.sqrt(sum(x * x for x in l2)), rel=1e-15)
+    assert spec.odd_part_norm() == pytest.approx(math.sqrt(sum(x * x for x in l2[1::2])), rel=1e-15)
+    even = spec.even_projected()
+    for j in range(J + 1):
+        want = spec.degree_slice(j) * (1 - j % 2)
+        assert np.array_equal(even.degree_slice(j), want)
+
+
+def test_spectra_about_one_pole_stay_compatible():
+    # every spectrum normalizes its pole again, which moves this one by an ulp
+    # per step, so spectra reached along different chains must still combine
+    f = random_even_spectrum(5, 6, seed=1, pole=np.random.default_rng(5).standard_normal(5))
+    g = f
+    for _ in range(4):
+        g = 1.0 * g
+    assert not np.array_equal(g.pole, f.pole)
+    assert (g - f).norm() == 0.0

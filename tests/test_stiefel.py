@@ -12,6 +12,9 @@ from funkinv.errors import (
 from funkinv.spectral import (
     HarmonicSpectrum,
     _split_jacobi_rule,
+    cosine_multiplier,
+    delta_op_eigenvalue,
+    funk_multiplier,
     random_even_spectrum,
     sine_multiplier,
     zonal_eval,
@@ -44,6 +47,7 @@ from funkinv.transforms import (
     cosine_spectrum,
     frame_scale,
     funk_geodesic_values,
+    funk_scale,
     gamma_norm_k,
     null_sphere_scale,
     sine_spectrum,
@@ -280,6 +284,39 @@ def test_spectral_identities_tiny():
         assert spectral_identity_error(tag, n, k, 10, lam=lam) <= 1e-10
 
 
+def _identity_chain_reference(tag, n, k, j, lam):
+    """One degree of each reduced chain, in Python complex arithmetic."""
+    cos = lambda lam: complex(cosine_multiplier(j, n, lam))  # noqa: E731
+    sine = lambda lam: complex(sine_multiplier(j, n, lam))  # noqa: E731
+    delta = lambda ell: complex(delta_op_eigenvalue(j, n, 1 - n, ell))  # noqa: E731
+    cn, funk = funk_scale(n), float(funk_multiplier(j, n))
+    return {
+        "4.8": lambda: sine(lam) / (cos(lam) * cn * funk),
+        "4.9": lambda: sine(1 - n),
+        "thm4.1-i": lambda: delta((n - k - 1) // 2) * sine(-k),
+        "thm4.1-ii": lambda: delta((n - k) // 2) * sine(1 - k),
+        "4.13": lambda: delta(n // 2) * sine(1.0),
+        "4.14": lambda: sine(1.0) / (cn * cos(1.0) * funk),
+    }[tag]()
+
+
+@pytest.mark.parametrize("tag, n, k, lam", [
+    ("4.8", 4, 2, 1.0), ("4.8", 5, 1, -0.5), ("4.8", 6, 3, 0.3 - 0.7j),
+    ("4.9", 4, 1, None), ("4.9", 7, 3, None),
+    ("thm4.1-i", 5, 2, None), ("thm4.1-i", 6, 1, None),
+    ("thm4.1-ii", 6, 2, None), ("thm4.1-ii", 7, 3, None),
+    ("4.13", 4, 1, None), ("4.13", 6, 3, None),
+    ("4.14", 5, 2, None), ("4.14", 7, 1, None),
+])
+def test_spectral_identity_error_matches_per_degree_reference(tag, n, k, lam):
+    for max_degree in (0, 6, 17):
+        want = max(
+            abs(_identity_chain_reference(tag, n, k, j, lam) - 1.0)
+            for j in range(0, max_degree + 1, 2)
+        )
+        assert spectral_identity_error(tag, n, k, max_degree, lam=lam) == want
+
+
 def test_spectral_identity_guards():
     with pytest.raises(InvalidArgumentError):
         spectral_identity_error("thm4.1-i", 4, 2, 6)  # n-k even
@@ -289,6 +326,8 @@ def test_spectral_identity_guards():
         spectral_identity_error("4.13", 5, 2, 6)  # odd n
     with pytest.raises(InvalidArgumentError):
         spectral_identity_error("4.8", 4, 2, 6)  # missing lambda
+    with pytest.raises(DomainError):
+        spectral_identity_error("4.8", 4, 2, 6, lam=-6.0)  # both sides vanish at degree 0
 
 
 def test_factorization_mc_both_pipelines(zonal_f4):
