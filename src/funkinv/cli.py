@@ -194,10 +194,14 @@ def _cmd_multipliers(args) -> int:
 def _cmd_forward(args) -> int:
     defaults = {
         "transform": "cosine", "n": 3, "lambda_re": -0.5, "lambda_im": 0.0,
-        "path": "auto", "input": "random-even:J=6,seed=0", "resolution": 16,
-        "J": 8, "out": "forward.csv",
+        "path": "auto", "input": "", "resolution": 16, "J": 8, "out": "forward.csv",
     }
     cfg = _effective_config(args, defaults)
+    # the logarithmic transforms need a mean-zero input, so their default is one
+    op = OPERATORS.get(cfg["transform"])
+    cfg["input"] = cfg["input"] or (
+        "zonal:j=4" if op is not None and op.mean_zero else "random-even:J=6,seed=0"
+    )
     h = _config_hash(cfg)
     n = cfg["n"]
     spec = parse_function_spec(cfg["input"], n, cfg["J"])
@@ -206,11 +210,15 @@ def _cmd_forward(args) -> int:
     lam = complex(cfg["lambda_re"], cfg["lambda_im"])
     out = _transform(cfg["transform"], f_grid, lam=lam, path=cfg["path"],
                      band_limit=spec.max_degree, pole=spec.pole)
+    # a real input under a real kernel has a real transform: its imaginary
+    # parts are written as 0, not as the rounding of the sums behind them
+    real = spec.is_real and lam.imag == 0.0
     columns = [f"x{i + 1}" for i in range(n)] + ["input_re", "input_im", "output_re", "output_im"]
     rows = []
     for node, fin, fout in zip(grid.nodes, f_grid.values, out.values):
+        im_in, im_out = (0.0, 0.0) if real else (fin.imag, fout.imag)
         rows.append([_fmt(c) for c in node]
-                    + [_fmt(fin.real), _fmt(fin.imag), _fmt(fout.real), _fmt(fout.imag)])
+                    + [_fmt(fin.real), _fmt(im_in), _fmt(fout.real), _fmt(im_out)])
     _write_csv(cfg["out"], columns, rows, h,
                extra_comments=[f"transform={cfg['transform']} path={out.meta.get('path')}"])
     return 0

@@ -484,6 +484,18 @@ class HarmonicSpectrum:
         return np.sqrt(self._degree_energy()[j])
 
     @property
+    def is_real(self) -> bool:
+        """Whether the function is real-valued, decided exactly from the
+        coefficients: all real in a zonal table (the profiles are real), or
+        c_{j,-m} = (-1)^m conj(c_jm) throughout a full table."""
+        c = self.coeffs
+        if self.pole is not None:
+            return not np.any(c.imag)
+        j = self.degrees
+        m = np.arange(len(c)) - j * (j + 1)
+        return bool(np.array_equal(c, np.where(m % 2, -1.0, 1.0) * np.conj(c[j * (j + 1) - m])))
+
+    @property
     def mean(self) -> complex:
         return complex(self.coeffs[0])
 

@@ -6,13 +6,18 @@ each other:
 * spectral: multiply the harmonic coefficients by the degree multipliers from
   :mod:`funkinv.spectral` (valid for any lam off the even nonnegative
   integers, via analytic continuation);
-* quadrature: numerically integrate the kernel.  The kernels are functions of
-  t = u.v alone, so per output point the integral collapses to a 1D integral
-  of t-shell averages.  Algebraic kernel singularities are absorbed into
-  Gauss-Jacobi weights (split at t = 0); logarithmic kernels are handled by
-  differencing the absorbed power at +/-eps.  Shell averages evaluate the
-  input off-grid, which goes through band-limited synthesis (raw grids are
-  never interpolated).
+* quadrature: numerically integrate the kernel.  The kernels are even
+  functions of t = u.v alone, so per output point the integral collapses to
+  a 1D integral of t-shell averages.  For input of band limit J the even part
+  of the shell profile is a polynomial of degree J//2 in y = 2t^2 - 1, and
+  every kernel times the shell measure (1-t^2)^((n-3)/2) becomes a Jacobi
+  weight (1-y)^a (1+y)^b in y, or for the logarithmic kernels its derivative
+  in a or b.  One engine integrates all of them exactly: it fits the profile
+  at J//2 + 1 Chebyshev nodes and contracts the coefficients with the
+  Chebyshev moments of the weight from the Piessens-Branders recurrence,
+  real and complex lam alike.  Shell averages evaluate the input off-grid,
+  which goes through band-limited synthesis (raw grids are never
+  interpolated), and never touch the multipliers.
 
 A plain on-grid weighted sum is kept for the logarithmic cosine kernel
 (``quadrature_method="ongrid"``) for convergence studies; near the singular
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import loggamma, psi
 
 from . import gammafn
 from .errors import (
@@ -40,8 +46,6 @@ from .errors import (
 from .grids import GridFunction, build_grid, integrate
 from .spectral import (
     HarmonicSpectrum,
-    _jacobi_rule,
-    _split_jacobi_rule,
     analyze,  # noqa: F401  (re-exported: callers reach it as transforms.analyze)
     as_spectrum,
     cosine_multiplier,
@@ -226,90 +230,81 @@ def _shell_average_values(
     return out
 
 
-def _apply_panels(
-    f_eval: Callable,
-    points: np.ndarray,
-    n: int,
-    panels,
-    subsphere_resolution: int,
-    circle_nodes: int,
-) -> np.ndarray:
-    total = np.zeros(points.shape[0], dtype=complex)
-    for t_nodes, weights in panels:
-        shells = _shell_average_values(
-            f_eval, points, t_nodes, n, subsphere_resolution, circle_nodes
-        )
-        total += shells @ weights
-    return pushforward_constant(n) * total
+def _chebyshev_moments(a: complex, b: complex, num: int, wrt: str | None = None) -> np.ndarray:
+    """Modified moments M_k = int_{-1}^{1} T_k(y) (1-y)^a (1+y)^b dy for
+    k < num, or with ``wrt="a"`` / ``"b"`` their derivatives in that exponent
+    (the moments of log(1-y) and log(1+y) times the weight); Re a, Re b > -1.
 
-
-def _cosine_panels(lam: complex, n: int, polar_nodes: int):
-    """Panels realizing int_{-1}^{1} |t|^lam q(t) (1-t^2)^((n-3)/2) dt / A_n
-    with the |t|^Re(lam) factor absorbed into split Gauss-Jacobi weights."""
-    lam = complex(lam)
-    t, wts = _split_jacobi_rule(polar_nodes, (n - 3) / 2.0, lam.real)
-    if lam.imag:
-        wts = wts * np.exp(1j * lam.imag * np.log(t))
-    return [(t, wts), (-t, wts)]
-
-
-def _sine_panels(lam: complex, n: int, polar_nodes: int):
-    """Panels for the (1-t^2)^(lam/2) kernel: symmetric Gauss-Jacobi with the
-    full (1-t^2)^((lam+n-3)/2) weight absorbed."""
-    lam = complex(lam)
-    a = (lam.real + n - 3.0) / 2.0
-    x, w = _jacobi_rule(polar_nodes, a, a)
-    wts = w.astype(complex)
-    if lam.imag:
-        wts = wts * np.exp(0.5j * lam.imag * np.log1p(-x * x))
-    return [(x, wts)]
-
-
-def _log_panels(power_panels: Callable, n: int, polar_nodes: int, eps: float = 1e-5):
-    """Panels for the logarithm of a power kernel: minus the derivative of
-    ``power_panels(p, n, polar_nodes)`` in the absorbed power p at 0, realized
-    as a central difference of the p = +-eps rules."""
-    return [
-        (t, (-sgn / (2.0 * eps)) * wts)
-        for sgn in (+1.0, -1.0)
-        for t, wts in power_panels(sgn * eps, n, polar_nodes)
-    ]
-
-
-def _even_abs_moment(lam: complex, alpha: float, m: int) -> complex:
-    """int_{-1}^{1} |t|^lam t^m (1-t^2)^alpha dt for even m (beta integral)."""
-    x = (complex(lam) + m + 1.0) / 2.0
-    return gammafn.gamma(x) * math.gamma(alpha + 1.0) * gammafn.rgamma(x + alpha + 1.0)
-
-
-def _moment_kernel_values(
-    f_eval: Callable,
-    points: np.ndarray,
-    n: int,
-    moments: np.ndarray,
-    profile_degree: int,
-    subsphere_resolution: int,
-    circle_nodes: int,
-) -> np.ndarray:
-    """Exact kernel integration for band-limited input at complex parameters.
-
-    The shell-average profile of a band-limited function is a polynomial in
-    t of degree <= the band limit; it is interpolated at Chebyshev nodes and
-    integrated against closed-form |t|^lam (1-t^2)^alpha monomial moments.
-    Circumvents the slowly convergent log-oscillation of t^(i Im lam) that
-    defeats plain quadrature.
+    Forward Piessens-Branders recurrence (BIT 13, 1973; QUADPACK's QAWS),
+    (a+b+k+2) M_{k+1} + 2(a-b) M_k + (a+b-k+2) M_{k-1} = 0, from
+    M_0 = 2^(a+b+1) B(a+1, b+1) and M_1 = M_0 (b-a)/(a+b+2).  The derivative
+    in a runs the recurrence differentiated in a, whose right-hand side is
+    -(M_{k+1} + 2 M_k + M_{k-1}), from digamma starting values.
     """
-    num = profile_degree + 1
-    t_nodes = np.cos(math.pi * (2.0 * np.arange(num) + 1.0) / (2.0 * num))
+    if wrt == "b":  # y -> -y swaps the exponents and the sign of odd T_k
+        return _chebyshev_moments(b, a, num, "a") * (-1.0) ** np.arange(num)
+    a, b = complex(a), complex(b)
+    s = a + b
+    m = np.empty(num, dtype=complex)
+    m[0] = np.exp((s + 1.0) * math.log(2.0) + loggamma(a + 1.0) + loggamma(b + 1.0)
+                  - loggamma(s + 2.0))
+    if num > 1:
+        m[1] = m[0] * (b - a) / (s + 2.0)
+    for k in range(1, num - 1):
+        m[k + 1] = -(2.0 * (a - b) * m[k] + (s - k + 2.0) * m[k - 1]) / (s + k + 2.0)
+    if wrt is None:
+        return m
+    d = np.empty(num, dtype=complex)
+    d[0] = m[0] * (math.log(2.0) + psi(a + 1.0) - psi(s + 2.0))
+    if num > 1:
+        d[1] = d[0] * (b - a) / (s + 2.0) - m[0] * 2.0 * (b + 1.0) / (s + 2.0) ** 2
+    for k in range(1, num - 1):
+        rhs = m[k + 1] + 2.0 * m[k] + m[k - 1]
+        d[k + 1] = -(2.0 * (a - b) * d[k] + (s - k + 2.0) * d[k - 1] + rhs) / (s + k + 2.0)
+    return d
+
+
+def _kernel_rule(profile_degree: int, a: complex, b: complex, wrt: str | None = None):
+    """Nodes t and weights w with sum w p(t) = int_{-1}^{1} p(t) K(t) dt for
+    every polynomial p of degree <= profile_degree, where K is the even
+    kernel with K(t) = t W(2t^2-1) for t > 0, W(y) = ((1-y)/2)^a ((1+y)/2)^b
+    is a Jacobi weight, and ``wrt`` replaces W by its derivative in a or b.
+
+    With y = 2t^2-1 the integral is 1/4 int Q(y) W(y) dy, where
+    Q(y) = p(t) + p(-t) is a polynomial of degree num-1, num =
+    profile_degree//2 + 1.  Q is fitted at the num Chebyshev nodes
+    y_i = cos(theta_i), which are t = +-cos(theta_i/2), and its coefficients
+    are contracted with the moments of W from :func:`_chebyshev_moments`.
+    """
+    num = profile_degree // 2 + 1
+    theta = math.pi * (2.0 * np.arange(num) + 1.0) / (2.0 * num)
+    moments = _chebyshev_moments(a, b, num, wrt)
+    if wrt is not None:  # W carries 2^-(a+b), whose derivative adds -log(2) W
+        moments = moments - math.log(2.0) * _chebyshev_moments(a, b, num)
+    moments = moments * 2.0 ** -(complex(a) + complex(b))
+    moments[0] /= 2.0
+    # Q = sum_k c_k T_k with c_k = (2/num) sum_i Q(y_i) cos(k theta_i), c_0 halved
+    w = np.cos(np.outer(theta, np.arange(num))) @ moments / (2.0 * num)
+    t = np.cos(theta / 2.0)
+    return np.concatenate([t, -t]), np.concatenate([w, w])
+
+
+def _kernel_values(
+    f_eval: Callable,
+    points: np.ndarray,
+    n: int,
+    rule,
+    subsphere_resolution: int,
+    circle_nodes: int,
+) -> np.ndarray:
+    """A_n sum_i w_i p_u(t_i) at every output point u, for a rule (t, w) from
+    :func:`_kernel_rule` and the shell-average profile p_u about u; the
+    rule's kernel includes the shell measure (1-t^2)^((n-3)/2)."""
+    t, w = rule
     shells = _shell_average_values(
-        f_eval, np.asarray(points, float), t_nodes, n, subsphere_resolution, circle_nodes
+        f_eval, np.asarray(points, float), t, n, subsphere_resolution, circle_nodes
     )
-    cheb = np.polynomial.chebyshev.chebfit(t_nodes, shells.T, profile_degree)
-    # row k holds the monomial coefficients of T_k
-    to_mono = np.zeros((num, num))
-    for k, row in enumerate(np.eye(num)):
-        to_mono[k, : k + 1] = np.polynomial.chebyshev.cheb2poly(row)
-    return pushforward_constant(n) * (cheb.T @ (to_mono @ moments[:num]))
+    return pushforward_constant(n) * (shells @ w)
 
 
 def cosine_quadrature_values(
@@ -318,38 +313,23 @@ def cosine_quadrature_values(
     n: int,
     lam: complex,
     *,
-    polar_nodes: int = 32,
+    profile_degree: int,
     subsphere_resolution: int = 8,
     circle_nodes: int = 64,
-    profile_degree: int = 16,
 ) -> np.ndarray:
-    """lam-cosine transform values at unit points, by adapted quadrature.
+    """lam-cosine transform values at unit points, by exact kernel quadrature
+    of an input of band limit ``profile_degree``.
 
-    Real lam uses split Gauss-Jacobi rules with |t|^lam absorbed into the
-    weight; complex lam goes through the moment route of
-    :func:`_moment_kernel_values` (band-limited input assumed).
+    |t|^lam (1-t^2)^((n-3)/2) is the Jacobi weight with a = (n-3)/2,
+    b = (lam-1)/2 in y = 2t^2-1 (:func:`_kernel_rule`), for real and complex
+    lam alike.
     """
     lam = complex(lam)
     if lam.real <= -1.0:
         raise DomainError(f"quadrature path needs Re lambda > -1, got {lam}")
     check_off_even_poles(lam)
-    if lam.imag:
-        alpha = (n - 3) / 2.0
-        moments = np.array(
-            [
-                0.0 if m % 2 else _even_abs_moment(lam, alpha, m)
-                for m in range(profile_degree + 1)
-            ],
-            dtype=complex,
-        )
-        raw = _moment_kernel_values(
-            f_eval, points, n, moments, profile_degree, subsphere_resolution, circle_nodes
-        )
-    else:
-        raw = _apply_panels(
-            f_eval, np.asarray(points, float), n, _cosine_panels(lam, n, polar_nodes),
-            subsphere_resolution, circle_nodes,
-        )
+    rule = _kernel_rule(profile_degree, (n - 3) / 2.0, (lam - 1.0) / 2.0)
+    raw = _kernel_values(f_eval, points, n, rule, subsphere_resolution, circle_nodes)
     return gamma_norm(lam, n) * raw
 
 
@@ -359,30 +339,19 @@ def sine_quadrature_values(
     n: int,
     lam: complex,
     *,
-    polar_nodes: int = 32,
+    profile_degree: int,
     subsphere_resolution: int = 8,
     circle_nodes: int = 64,
-    profile_degree: int = 16,
 ) -> np.ndarray:
+    """lam-sine transform values at unit points, by exact kernel quadrature
+    of an input of band limit ``profile_degree``: (1-t^2)^((lam+n-3)/2) is
+    the Jacobi weight with a = (lam+n-3)/2, b = -1/2."""
     lam = complex(lam)
     if lam.real <= 1.0 - n:
         raise DomainError(f"quadrature path needs Re lambda > {1 - n}, got {lam}")
     check_off_even_poles(lam)
-    if lam.imag:
-        # (1-t^2)^(lam/2) absorbs fully into a beta moment with complex second index
-        half = (complex(lam) + n - 1.0) / 2.0
-        moments = np.zeros(profile_degree + 1, dtype=complex)
-        for m in range(0, profile_degree + 1, 2):
-            x = (m + 1.0) / 2.0
-            moments[m] = gammafn.gamma(x) * gammafn.gamma(half) * gammafn.rgamma(x + half)
-        raw = _moment_kernel_values(
-            f_eval, points, n, moments, profile_degree, subsphere_resolution, circle_nodes
-        )
-    else:
-        raw = _apply_panels(
-            f_eval, np.asarray(points, float), n, _sine_panels(lam, n, polar_nodes),
-            subsphere_resolution, circle_nodes,
-        )
+    rule = _kernel_rule(profile_degree, (lam + n - 3.0) / 2.0, -0.5)
+    raw = _kernel_values(f_eval, points, n, rule, subsphere_resolution, circle_nodes)
     return delta_norm(lam, n) * raw
 
 
@@ -391,15 +360,16 @@ def log_cosine_quadrature_values(
     points: np.ndarray,
     n: int,
     *,
-    polar_nodes: int = 32,
+    profile_degree: int,
     subsphere_resolution: int = 8,
     circle_nodes: int = 64,
 ) -> np.ndarray:
-    raw = _apply_panels(
-        f_eval, np.asarray(points, float), n, _log_panels(_cosine_panels, n, polar_nodes),
-        subsphere_resolution, circle_nodes,
-    )
-    return (2.0 / math.gamma(n / 2.0)) * raw
+    """Logarithmic cosine transform values at unit points, by exact kernel
+    quadrature of an input of band limit ``profile_degree``: log(1/|t|) is
+    -1/2 times the derivative of ((1+y)/2)^b = |t|^(2b) in b at b = -1/2."""
+    rule = _kernel_rule(profile_degree, (n - 3) / 2.0, -0.5, wrt="b")
+    raw = _kernel_values(f_eval, points, n, rule, subsphere_resolution, circle_nodes)
+    return (-1.0 / math.gamma(n / 2.0)) * raw
 
 
 def log_sine_quadrature_values(
@@ -407,18 +377,19 @@ def log_sine_quadrature_values(
     points: np.ndarray,
     n: int,
     *,
-    polar_nodes: int = 32,
+    profile_degree: int,
     subsphere_resolution: int = 8,
     circle_nodes: int = 64,
 ) -> np.ndarray:
-    # log(1/(1-t^2)) is the derivative of (1-t^2)^(lam/2) in lam/2
-    panels = _log_panels(lambda p, n, m: _sine_panels(2.0 * p, n, m), n, polar_nodes)
-    raw = _apply_panels(
-        f_eval, np.asarray(points, float), n, panels, subsphere_resolution, circle_nodes
-    )
+    """Logarithmic sine transform values at unit points, by exact kernel
+    quadrature of an input of band limit ``profile_degree``: log(1/(1-t^2))
+    is minus the derivative of ((1-y)/2)^a = (1-t^2)^a in a, taken at
+    a = (n-3)/2, the exponent of the shell measure."""
+    rule = _kernel_rule(profile_degree, (n - 3) / 2.0, -0.5, wrt="a")
+    raw = _kernel_values(f_eval, points, n, rule, subsphere_resolution, circle_nodes)
     # prefactor fixed by the limit of the lam-sine family at lam = 0, equal to
     # the factorization through the Funk transform (see tests)
-    return (math.sqrt(math.pi) / (math.gamma(n / 2.0) * math.gamma((n - 1) / 2.0))) * raw
+    return (-math.sqrt(math.pi) / (math.gamma(n / 2.0) * math.gamma((n - 1) / 2.0))) * raw
 
 
 def funk_geodesic_values(f_eval: Callable, points: np.ndarray, circle_nodes: int = 64) -> np.ndarray:
@@ -460,11 +431,11 @@ def _log_cosine_ongrid_values(f: GridFunction) -> np.ndarray:
 
 
 def _sizes(J: int, given: dict) -> dict:
-    """Quadrature sizes sufficient for exactness at band limit J, except where
-    ``given`` sets them."""
-    defaults = {"polar_nodes": max(24, J + 6), "subsphere_resolution": max(4, J // 2 + 2),
-                "circle_nodes": max(24, 2 * J + 2)}
-    return {k: v if given.get(k) is None else given[k] for k, v in defaults.items()}
+    """Quadrature sizes for band limit J: the profile degree J, and shell
+    rules sufficient for exactness except where ``given`` sets them."""
+    defaults = {"subsphere_resolution": max(4, J // 2 + 2), "circle_nodes": max(24, 2 * J + 2)}
+    sizes = {k: v if given.get(k) is None else given[k] for k, v in defaults.items()}
+    return dict(sizes, profile_degree=J)
 
 
 @dataclass(frozen=True)
@@ -565,7 +536,6 @@ def cosine_transform(
     path: str = "auto",
     band_limit: int | None = None,
     pole=None,
-    polar_nodes: int | None = None,
     subsphere_resolution: int | None = None,
     circle_nodes: int | None = None,
 ):
@@ -576,8 +546,7 @@ def cosine_transform(
     chosen path recorded in the metadata).
     """
     return _transform("cosine", f, lam=lam, path=path, band_limit=band_limit, pole=pole,
-                      polar_nodes=polar_nodes, subsphere_resolution=subsphere_resolution,
-                      circle_nodes=circle_nodes)
+                      subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)
 
 
 def funk_transform(
@@ -605,7 +574,6 @@ def log_cosine_transform(
     band_limit: int | None = None,
     pole=None,
     quadrature_method: str = "adapted",
-    polar_nodes: int | None = None,
     subsphere_resolution: int | None = None,
     circle_nodes: int | None = None,
 ):
@@ -614,10 +582,11 @@ def log_cosine_transform(
     ``quadrature_method="ongrid"`` uses the literal weighted sum over the
     stored grid with the kernel capped at log(1e14) where |u.v| < 1e-14; it
     converges slowly near the singular circle and exists for convergence
-    studies.  The default adapted rule is accurate to roughly 1e-10.
+    studies.  The default adapted rule integrates the logarithm exactly
+    against the band-limited shell profile, to rounding (about 1e-15).
     """
     return _transform("logcos", f, path=path, band_limit=band_limit, pole=pole,
-                      quadrature_method=quadrature_method, polar_nodes=polar_nodes,
+                      quadrature_method=quadrature_method,
                       subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)
 
 
@@ -628,14 +597,12 @@ def sine_transform(
     path: str = "auto",
     band_limit: int | None = None,
     pole=None,
-    polar_nodes: int | None = None,
     subsphere_resolution: int | None = None,
     circle_nodes: int | None = None,
 ):
     """lam-sine transform of an even function."""
     return _transform("sine", f, lam=lam, path=path, band_limit=band_limit, pole=pole,
-                      polar_nodes=polar_nodes, subsphere_resolution=subsphere_resolution,
-                      circle_nodes=circle_nodes)
+                      subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)
 
 
 def log_sine_transform(
@@ -644,11 +611,9 @@ def log_sine_transform(
     path: str = "auto",
     band_limit: int | None = None,
     pole=None,
-    polar_nodes: int | None = None,
     subsphere_resolution: int | None = None,
     circle_nodes: int | None = None,
 ):
     """Logarithmic sine transform of a mean-zero function."""
     return _transform("logsine", f, path=path, band_limit=band_limit, pole=pole,
-                      polar_nodes=polar_nodes, subsphere_resolution=subsphere_resolution,
-                      circle_nodes=circle_nodes)
+                      subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)

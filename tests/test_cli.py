@@ -76,6 +76,42 @@ def test_forward_rejects_bad_input(tmp_path):
     assert err["error"] == "PreconditionError"
 
 
+
+def _csv_columns(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return dict(zip(lines[0].split(","), zip(*(l.split(",") for l in lines[1:]))))
+
+
+@pytest.mark.parametrize("path", ["quadrature", "spectral"])
+def test_forward_real_transform_has_zero_imaginary_columns(tmp_path, path):
+    base = ["forward", "--transform", "cosine", "--lambda-re", "0.5", "--path", path,
+            "--input", "random-even:J=6,seed=3", "--resolution", "10"]
+    out = tmp_path / "real.csv"
+    assert main(base + ["--out", str(out)]) == 0
+    cols = _csv_columns(out)
+    assert set(cols["input_im"]) == set(cols["output_im"]) == {"0"}
+    assert any(float(v) != 0.0 for v in cols["output_re"])
+    # a complex lambda makes the transform complex, and its parts are kept
+    out = tmp_path / "complex.csv"
+    assert main(base + ["--lambda-im", "0.5", "--out", str(out)]) == 0
+    cols = _csv_columns(out)
+    assert set(cols["input_im"]) == {"0"}
+    assert max(abs(float(v)) for v in cols["output_im"]) > 1e-3
+
+
+@pytest.mark.parametrize("transform, default_input", [
+    ("cosine", "random-even:J=6,seed=0"),
+    ("logcos", "zonal:j=4"),
+    ("logsine", "zonal:j=4"),
+])
+def test_forward_default_input(tmp_path, transform, default_input):
+    # the logarithmic transforms default to a mean-zero input; the default is
+    # resolved before the configuration hash, so it equals spelling it out
+    base = ["forward", "--transform", transform, "--resolution", "8"]
+    assert main(base + ["--out", str(tmp_path / "default.csv")]) == 0
+    assert main(base + ["--input", default_input, "--out", str(tmp_path / "given.csv")]) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+
 def test_diffop_csv(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["diffop", "--lambda", "-1.5", "--ell", "1", "--n", "3",

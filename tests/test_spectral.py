@@ -433,6 +433,20 @@ def test_random_even_spectrum_is_real_and_even(grid3):
     assert np.array_equal(f.coeffs, f2.coeffs)
 
 
+
+def test_is_real_is_decided_exactly():
+    full = random_even_spectrum(3, 8, seed=5)
+    zonal = random_even_spectrum(5, 6, seed=5)
+    assert full.is_real and zonal.is_real
+    assert HarmonicSpectrum(3, 0, np.array([1.0 + 0j])).is_real
+    # one broken conjugate pair, a complex mean, a complex zonal coefficient
+    for spec, i in ((full, 8 * 9 + 3), (full, 0), (zonal, 2)):
+        coeffs = np.array(spec.coeffs)
+        coeffs[i] += 1e-17j if coeffs[i] != 0 else 1e-300j
+        assert not HarmonicSpectrum(spec.n, spec.max_degree, coeffs, spec.pole).is_real
+    assert not (1j * full).is_real
+
+
 def test_multiplier_table():
     table = multiplier_table("cosine", 3, 8, lam=-1.0)
     assert table.degrees == (0, 2, 4, 6, 8)

@@ -56,3 +56,6 @@ def test_transform_spans_follow_the_chosen_path(spans, name, path):
     recorded = {s.name for s in tracer.spans}
     assert LAYERS[chosen] in recorded
     assert not recorded & (set(LAYERS.values()) - {LAYERS[chosen]})
+    if chosen == "quadrature":
+        # the literal kernel integral stays independent of the closed forms
+        assert "spectral.multiplier" not in recorded

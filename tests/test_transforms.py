@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
+from scipy.special import eval_chebyt
 
 from funkinv.errors import (
     DomainError,
@@ -24,6 +26,8 @@ from funkinv.spectral import (
 )
 from funkinv.diffops import WeightedOpSpec, weighted_laplacian_spectrum
 from funkinv.transforms import (
+    OPERATORS,
+    _chebyshev_moments,
     cosine_quadrature_values,
     cosine_spectrum,
     cosine_transform,
@@ -115,23 +119,25 @@ def test_cosine_annihilates_odd(probes):
     coeffs[3 * 4 + 1] = 0.5  # degree 3
     f_odd = HarmonicSpectrum(3, 3, coeffs)
     assert np.max(np.abs(cosine_spectrum(f_odd, 0.5).coeffs)) == 0.0
-    quad = cosine_quadrature_values(f_odd.evaluate, probes, 3, 0.5)
-    assert np.max(np.abs(quad)) <= 1e-10
+    quad = cosine_quadrature_values(f_odd.evaluate, probes, 3, 0.5, profile_degree=3)
+    assert np.max(np.abs(quad)) <= 1e-14
 
 
 def test_cosine_degree2_zonal(probes):
     pole = np.array([0.48, -0.6, 0.64])
     f = HarmonicSpectrum(3, 2, np.array([0, 0, 1.0 + 0j]), pole)
-    out = cosine_quadrature_values(f.evaluate, probes, 3, 1.0)
+    out = cosine_quadrature_values(f.evaluate, probes, 3, 1.0, profile_degree=2)
     want = cosine_multiplier(2, 3, 1.0) * f.evaluate(probes)
     assert np.max(np.abs(out - want)) <= 1e-12
 
 
 def test_cosine_path_agreement(even_f3, probes, oracle_gate):
     for lam in (-0.5, -0.25, 0.3, 1.0, 1.7):
-        quad = cosine_quadrature_values(even_f3.evaluate, probes, 3, lam, polar_nodes=48)
+        quad = cosine_quadrature_values(
+            even_f3.evaluate, probes, 3, lam, profile_degree=even_f3.max_degree
+        )
         spec = cosine_spectrum(even_f3, lam).evaluate(probes)
-        assert np.max(np.abs(quad - spec)) <= 1e-7
+        assert np.max(np.abs(quad - spec)) <= 1e-12
 
 
 def test_cosine_path_agreement_complex(even_f3, probes):
@@ -140,17 +146,18 @@ def test_cosine_path_agreement_complex(even_f3, probes):
             even_f3.evaluate, probes, 3, lam, profile_degree=even_f3.max_degree
         )
         spec = cosine_spectrum(even_f3, lam).evaluate(probes)
-        assert np.max(np.abs(quad - spec)) <= 1e-9
+        assert np.max(np.abs(quad - spec)) <= 1e-12
 
 
 def test_cosine_path_agreement_n4(even_f4, grid4):
     probes4 = grid4.nodes[::97]
     for lam in (-0.5, 1.0):
         quad = cosine_quadrature_values(
-            even_f4.evaluate, probes4, 4, lam, subsphere_resolution=6
+            even_f4.evaluate, probes4, 4, lam, profile_degree=even_f4.max_degree,
+            subsphere_resolution=6,
         )
         spec = cosine_spectrum(even_f4, lam).evaluate(probes4)
-        assert np.max(np.abs(quad - spec)) <= 1e-8
+        assert np.max(np.abs(quad - spec)) <= 1e-12
 
 
 def test_cosine_grid_paths_and_metadata(grid3, even_f3):
@@ -159,7 +166,7 @@ def test_cosine_grid_paths_and_metadata(grid3, even_f3):
     out_s = cosine_transform(f_grid, lam=-0.5, path="spectral")
     assert out_q.meta["path"] == "quadrature"
     assert out_s.meta["path"] == "spectral"
-    assert np.max(np.abs(out_q.values - out_s.values)) <= 1e-7
+    assert np.max(np.abs(out_q.values - out_s.values)) <= 1e-12
     # auto: quadrature domain holds here
     assert cosine_transform(f_grid, lam=-0.5, path="auto").meta["path"] == "quadrature"
     # auto: out-of-domain parameter falls back to the spectral path
@@ -172,7 +179,7 @@ def test_cosine_guards(grid3, even_f3):
     with pytest.raises(PoleError):
         cosine_spectrum(even_f3, 4.0 + 1e-11)
     with pytest.raises(DomainError):
-        cosine_quadrature_values(even_f3.evaluate, grid3.nodes[:2], 3, -1.2)
+        cosine_quadrature_values(even_f3.evaluate, grid3.nodes[:2], 3, -1.2, profile_degree=8)
     with pytest.raises(InvalidArgumentError):
         cosine_transform(even_f3, lam=0.5, path="quadrature")
     f_plain = grid_function(grid3, lambda v: v[:, 0] ** 2)
@@ -273,14 +280,14 @@ def test_log_cosine_zero_input(grid3):
 def test_log_cosine_zonal_and_path_agreement(probes):
     pole = np.array([0.8, 0.0, 0.6])
     f = HarmonicSpectrum(3, 2, np.array([0, 0, 1.0 + 0j]), pole)
-    quad = log_cosine_quadrature_values(f.evaluate, probes, 3)
+    quad = log_cosine_quadrature_values(f.evaluate, probes, 3, profile_degree=2)
     want = log_cosine_multiplier(2, 3) * f.evaluate(probes)
-    assert np.max(np.abs(quad - want)) <= 1e-5
+    assert np.max(np.abs(quad - want)) <= 1e-12
     # random mean-zero function
     f0 = random_even_spectrum(3, 8, seed=9).with_zero_mean()
-    quad = log_cosine_quadrature_values(f0.evaluate, probes, 3)
+    quad = log_cosine_quadrature_values(f0.evaluate, probes, 3, profile_degree=8)
     spec = log_cosine_spectrum(f0).evaluate(probes)
-    assert np.max(np.abs(quad - spec)) <= 1e-5
+    assert np.max(np.abs(quad - spec)) <= 1e-12
 
 
 def test_log_cosine_ongrid_method_documented_loss(grid3, even_f3):
@@ -302,9 +309,9 @@ def test_log_cosine_is_limit_of_cosine_family(probes):
 def test_log_sine_consistency(probes):
     pole = np.array([0.0, 0.6, 0.8])
     f = HarmonicSpectrum(3, 2, np.array([0, 0, 1.0 + 0j]), pole)
-    quad = log_sine_quadrature_values(f.evaluate, probes, 3)
+    quad = log_sine_quadrature_values(f.evaluate, probes, 3, profile_degree=2)
     comp = log_sine_spectrum(f).evaluate(probes)
-    assert np.max(np.abs(quad - comp)) <= 1e-5
+    assert np.max(np.abs(quad - comp)) <= 1e-12
 
 
 def test_log_sine_requires_mean_zero(grid3):
@@ -334,24 +341,28 @@ def test_sine_constant():
 
 def test_sine_path_agreement(even_f3, probes):
     for lam in (-0.5, -1.5, 1.0):
-        quad = sine_quadrature_values(even_f3.evaluate, probes, 3, lam)
+        quad = sine_quadrature_values(
+            even_f3.evaluate, probes, 3, lam, profile_degree=even_f3.max_degree
+        )
         spec = sine_spectrum(even_f3, lam).evaluate(probes)
-        assert np.max(np.abs(quad - spec)) <= 1e-8
+        assert np.max(np.abs(quad - spec)) <= 1e-12
 
 
 def test_sine_factorization(even_f3, probes):
     # quadrature sine against the spectral composition through the Funk transform
     lam = -0.5
-    lhs = sine_quadrature_values(even_f3.evaluate, probes, 3, lam)
+    lhs = sine_quadrature_values(
+        even_f3.evaluate, probes, 3, lam, profile_degree=even_f3.max_degree
+    )
     rhs = funk_scale(3) * cosine_spectrum(funk_spectrum(even_f3), lam).evaluate(probes)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-8
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_sine_guards(even_f3, probes):
     with pytest.raises(PoleError):
         sine_spectrum(even_f3, 0.0)
     with pytest.raises(DomainError):
-        sine_quadrature_values(even_f3.evaluate, probes, 3, -2.5)
+        sine_quadrature_values(even_f3.evaluate, probes, 3, -2.5, profile_degree=8)
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +386,85 @@ def test_diagonal_action_of_each_transform(grid3, even_f3, oracle_gate):
             want = mult(j) * base.degree_slice(j)
             got = out_spec.degree_slice(j)
             assert np.max(np.abs(got - want)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev-Jacobi moment engine behind every kernel quadrature
+
+
+@pytest.mark.parametrize("a, b", [(0.0, -0.5), (0.5, -0.5), (1.5, -0.5), (0.0, -0.9), (2.0, 0.3)])
+def test_chebyshev_moments_against_quad(a, b):
+    # scipy's "alg" weight is (1+y)^alpha (1-y)^beta for wvar = (alpha, beta);
+    # "alg-loga" multiplies it by log(1+y) and "alg-logb" by log(1-y)
+    num = 25
+    for wrt, weight in ((None, "alg"), ("a", "alg-logb"), ("b", "alg-loga")):
+        got = _chebyshev_moments(a, b, num, wrt)
+        for k in range(num):
+            want = quad(lambda y: eval_chebyt(k, y), -1.0, 1.0, weight=weight, wvar=(b, a),
+                        limit=200)[0]
+            assert abs(got[k] - want) <= 1e-12, (wrt, k)
+
+
+def _beta_sum_moments(a, b, num):
+    """int T_k(y) (1-y)^a (1+y)^b dy for k < num at 40 digits: T_k expanded
+    in powers of 1+y, each power a beta integral."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        # beta[m] = int (1-y)^a (1+y)^(b+m) dy = 2^(a+b+m+1) B(a+1, b+m+1)
+        beta = [mpmath.power(2, a + b + 1) * mpmath.beta(a + 1, b + 1)]
+        for m in range(1, num):
+            beta.append(beta[-1] * 2 * (b + m) / (a + b + m + 1))
+        out = []
+        for k in range(num):
+            mono = np.polynomial.chebyshev.cheb2poly(np.eye(k + 1)[k])  # small integers
+            total = mpmath.mpc(0)
+            for j, c in enumerate(mono):
+                for m in range(j + 1):  # y^j = sum_m C(j, m) (1+y)^m (-1)^(j-m)
+                    total += int(c) * math.comb(j, m) * (-1) ** (j - m) * beta[m]
+            out.append(complex(total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.25 + 0.5j), (0.5, -0.25 - 0.4j), (0.0, -0.35 + 0.5j),
+                                  (1.0, 0.7 - 1.3j)])
+def test_chebyshev_moments_complex_exponent(a, b):
+    got = _chebyshev_moments(a, b, 25)
+    want = _beta_sum_moments(a, b, 25)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _random_spectrum(n, J, seed):
+    """Mean-zero complex input with odd degrees, full for n = 3 and zonal
+    otherwise."""
+    rng = np.random.default_rng(seed)
+    pole = None if n == 3 else np.eye(n)[0]
+    degrees = HarmonicSpectrum.zeros(n, J, pole).degrees
+    coeffs = (rng.standard_normal(len(degrees)) + 1j * rng.standard_normal(len(degrees)))
+    return HarmonicSpectrum(n, J, coeffs / (1.0 + degrees) ** 2, pole).with_zero_mean()
+
+
+@pytest.mark.parametrize("n, J", [(3, 6), (3, 20), (3, 32), (4, 8), (5, 8)])
+@pytest.mark.parametrize("key, lam", [
+    ("cosine", 0.5), ("cosine", 0.5 + 1.0j), ("cosine", -0.7 - 0.4j),
+    ("sine", -0.5), ("sine", 0.3 - 0.8j),
+    ("logcos", None), ("logsine", None),
+])
+def test_quadrature_matches_spectral_for_every_kernel(key, lam, n, J):
+    spec = _random_spectrum(n, J, seed=10 * n + J)
+    points = np.random.default_rng(J).standard_normal((12, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    op = OPERATORS[key]
+    got = op.quadrature(spec.evaluate, points, n, lam, J, {})
+    want = op.spectral(spec, lam).evaluate(points)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("transform, lam", [(cosine_transform, 0.5 + 1j),
+                                            (sine_transform, 0.3 - 0.8j)])
+def test_complex_lambda_quadrature_above_band_16(transform, lam):
+    # the shell profile is fitted at the input's band limit; a fixed degree-16
+    # fit was off by 5e-4 relative here
+    x = random_even_spectrum(3, 20, seed=20).to_grid(build_grid(3, 21))
+    got = transform(x, lam=lam, path="quadrature").values
+    want = transform(x, lam=lam, path="spectral").values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
