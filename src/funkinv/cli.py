@@ -369,7 +369,7 @@ def _cmd_convergence(args) -> int:
             raise InvalidArgumentError("need at least 3 sample counts")
         n = max(cfg["n"], 4)
         f = random_even_spectrum(n, 4, cfg["seed"], zonal=True)
-        psi = funk_k_function(f.evaluate, n, cfg["k"])
+        psi = funk_k_function(f.evaluate, n, cfg["k"], profile_degree=f.max_degree)
         v = np.eye(n)[1]
         sigmas = []
         for count in sample_counts:

@@ -128,8 +128,10 @@ def _split_jacobi_rule(num_nodes: int, alpha: float, power: float):
 
     The Gauss-Jacobi rule for (1-x)^alpha (1+x)^power mapped to t = (1+x)/2,
     with the residual ((3+x)/2)^alpha 2^-(power+alpha+1) of the substitution
-    multiplied into the weights.  The kernels split at t = 0 use it on each
-    half.
+    multiplied into the weights.  Only the quadrature oracle for the
+    multipliers, :func:`funk_hecke_multiplier_quadrature`, uses it, on each
+    half of a kernel split at t = 0; the transforms integrate their kernels
+    by Chebyshev moments instead, so the oracle stays independent of them.
     """
     x, w = _jacobi_rule(num_nodes, alpha, power)
     t = 0.5 * (1.0 + x)

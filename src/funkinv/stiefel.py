@@ -1,11 +1,15 @@
 """Transforms attached to orthonormal k-frames (codimension-k subspheres).
 
 The forward transforms integrate over the sphere and are computed by exact
-product quadrature adapted to the frame: the sphere splits as
+product quadrature adapted to the frame, the engine the sphere transforms of
+:mod:`funkinv.transforms` run on: the sphere splits into the shells
 v = r * (u theta) + sqrt(1-r^2) * (B omega) with theta on S^{k-1} in the
-frame's column span, omega on S^{n-k-1} in its null space, and the radial
-density r^{k-1} (1-r^2)^{(n-k-2)/2} absorbed (together with any |u^T v|^lam
-kernel power) into a Gauss-Jacobi weight.
+frame's column span and omega on S^{n-k-1} in its null space.  The Funk
+transform is the r = 0 shell.  For the cosine transform the radial density
+r^{k-1} (1-r^2)^{(n-k-2)/2} times the kernel r^lam is a Jacobi weight in
+y = 2r^2-1, integrated exactly against the shell averages by Chebyshev
+moments, for real and complex lam alike.  Every rule is sized from the band
+limit of the input.
 
 The dual transforms integrate over frames and are computed by Monte Carlo
 with Haar sampling (QR of Gaussian matrices with a sign-fixed R diagonal);
@@ -30,7 +34,6 @@ from .grids import as_direction
 from .inversion import InversionReport, invert_cosine1, invert_funk
 from .spectral import (
     HarmonicSpectrum,
-    _split_jacobi_rule,
     cosine_multiplier,
     delta_op_eigenvalue,
     funk_multiplier,
@@ -40,7 +43,8 @@ from .spectral import (
     zonal_profile_rule,
 )
 from .transforms import (
-    _subsphere_rule,
+    _frame_shell_values,
+    _kernel_rule,
     check_off_even_poles,
     frame_scale,
     funk_scale,
@@ -165,102 +169,54 @@ def haar_frame(n: int, k: int, seed: int) -> Frame:
 # forward transforms (exact product quadrature)
 
 
-def _funk_k_values(
-    f_eval: Callable,
-    frames: np.ndarray,
-    *,
-    fiber_resolution: int = 6,
-    circle_nodes: int = 32,
-) -> np.ndarray:
+def _funk_k_values(f_eval: Callable, frames: np.ndarray, profile_degree: int) -> np.ndarray:
     """Averages of f over the null-space subspheres of a stack of frames."""
-    count, n, k = frames.shape
-    omega, rho = _subsphere_rule(n - k, fiber_resolution, circle_nodes)
-    bases = null_space_basis(frames)  # (S, n, n-k)
-    pts = omega @ bases.transpose(0, 2, 1)  # (S, R, n)
-    vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex).reshape(count, len(omega))
-    return vals @ rho
+    return _frame_shell_values(f_eval, frames, np.zeros(1), profile_degree)[:, 0]
 
 
-def funk_k(
-    f_eval: Callable,
-    frame: Frame,
-    *,
-    fiber_resolution: int = 6,
-    circle_nodes: int = 32,
-) -> complex:
+def funk_k(f_eval: Callable, frame: Frame, *, profile_degree: int) -> complex:
     """Average of f over {v : u^T v = 0}, the unit sphere of the frame's
-    null space, with its invariant probability measure."""
-    return complex(
-        _funk_k_values(
-            f_eval, frame.matrix[None], fiber_resolution=fiber_resolution,
-            circle_nodes=circle_nodes,
-        )[0]
-    )
+    null space, with its invariant probability measure, exact for f of band
+    limit ``profile_degree``."""
+    return complex(_funk_k_values(f_eval, frame.matrix[None], profile_degree)[0])
 
 
-def funk_k_function(
-    f_eval: Callable, n: int, k: int, *, fiber_resolution: int = 6, circle_nodes: int = 32
-) -> StiefelFunction:
+def funk_k_function(f_eval: Callable, n: int, k: int, *, profile_degree: int) -> StiefelFunction:
     def fn(frames):
-        return _funk_k_values(
-            f_eval, frames, fiber_resolution=fiber_resolution, circle_nodes=circle_nodes
-        )
+        return _funk_k_values(f_eval, frames, profile_degree)
 
     return StiefelFunction(fn, n, k, tag="funk_k")
 
 
 def _cosine_k_values(
-    f_eval: Callable,
-    frames: np.ndarray,
-    lam: complex,
-    *,
-    radial_nodes: int = 24,
-    span_resolution: int = 6,
-    fiber_resolution: int = 6,
-    circle_nodes: int = 32,
+    f_eval: Callable, frames: np.ndarray, lam: complex, profile_degree: int
 ) -> np.ndarray:
-    count, n, k = frames.shape
+    """r = |u^T v| has density c r^{k-1} (1-r^2)^{(n-k-2)/2} on (0, 1); with the
+    kernel r^lam that is the Jacobi weight a = (n-k-2)/2, b = (k-2+lam)/2 of
+    :func:`_kernel_rule` against the frame-shell averages."""
+    _, n, k = frames.shape
     lam = complex(lam)
     if lam.real <= -k:
         raise DomainError(f"direct path needs Re lambda > {-k}, got {lam}")
     check_off_even_poles(lam)
-    a = (n - k - 2) / 2.0
-    b = k - 1.0 + lam.real
-    r, wts = _split_jacobi_rule(radial_nodes, a, b)
-    wts = wts.astype(complex)
-    if lam.imag:
-        wts *= np.exp(1j * lam.imag * np.log(r))
+    r, w = _kernel_rule(profile_degree, (n - k - 2) / 2.0, (k - 2.0 + lam) / 2.0)
     norm_const = 2.0 * math.gamma(n / 2.0) / (math.gamma(k / 2.0) * math.gamma((n - k) / 2.0))
-
-    theta, tw = _subsphere_rule(k, span_resolution, circle_nodes)
-    omega, ow = _subsphere_rule(n - k, fiber_resolution, circle_nodes)
-    bases = null_space_basis(frames)
-    span_dirs = theta @ frames.transpose(0, 2, 1)  # (S, T, n)
-    null_dirs = omega @ bases.transpose(0, 2, 1)  # (S, R, n)
-    sin_r = np.sqrt(1.0 - r * r)
-    out = np.zeros(count, dtype=complex)
-    for i, (ri, wi) in enumerate(zip(r, wts)):
-        pts = ri * span_dirs[:, :, None, :] + sin_r[i] * null_dirs[:, None, :, :]
-        vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex)
-        vals = vals.reshape(count, len(theta), len(omega))
-        out += wi * ((vals @ ow) @ tw)
-    return gamma_norm_k(lam, n, k) * norm_const * out
+    shells = _frame_shell_values(f_eval, frames, r, profile_degree)
+    return gamma_norm_k(lam, n, k) * norm_const * (shells @ w)
 
 
-def cosine_k(
-    f_eval: Callable,
-    frame: Frame,
-    lam: complex,
-    **kw,
-) -> complex:
+def cosine_k(f_eval: Callable, frame: Frame, lam: complex, *, profile_degree: int) -> complex:
     """Codimension-k cosine transform at one frame: the normalized integral of
-    f(v) |u^T v|^lam, |.| the Euclidean length of the k-vector u^T v."""
-    return complex(_cosine_k_values(f_eval, frame.matrix[None], lam, **kw)[0])
+    f(v) |u^T v|^lam, |.| the Euclidean length of the k-vector u^T v, exact
+    for f of band limit ``profile_degree``."""
+    return complex(_cosine_k_values(f_eval, frame.matrix[None], lam, profile_degree)[0])
 
 
-def cosine_k_function(f_eval: Callable, n: int, k: int, lam: complex, **kw) -> StiefelFunction:
+def cosine_k_function(
+    f_eval: Callable, n: int, k: int, lam: complex, *, profile_degree: int
+) -> StiefelFunction:
     def fn(frames):
-        return _cosine_k_values(f_eval, frames, lam, **kw)
+        return _cosine_k_values(f_eval, frames, lam, profile_degree)
 
     return StiefelFunction(fn, n, k, tag="cosine_k")
 
@@ -291,7 +247,7 @@ def _frames_orthogonal_to(v: np.ndarray, k: int, count: int, rng) -> np.ndarray:
 
 
 def dual_funk_k(
-    phi: StiefelFunction | Callable,
+    phi: StiefelFunction,
     v,
     samples: int = 100_000,
     seed: int = 0,
@@ -301,23 +257,20 @@ def dual_funk_k(
     """Average of phi over the frames orthogonal to v (Haar measure on frames
     of the hyperplane v-perp): Monte Carlo with reported standard error."""
     _check_samples(samples)
-    v = as_direction(v)
-    if isinstance(phi, StiefelFunction):
-        k = phi.k
-        fn = phi
-    else:
+    if not isinstance(phi, StiefelFunction):
         raise InvalidArgumentError("phi must be a StiefelFunction (carries n, k)")
+    v = as_direction(v)
     rng = _rng(seed)
     vals = np.empty(samples, dtype=complex)
     for lo in range(0, samples, chunk):
         hi = min(lo + chunk, samples)
-        frames = _frames_orthogonal_to(v, k, hi - lo, rng)
-        vals[lo:hi] = fn(frames)
+        frames = _frames_orthogonal_to(v, phi.k, hi - lo, rng)
+        vals[lo:hi] = phi(frames)
     return _mc(vals)
 
 
 def dual_cosine_k(
-    phi: StiefelFunction | Callable,
+    phi: StiefelFunction,
     v,
     lam: complex,
     samples: int = 100_000,
@@ -365,16 +318,12 @@ def sine_mc_via_dual_cosine(
     samples: int = 100_000,
     seed: int = 0,
     *,
-    fiber_resolution: int = 6,
-    circle_nodes: int = 32,
     chunk: int = 20_000,
 ) -> MCEstimate:
     """Sine-transform value at v through the pipeline dual-cosine after
     codimension-k Funk: Monte Carlo over all Haar frames, the inner subsphere
     average done by exact fiber quadrature per sampled frame."""
-    psi = funk_k_function(
-        f.evaluate, f.n, k, fiber_resolution=fiber_resolution, circle_nodes=circle_nodes
-    )
+    psi = funk_k_function(f.evaluate, f.n, k, profile_degree=f.max_degree)
     est = dual_cosine_k(psi, v, lam, samples, seed, chunk=chunk)
     return _scale_mc(est, frame_scale(f.n, k))
 
@@ -509,8 +458,6 @@ def invert_funk_k(
     mode: str = "auto",
     samples: int = 100_000,
     seed: int = 0,
-    fiber_resolution: int = 6,
-    circle_nodes: int = 32,
     profile_nodes: int | None = None,
 ) -> InversionReport:
     """End-to-end reconstruction from codimension-k subsphere averages.
@@ -540,9 +487,7 @@ def invert_funk_k(
 
     num = profile_nodes or (f.max_degree + 3)
     dirs, M = _profile_analysis(f, num)
-    psi = funk_k_function(
-        f.evaluate, n, k, fiber_resolution=fiber_resolution, circle_nodes=circle_nodes
-    )
+    psi = funk_k_function(f.evaluate, n, k, profile_degree=f.max_degree)
     if mode == "dual-funk":
         ell = (n - k - 1) // 2
         scale = frame_scale(n, k) * null_sphere_scale(n, k)
@@ -657,8 +602,6 @@ def check_identity(
     samples: int = 100_000,
     seed: int = 0,
     max_degree: int = 4,
-    fiber_resolution: int = 6,
-    circle_nodes: int = 32,
 ) -> dict:
     """One factorization/reconstruction identity, verified both ways.
 
@@ -675,10 +618,7 @@ def check_identity(
         _, _, dirs = _profile_directions(f, 3)
         v = dirs[0]
         truth = complex(truth_spec.evaluate(v[None, :])[0])
-        est_a = sine_mc_via_dual_cosine(
-            f, k, v, lam, samples, seed, fiber_resolution=fiber_resolution,
-            circle_nodes=circle_nodes,
-        )
+        est_a = sine_mc_via_dual_cosine(f, k, v, lam, samples, seed)
         est_b = sine_mc_via_dual_funk(f, k, v, lam, samples, seed + 1)
         err_a, err_b = abs(est_a.value - truth), abs(est_b.value - truth)
         mc_error, mc_sigma = (err_a, est_a.sigma) if err_a / max(est_a.sigma, 1e-300) >= err_b / max(est_b.sigma, 1e-300) else (err_b, est_b.sigma)
@@ -688,10 +628,7 @@ def check_identity(
             report = invert_cosine1_k(f, k, samples=samples, seed=seed)
         else:
             mode = {"4.9": "auto", "thm4.1-i": "dual-funk", "thm4.1-ii": "dual-cosine"}[identity]
-            report = invert_funk_k(
-                f, k, mode=mode, samples=samples, seed=seed,
-                fiber_resolution=fiber_resolution, circle_nodes=circle_nodes,
-            )
+            report = invert_funk_k(f, k, mode=mode, samples=samples, seed=seed)
         mc_error, mc_sigma = report.extras["mc_error"], report.extras["mc_sigma"]
         within = report.extras["within_3sigma"]
     return {

@@ -8,15 +8,19 @@ each other:
   integers, via analytic continuation);
 * quadrature: numerically integrate the kernel.  The kernels are even
   functions of t = u.v alone, so per output point the integral collapses to
-  a 1D integral of t-shell averages.  For input of band limit J the even part
-  of the shell profile is a polynomial of degree J//2 in y = 2t^2 - 1, and
-  every kernel times the shell measure (1-t^2)^((n-3)/2) becomes a Jacobi
-  weight (1-y)^a (1+y)^b in y, or for the logarithmic kernels its derivative
-  in a or b.  One engine integrates all of them exactly: it fits the profile
-  at J//2 + 1 Chebyshev nodes and contracts the coefficients with the
-  Chebyshev moments of the weight from the Piessens-Branders recurrence,
-  real and complex lam alike.  Shell averages evaluate the input off-grid,
-  which goes through band-limited synthesis (raw grids are never
+  a 1D integral over r = |u.v| of the averages of the input over the shells
+  {v : |u.v| = r}.  For input of band limit J the shell profile is a
+  polynomial of degree J//2 in y = 2r^2 - 1, and every kernel times the
+  shell measure (1-r^2)^((n-3)/2) becomes a Jacobi weight (1-y)^a (1+y)^b in
+  y, or for the logarithmic kernels its derivative in a or b.  One engine
+  integrates all of them exactly: it fits the profile at J//2 + 1 Chebyshev
+  nodes and contracts the coefficients with the Chebyshev moments of the
+  weight from the Piessens-Branders recurrence, real and complex lam alike.
+  The shell averages come from one product rule over frames,
+  :func:`_frame_shell_values`, which also serves the codimension-k frame
+  transforms of :mod:`funkinv.stiefel` (a point u is the frame u[:, None]);
+  every rule in it is sized from J.  Shell averages evaluate the input
+  off-grid, which goes through band-limited synthesis (raw grids are never
   interpolated), and never touch the multipliers.
 
 A plain on-grid weighted sum is kept for the logarithmic cosine kernel
@@ -188,45 +192,46 @@ def null_space_basis(u: np.ndarray) -> np.ndarray:
     return q[..., u.shape[-1] :]
 
 
-def _subsphere_rule(d: int, resolution: int, circle_nodes: int):
-    """Probability rule on S^{d-1} for shell averages."""
+def _subsphere_rule(d: int, J: int):
+    """Probability rule on S^{d-1}, exact for polynomials of degree <= J."""
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     if d == 2:
-        ang = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return pts, np.full(circle_nodes, 1.0 / circle_nodes)
-    g = build_grid(d, resolution)
+        num = max(24, 2 * J + 2)
+        ang = 2.0 * math.pi * np.arange(num) / num
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1), np.full(num, 1.0 / num)
+    g = build_grid(d, max(4, J // 2 + 2))
     return g.nodes, g.weights
 
 
-def _shell_average_values(
-    f_eval: Callable,
-    points: np.ndarray,
-    t_nodes: np.ndarray,
-    n: int,
-    subsphere_resolution: int,
-    circle_nodes: int,
-    chunk: int = 128,
-) -> np.ndarray:
-    """avg over {v : u.v = t} of f, for every output point u and shell t.
+def _frame_shell_values(f_eval: Callable, frames: np.ndarray, r: np.ndarray, J: int) -> np.ndarray:
+    """avg over {v : |U^T v| = r} of f, for every frame U of a stack (S, n, k)
+    and every radius r in [0, 1], exact for input of band limit J.
 
-    Returns an array of shape (num_points, num_t).
+    The shell is the product of spheres v = r U theta + sqrt(1-r^2) B omega,
+    theta on S^{k-1} and omega on S^{n-k-1}, B the null-space basis of U; a
+    unit vector u is the frame u[:, None], whose shells are {v : u.v = +-r}.
+    At r = 0 the span sphere is one point.  Returns an array of shape (S, len(r)).
     """
-    omega, rho = _subsphere_rule(n - 1, subsphere_resolution, circle_nodes)
-    sin_t = np.sqrt(np.clip(1.0 - t_nodes * t_nodes, 0.0, None))
-    out = np.empty((points.shape[0], len(t_nodes)), dtype=complex)
-    for lo in range(0, points.shape[0], chunk):
-        batch = points[lo : lo + chunk]
-        dirs = null_space_basis(batch[:, :, None]) @ omega.T  # (B, n, R)
-        # pts[b, i, r, :] = t_i * u_b + sin_i * dirs[b, :, r]
-        pts = (
-            t_nodes[None, :, None, None] * batch[:, None, None, :]
-            + sin_t[None, :, None, None] * np.transpose(dirs, (0, 2, 1))[:, None, :, :]
-        )
-        flat = pts.reshape(-1, n)
-        vals = np.asarray(f_eval(flat), dtype=complex).reshape(len(batch), len(t_nodes), len(omega))
-        out[lo : lo + chunk] = vals @ rho
+    count, n, k = frames.shape
+    if np.any(r):
+        theta, tw = _subsphere_rule(k, J)
+    else:
+        theta, tw = np.zeros((1, k)), np.ones(1)
+    omega, ow = _subsphere_rule(n - k, J)
+    cos_r = np.asarray(r, dtype=float)[None, :, None, None, None]
+    sin_r = np.sqrt(1.0 - cos_r * cos_r)
+    out = np.empty((count, cos_r.shape[1]), dtype=complex)
+    # frames per f_eval call, at most 2^14 points each, bound the point arrays
+    chunk = max(1, 2**14 // (cos_r.size * len(theta) * len(omega)))
+    for lo in range(0, count, chunk):
+        batch = frames[lo : lo + chunk]
+        span = theta @ batch.transpose(0, 2, 1)  # (B, T, n)
+        fiber = omega @ null_space_basis(batch).transpose(0, 2, 1)  # (B, W, n)
+        # pts[b, i, t, w, :] = r_i U_b theta_t + sqrt(1 - r_i^2) B_b omega_w
+        pts = cos_r * span[:, None, :, None, :] + sin_r * fiber[:, None, None, :, :]
+        vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex)
+        out[lo : lo + chunk] = (vals.reshape(pts.shape[:-1]) @ ow) @ tw
     return out
 
 
@@ -265,16 +270,16 @@ def _chebyshev_moments(a: complex, b: complex, num: int, wrt: str | None = None)
 
 
 def _kernel_rule(profile_degree: int, a: complex, b: complex, wrt: str | None = None):
-    """Nodes t and weights w with sum w p(t) = int_{-1}^{1} p(t) K(t) dt for
-    every polynomial p of degree <= profile_degree, where K is the even
-    kernel with K(t) = t W(2t^2-1) for t > 0, W(y) = ((1-y)/2)^a ((1+y)/2)^b
-    is a Jacobi weight, and ``wrt`` replaces W by its derivative in a or b.
+    """Nodes r on (0, 1) and weights w with sum w g(r) = int_0^1 g(r) K(r) dr
+    for every even polynomial g of degree <= profile_degree, where
+    K(r) = r W(2r^2-1), W(y) = ((1-y)/2)^a ((1+y)/2)^b is a Jacobi weight,
+    and ``wrt`` replaces W by its derivative in a or b.
 
-    With y = 2t^2-1 the integral is 1/4 int Q(y) W(y) dy, where
-    Q(y) = p(t) + p(-t) is a polynomial of degree num-1, num =
-    profile_degree//2 + 1.  Q is fitted at the num Chebyshev nodes
-    y_i = cos(theta_i), which are t = +-cos(theta_i/2), and its coefficients
-    are contracted with the moments of W from :func:`_chebyshev_moments`.
+    With y = 2r^2-1 the integral is 1/4 int Q(y) W(y) dy, where Q(y) = g(r)
+    is a polynomial of degree num-1, num = profile_degree//2 + 1.  Q is
+    fitted at the num Chebyshev nodes y_i = cos(theta_i), which are
+    r = cos(theta_i/2), and its coefficients are contracted with the moments
+    of W from :func:`_chebyshev_moments`.
     """
     num = profile_degree // 2 + 1
     theta = math.pi * (2.0 * np.arange(num) + 1.0) / (2.0 * num)
@@ -285,37 +290,22 @@ def _kernel_rule(profile_degree: int, a: complex, b: complex, wrt: str | None = 
     moments[0] /= 2.0
     # Q = sum_k c_k T_k with c_k = (2/num) sum_i Q(y_i) cos(k theta_i), c_0 halved
     w = np.cos(np.outer(theta, np.arange(num))) @ moments / (2.0 * num)
-    t = np.cos(theta / 2.0)
-    return np.concatenate([t, -t]), np.concatenate([w, w])
+    return np.cos(theta / 2.0), w
 
 
-def _kernel_values(
-    f_eval: Callable,
-    points: np.ndarray,
-    n: int,
-    rule,
-    subsphere_resolution: int,
-    circle_nodes: int,
-) -> np.ndarray:
-    """A_n sum_i w_i p_u(t_i) at every output point u, for a rule (t, w) from
-    :func:`_kernel_rule` and the shell-average profile p_u about u; the
-    rule's kernel includes the shell measure (1-t^2)^((n-3)/2)."""
-    t, w = rule
-    shells = _shell_average_values(
-        f_eval, np.asarray(points, float), t, n, subsphere_resolution, circle_nodes
-    )
-    return pushforward_constant(n) * (shells @ w)
+def _kernel_values(f_eval: Callable, points: np.ndarray, rule, profile_degree: int) -> np.ndarray:
+    """2 A_n sum_i w_i avg_{|u.v| = r_i} f at every output point u, for a rule
+    (r, w) from :func:`_kernel_rule` whose kernel includes the shell measure
+    (1-r^2)^((n-3)/2): the integral over t in [-1, 1] of the kernel against
+    the shell-average profile about u, both halves at once."""
+    r, w = rule
+    pts = np.asarray(points, dtype=float)
+    shells = _frame_shell_values(f_eval, pts[:, :, None], r, profile_degree)
+    return 2.0 * pushforward_constant(pts.shape[1]) * (shells @ w)
 
 
 def cosine_quadrature_values(
-    f_eval: Callable,
-    points: np.ndarray,
-    n: int,
-    lam: complex,
-    *,
-    profile_degree: int,
-    subsphere_resolution: int = 8,
-    circle_nodes: int = 64,
+    f_eval: Callable, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
 ) -> np.ndarray:
     """lam-cosine transform values at unit points, by exact kernel quadrature
     of an input of band limit ``profile_degree``.
@@ -329,19 +319,11 @@ def cosine_quadrature_values(
         raise DomainError(f"quadrature path needs Re lambda > -1, got {lam}")
     check_off_even_poles(lam)
     rule = _kernel_rule(profile_degree, (n - 3) / 2.0, (lam - 1.0) / 2.0)
-    raw = _kernel_values(f_eval, points, n, rule, subsphere_resolution, circle_nodes)
-    return gamma_norm(lam, n) * raw
+    return gamma_norm(lam, n) * _kernel_values(f_eval, points, rule, profile_degree)
 
 
 def sine_quadrature_values(
-    f_eval: Callable,
-    points: np.ndarray,
-    n: int,
-    lam: complex,
-    *,
-    profile_degree: int,
-    subsphere_resolution: int = 8,
-    circle_nodes: int = 64,
+    f_eval: Callable, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
 ) -> np.ndarray:
     """lam-sine transform values at unit points, by exact kernel quadrature
     of an input of band limit ``profile_degree``: (1-t^2)^((lam+n-3)/2) is
@@ -351,59 +333,43 @@ def sine_quadrature_values(
         raise DomainError(f"quadrature path needs Re lambda > {1 - n}, got {lam}")
     check_off_even_poles(lam)
     rule = _kernel_rule(profile_degree, (lam + n - 3.0) / 2.0, -0.5)
-    raw = _kernel_values(f_eval, points, n, rule, subsphere_resolution, circle_nodes)
-    return delta_norm(lam, n) * raw
+    return delta_norm(lam, n) * _kernel_values(f_eval, points, rule, profile_degree)
 
 
 def log_cosine_quadrature_values(
-    f_eval: Callable,
-    points: np.ndarray,
-    n: int,
-    *,
-    profile_degree: int,
-    subsphere_resolution: int = 8,
-    circle_nodes: int = 64,
+    f_eval: Callable, points: np.ndarray, n: int, *, profile_degree: int
 ) -> np.ndarray:
     """Logarithmic cosine transform values at unit points, by exact kernel
     quadrature of an input of band limit ``profile_degree``: log(1/|t|) is
     -1/2 times the derivative of ((1+y)/2)^b = |t|^(2b) in b at b = -1/2."""
     rule = _kernel_rule(profile_degree, (n - 3) / 2.0, -0.5, wrt="b")
-    raw = _kernel_values(f_eval, points, n, rule, subsphere_resolution, circle_nodes)
+    raw = _kernel_values(f_eval, points, rule, profile_degree)
     return (-1.0 / math.gamma(n / 2.0)) * raw
 
 
 def log_sine_quadrature_values(
-    f_eval: Callable,
-    points: np.ndarray,
-    n: int,
-    *,
-    profile_degree: int,
-    subsphere_resolution: int = 8,
-    circle_nodes: int = 64,
+    f_eval: Callable, points: np.ndarray, n: int, *, profile_degree: int
 ) -> np.ndarray:
     """Logarithmic sine transform values at unit points, by exact kernel
     quadrature of an input of band limit ``profile_degree``: log(1/(1-t^2))
     is minus the derivative of ((1-y)/2)^a = (1-t^2)^a in a, taken at
     a = (n-3)/2, the exponent of the shell measure."""
     rule = _kernel_rule(profile_degree, (n - 3) / 2.0, -0.5, wrt="a")
-    raw = _kernel_values(f_eval, points, n, rule, subsphere_resolution, circle_nodes)
+    raw = _kernel_values(f_eval, points, rule, profile_degree)
     # prefactor fixed by the limit of the lam-sine family at lam = 0, equal to
     # the factorization through the Funk transform (see tests)
     return (-math.sqrt(math.pi) / (math.gamma(n / 2.0) * math.gamma((n - 1) / 2.0))) * raw
 
 
-def funk_geodesic_values(f_eval: Callable, points: np.ndarray, circle_nodes: int = 64) -> np.ndarray:
-    """Great-circle averages on S^2 by the trapezoid rule (spectrally accurate
-    for band-limited integrands).
-
-    This is the t = 0 shell of :func:`_shell_average_values`: the circle
-    orthogonal to each output point, sampled at ``circle_nodes`` equally spaced
-    nodes, with all circles evaluated in one batched call per chunk.
-    """
+def funk_geodesic_values(f_eval: Callable, points: np.ndarray, *, profile_degree: int) -> np.ndarray:
+    """Great-circle averages on S^2 of an input of band limit
+    ``profile_degree``: the r = 0 shell of :func:`_frame_shell_values`, the
+    circle orthogonal to each output point under the trapezoid rule on
+    max(24, 2J+2) nodes, exact for band-limited input."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[1] != 3:
         raise DomainError("the geodesic path is implemented for n = 3 only")
-    return _shell_average_values(f_eval, pts, np.zeros(1), 3, 0, circle_nodes)[:, 0]
+    return _frame_shell_values(f_eval, pts[:, :, None], np.zeros(1), profile_degree)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +396,13 @@ def _log_cosine_ongrid_values(f: GridFunction) -> np.ndarray:
 # public transform operations: one table, one shared body
 
 
-def _sizes(J: int, given: dict) -> dict:
-    """Quadrature sizes for band limit J: the profile degree J, and shell
-    rules sufficient for exactness except where ``given`` sets them."""
-    defaults = {"subsphere_resolution": max(4, J // 2 + 2), "circle_nodes": max(24, 2 * J + 2)}
-    sizes = {k: v if given.get(k) is None else given[k] for k, v in defaults.items()}
-    return dict(sizes, profile_degree=J)
-
-
 @dataclass(frozen=True)
 class _Operator:
     """A forward transform as :func:`_transform` runs it.
 
     ``spectral(spec, lam)`` is the spectral path and ``quadrature(f_eval,
-    points, n, lam, J, sizes)`` the quadrature path, given the caller's
-    quadrature sizes; ``auto`` takes quadrature where ``quadrature_domain(lam,
+    points, n, lam, J)`` the quadrature path for input of band limit J, which
+    sizes every rule; ``auto`` takes quadrature where ``quadrature_domain(lam,
     n)`` holds (everywhere by default).  The paths look their functions up in this module at call
     time, so a tracer that replaces those attributes sees every call.
     """
@@ -461,40 +419,38 @@ OPERATORS = {
     "cosine": _Operator(
         "cosine",
         lambda spec, lam: cosine_spectrum(spec, lam),
-        lambda ev, x, n, lam, J, kw: cosine_quadrature_values(ev, x, n, lam, **_sizes(J, kw)),
+        lambda ev, x, n, lam, J: cosine_quadrature_values(ev, x, n, lam, profile_degree=J),
         lambda lam, n: lam.real > -1.0,
     ),
     "funk": _Operator(
         "funk",
         lambda spec, lam: funk_spectrum(spec),
-        lambda ev, x, n, lam, J, kw: funk_geodesic_values(
-            ev, x, max(kw.get("circle_nodes") or 64, 2 * J + 2)
-        ),
+        lambda ev, x, n, lam, J: funk_geodesic_values(ev, x, profile_degree=J),
         lambda lam, n: n == 3,
     ),
     "logcos": _Operator(
         "log-cosine",
         lambda spec, lam: log_cosine_spectrum(spec),
-        lambda ev, x, n, lam, J, kw: log_cosine_quadrature_values(ev, x, n, **_sizes(J, kw)),
+        lambda ev, x, n, lam, J: log_cosine_quadrature_values(ev, x, n, profile_degree=J),
         mean_zero=True,
     ),
     "sine": _Operator(
         "sine",
         lambda spec, lam: sine_spectrum(spec, lam),
-        lambda ev, x, n, lam, J, kw: sine_quadrature_values(ev, x, n, lam, **_sizes(J, kw)),
+        lambda ev, x, n, lam, J: sine_quadrature_values(ev, x, n, lam, profile_degree=J),
         lambda lam, n: lam.real > 1.0 - n,
     ),
     "logsine": _Operator(
         "log-sine",
         lambda spec, lam: log_sine_spectrum(spec),
-        lambda ev, x, n, lam, J, kw: log_sine_quadrature_values(ev, x, n, **_sizes(J, kw)),
+        lambda ev, x, n, lam, J: log_sine_quadrature_values(ev, x, n, profile_degree=J),
         mean_zero=True,
     ),
 }
 
 
 def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None,
-               quadrature_method=None, **sizes):
+               quadrature_method=None):
     """Apply ``OPERATORS[key]`` to a spectrum (spectral path, returns a
     spectrum) or to grid samples (returns samples on the same grid, with the
     operator, the path taken, lambda and the quadrature method in the metadata).
@@ -525,58 +481,33 @@ def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None,
     if path == "spectral":
         out = op.spectral(spec, lam).to_grid(grid)
         return out.with_values(out.values, **meta)
-    values = op.quadrature(spec.evaluate, grid.nodes, grid.n, lam, spec.max_degree, sizes)
+    values = op.quadrature(spec.evaluate, grid.nodes, grid.n, lam, spec.max_degree)
     return GridFunction(grid, values, meta)
 
 
-def cosine_transform(
-    f,
-    *,
-    lam: complex,
-    path: str = "auto",
-    band_limit: int | None = None,
-    pole=None,
-    subsphere_resolution: int | None = None,
-    circle_nodes: int | None = None,
-):
+def cosine_transform(f, *, lam: complex, path: str = "auto", band_limit: int | None = None,
+                     pole=None):
     """lam-cosine transform of an even function.
 
     Accepts a HarmonicSpectrum (spectral path, returns a spectrum) or a
     GridFunction (path per ``path``; returns samples on the same grid with the
     chosen path recorded in the metadata).
     """
-    return _transform("cosine", f, lam=lam, path=path, band_limit=band_limit, pole=pole,
-                      subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)
+    return _transform("cosine", f, lam=lam, path=path, band_limit=band_limit, pole=pole)
 
 
-def funk_transform(
-    f,
-    *,
-    path: str = "auto",
-    band_limit: int | None = None,
-    pole=None,
-    circle_nodes: int | None = None,
-):
+def funk_transform(f, *, path: str = "auto", band_limit: int | None = None, pole=None):
     """Funk transform: average over the great subsphere orthogonal to u.
 
     The quadrature (geodesic) path is the n = 3 great-circle trapezoid rule on
-    max(circle_nodes, 2J+2) nodes, circle_nodes defaulting to 64; the spectral
-    path works for any n.
+    max(24, 2J+2) nodes for input of band limit J; the spectral path works for
+    any n.
     """
-    return _transform("funk", f, path=path, band_limit=band_limit, pole=pole,
-                      circle_nodes=circle_nodes)
+    return _transform("funk", f, path=path, band_limit=band_limit, pole=pole)
 
 
-def log_cosine_transform(
-    f,
-    *,
-    path: str = "auto",
-    band_limit: int | None = None,
-    pole=None,
-    quadrature_method: str = "adapted",
-    subsphere_resolution: int | None = None,
-    circle_nodes: int | None = None,
-):
+def log_cosine_transform(f, *, path: str = "auto", band_limit: int | None = None, pole=None,
+                         quadrature_method: str = "adapted"):
     """Logarithmic cosine transform of a mean-zero function.
 
     ``quadrature_method="ongrid"`` uses the literal weighted sum over the
@@ -586,34 +517,15 @@ def log_cosine_transform(
     against the band-limited shell profile, to rounding (about 1e-15).
     """
     return _transform("logcos", f, path=path, band_limit=band_limit, pole=pole,
-                      quadrature_method=quadrature_method,
-                      subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)
+                      quadrature_method=quadrature_method)
 
 
-def sine_transform(
-    f,
-    *,
-    lam: complex,
-    path: str = "auto",
-    band_limit: int | None = None,
-    pole=None,
-    subsphere_resolution: int | None = None,
-    circle_nodes: int | None = None,
-):
+def sine_transform(f, *, lam: complex, path: str = "auto", band_limit: int | None = None,
+                   pole=None):
     """lam-sine transform of an even function."""
-    return _transform("sine", f, lam=lam, path=path, band_limit=band_limit, pole=pole,
-                      subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)
+    return _transform("sine", f, lam=lam, path=path, band_limit=band_limit, pole=pole)
 
 
-def log_sine_transform(
-    f,
-    *,
-    path: str = "auto",
-    band_limit: int | None = None,
-    pole=None,
-    subsphere_resolution: int | None = None,
-    circle_nodes: int | None = None,
-):
+def log_sine_transform(f, *, path: str = "auto", band_limit: int | None = None, pole=None):
     """Logarithmic sine transform of a mean-zero function."""
-    return _transform("logsine", f, path=path, band_limit=band_limit, pole=pole,
-                      subsphere_resolution=subsphere_resolution, circle_nodes=circle_nodes)
+    return _transform("logsine", f, path=path, band_limit=band_limit, pole=pole)

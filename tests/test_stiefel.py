@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from funkinv.errors import (
 )
 from funkinv.spectral import (
     HarmonicSpectrum,
-    _split_jacobi_rule,
     cosine_multiplier,
     delta_op_eigenvalue,
     funk_multiplier,
@@ -21,9 +21,7 @@ from funkinv.spectral import (
 )
 from funkinv.stiefel import (
     Frame,
-    _cosine_k_values,
     _frames_orthogonal_to,
-    _funk_k_values,
     _rng,
     check_identity,
     cosine_k,
@@ -41,14 +39,12 @@ from funkinv.stiefel import (
     sine_mc_via_dual_funk,
     spectral_identity_error,
 )
+from funkinv.grids import build_grid
 from funkinv.transforms import (
-    _subsphere_rule,
-    check_off_even_poles,
     cosine_spectrum,
     frame_scale,
     funk_geodesic_values,
     funk_scale,
-    gamma_norm_k,
     null_sphere_scale,
     sine_spectrum,
 )
@@ -117,43 +113,9 @@ def test_null_space_basis():
 # frame products against einsum references
 
 
-def _funk_k_einsum(f_eval, frames, fiber_resolution=6, circle_nodes=32):
-    count, n, k = frames.shape
-    omega, rho = _subsphere_rule(n - k, fiber_resolution, circle_nodes)
-    pts = np.einsum("snd,rd->srn", null_space_basis(frames), omega)
-    vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex).reshape(count, len(omega))
-    return vals @ rho
-
-
-def _cosine_k_einsum(f_eval, frames, lam, radial_nodes=24, resolution=6, circle_nodes=32):
-    count, n, k = frames.shape
-    lam = complex(lam)
-    check_off_even_poles(lam)
-    r, wts = _split_jacobi_rule(radial_nodes, (n - k - 2) / 2.0, k - 1.0 + lam.real)
-    wts = wts * np.exp(1j * lam.imag * np.log(r))
-    norm_const = 2.0 * math.gamma(n / 2.0) / (math.gamma(k / 2.0) * math.gamma((n - k) / 2.0))
-    theta, tw = _subsphere_rule(k, resolution, circle_nodes)
-    omega, ow = _subsphere_rule(n - k, resolution, circle_nodes)
-    span_dirs = np.einsum("snk,tk->stn", frames, theta)
-    null_dirs = np.einsum("snd,rd->srn", null_space_basis(frames), omega)
-    out = np.zeros(count, dtype=complex)
-    for ri, wi in zip(r, wts):
-        pts = ri * span_dirs[:, :, None, :] + math.sqrt(1.0 - ri * ri) * null_dirs[:, None, :, :]
-        vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex)
-        out += wi * np.einsum("str,t,r->s", vals.reshape(count, len(theta), len(omega)), tw, ow)
-    return gamma_norm_k(lam, n, k) * norm_const * out
-
-
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("k", [1, 2])
 def test_frame_products_match_einsum_references(n, k):
-    f = random_even_spectrum(n, 4, seed=310 + n, zonal=True)
-    frames = haar_frames(n, k, 7, seed=12)
-    assert_allclose(_funk_k_values(f.evaluate, frames), _funk_k_einsum(f.evaluate, frames),
-                    rtol=1e-14, atol=0)
-    for lam in (0.5, 1.0 - 0.7j):
-        assert_allclose(_cosine_k_values(f.evaluate, frames, lam),
-                        _cosine_k_einsum(f.evaluate, frames, lam), rtol=1e-14, atol=0)
     v = np.eye(n)[1]
     want = np.einsum("nm,smk->snk", null_space_basis(v[:, None]),
                      haar_frames(n - 1, k, 9, rng=_rng(4)))
@@ -166,7 +128,7 @@ def test_frame_products_match_einsum_references(n, k):
 
 def test_funk_k_constant():
     fr = haar_frame(5, 2, seed=4)
-    val = funk_k(lambda p: np.ones(len(p)), fr)
+    val = funk_k(lambda p: np.ones(len(p)), fr, profile_degree=0)
     assert abs(val - 1.0) <= 1e-14
 
 
@@ -174,15 +136,28 @@ def test_funk_k_codimension_full(zonal_f4):
     # k = n-1: the null sphere is a two-point set; even input gives f at the basis vector
     fr = haar_frame(4, 3, seed=5)
     b = null_space_basis(fr.matrix)[:, 0]
-    val = funk_k(zonal_f4.evaluate, fr)
+    val = funk_k(zonal_f4.evaluate, fr, profile_degree=zonal_f4.max_degree)
     assert abs(val - complex(zonal_f4.evaluate(b[None, :])[0])) <= 1e-13
 
 
 def test_funk_k_matches_great_circles_at_k1(even_f3):
     u = np.array([0.48, -0.6, 0.64])
-    val = funk_k(even_f3.evaluate, Frame(u[:, None]), fiber_resolution=6, circle_nodes=40)
-    want = funk_geodesic_values(even_f3.evaluate, u[None, :], 64)[0]
-    assert abs(val - want) <= 1e-8
+    J = even_f3.max_degree
+    val = funk_k(even_f3.evaluate, Frame(u[:, None]), profile_degree=J)
+    want = funk_geodesic_values(even_f3.evaluate, u[None, :], profile_degree=J)[0]
+    assert abs(val - want) <= 1e-13
+
+
+def test_funk_k_is_exact_at_band_16():
+    # the fiber rule is sized from the band limit; a fixed resolution-6 rule
+    # was off by 1e-4 here
+    n, k, J = 5, 2, 16
+    f = random_even_spectrum(n, J, seed=320, zonal=True)
+    frames = haar_frames(n, k, 6, seed=13)
+    got = funk_k_function(f.evaluate, n, k, profile_degree=J)(frames)
+    fiber = build_grid(n - k, 16)  # exact to degree 31
+    want = [f.evaluate(fiber.nodes @ b.T) @ fiber.weights for b in null_space_basis(frames)]
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_right_invariance(zonal_f4):
@@ -191,35 +166,45 @@ def test_right_invariance(zonal_f4):
     ang = 0.83
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     rotated = Frame(fr.matrix @ rot)
-    a = funk_k(zonal_f4.evaluate, fr)
-    b = funk_k(zonal_f4.evaluate, rotated)
+    J = zonal_f4.max_degree
+    a = funk_k(zonal_f4.evaluate, fr, profile_degree=J)
+    b = funk_k(zonal_f4.evaluate, rotated, profile_degree=J)
     assert abs(a - b) <= 1e-12
-    c = cosine_k(zonal_f4.evaluate, fr, 1.0)
-    d = cosine_k(zonal_f4.evaluate, rotated, 1.0)
+    c = cosine_k(zonal_f4.evaluate, fr, 1.0, profile_degree=J)
+    d = cosine_k(zonal_f4.evaluate, rotated, 1.0, profile_degree=J)
     assert abs(c - d) <= 1e-12
 
 
-def test_cosine_k_reduces_to_sphere_transform_at_k1(even_f3):
-    u = np.array([0.0, 0.6, 0.8])
-    for lam in (-0.5, 1.0):
-        val = cosine_k(even_f3.evaluate, Frame(u[:, None]), lam, circle_nodes=40)
-        want = complex(cosine_spectrum(even_f3, lam).evaluate(u[None, :])[0])
-        assert abs(val - want) <= 1e-8
+def test_cosine_k_reduces_to_sphere_transform_at_k1():
+    # k = 1 is the lam-cosine transform at u, k = n-1 the lam-sine transform
+    # at the unit normal of the frame's span
+    for n, J in itertools.product((3, 4, 5), (4, 16)):
+        f = random_even_spectrum(n, J, seed=330 + n + J, zonal=n > 3)
+        cosine_frames = haar_frames(n, 1, 5, seed=14)
+        sine_frames = haar_frames(n, n - 1, 5, seed=15)
+        cases = ((1, cosine_frames, cosine_spectrum, cosine_frames[:, :, 0]),
+                 (n - 1, sine_frames, sine_spectrum, null_space_basis(sine_frames)[:, :, 0]))
+        for lam in (-0.5, 1.0, 0.5 + 1j, -0.5 + 0.3j):
+            for k, frames, sphere, dirs in cases:
+                got = cosine_k_function(f.evaluate, n, k, lam, profile_degree=J)(frames)
+                want = sphere(f, lam).evaluate(dirs)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, J, k, lam)
 
 
 def test_cosine_k_limit_to_funk_k(zonal_f4):
     # analytic continuation limit at the edge of the convergence domain
     fr = haar_frame(4, 2, seed=9)
     eps = 1e-4
-    lim = cosine_k(zonal_f4.evaluate, fr, -2.0 + eps, radial_nodes=48)
-    want = null_sphere_scale(4, 2) * funk_k(zonal_f4.evaluate, fr)
+    J = zonal_f4.max_degree
+    lim = cosine_k(zonal_f4.evaluate, fr, -2.0 + eps, profile_degree=J)
+    want = null_sphere_scale(4, 2) * funk_k(zonal_f4.evaluate, fr, profile_degree=J)
     assert abs(lim - want) <= 1e-3
 
 
 def test_cosine_k_domain_guard(zonal_f4):
     fr = haar_frame(4, 2, seed=9)
     with pytest.raises(DomainError):
-        cosine_k(zonal_f4.evaluate, fr, -2.5)
+        cosine_k(zonal_f4.evaluate, fr, -2.5, profile_degree=zonal_f4.max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +212,14 @@ def test_cosine_k_domain_guard(zonal_f4):
 
 
 def test_dual_funk_constant():
-    one = funk_k_function(lambda p: np.ones(len(p)), 4, 2)
+    one = funk_k_function(lambda p: np.ones(len(p)), 4, 2, profile_degree=0)
     est = dual_funk_k(one, np.eye(4)[0], samples=500, seed=1)
     assert abs(est.value - 1.0) <= 1e-12
     assert est.sigma <= 1e-12
 
 
 def test_dual_funk_reproducible(zonal_f4):
-    psi = funk_k_function(zonal_f4.evaluate, 4, 2)
+    psi = funk_k_function(zonal_f4.evaluate, 4, 2, profile_degree=zonal_f4.max_degree)
     v = np.eye(4)[1]
     a = dual_funk_k(psi, v, samples=2000, seed=42)
     b = dual_funk_k(psi, v, samples=2000, seed=42)
@@ -242,7 +227,7 @@ def test_dual_funk_reproducible(zonal_f4):
 
 
 def test_dual_funk_needs_samples(zonal_f4):
-    psi = funk_k_function(zonal_f4.evaluate, 4, 2)
+    psi = funk_k_function(zonal_f4.evaluate, 4, 2, profile_degree=zonal_f4.max_degree)
     with pytest.raises(InsufficientSamplesError):
         dual_funk_k(psi, np.eye(4)[0], samples=50, seed=0)
 
@@ -252,7 +237,7 @@ def test_dual_composition_multiplier(zonal_f4):
     # limit parameter over the combined constant
     n, k, j = 4, 1, 2
     f = HarmonicSpectrum(n, j, np.array([0, 0, 1.0 + 0j]), np.eye(n)[0])
-    psi = funk_k_function(f.evaluate, n, k)
+    psi = funk_k_function(f.evaluate, n, k, profile_degree=j)
     v = np.array([0.6, 0.0, 0.0, 0.8])
     est = dual_funk_k(psi, v, samples=SAMPLES, seed=12)
     mult = sine_multiplier(j, n, -k) / (frame_scale(n, k) * null_sphere_scale(n, k))
@@ -261,7 +246,7 @@ def test_dual_composition_multiplier(zonal_f4):
 
 
 def test_dual_cosine_guards(zonal_f4):
-    phi = funk_k_function(zonal_f4.evaluate, 4, 2)
+    phi = funk_k_function(zonal_f4.evaluate, 4, 2, profile_degree=zonal_f4.max_degree)
     with pytest.raises(DomainError):
         dual_cosine_k(phi, np.eye(4)[0], -2.5, samples=200, seed=0)
     with pytest.raises(InsufficientSamplesError):

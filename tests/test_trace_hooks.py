@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import funkinv as fk
+from funkinv.stiefel import cosine_k_function, funk_k_function, haar_frames
+from funkinv.transforms import _subsphere_rule, cosine_quadrature_values, funk_geodesic_values
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 LAYERS = {"spectral": "transforms.spectral", "quadrature": "transforms.quadrature"}
@@ -56,6 +58,68 @@ def test_transform_spans_follow_the_chosen_path(spans, name, path):
     recorded = {s.name for s in tracer.spans}
     assert LAYERS[chosen] in recorded
     assert not recorded & (set(LAYERS.values()) - {LAYERS[chosen]})
+    # the frame transforms share the quadrature engine but not its span names
+    assert not any(span.startswith("stiefel.") for span in recorded)
     if chosen == "quadrature":
         # the literal kernel integral stays independent of the closed forms
         assert "spectral.multiplier" not in recorded
+
+
+@pytest.mark.parametrize("kind", ["funk", "cosine"])
+def test_frame_transform_spans_stay_in_stiefel(spans, kind):
+    # the frame transforms run the transforms' shell engine directly, so their
+    # time is attributed to stiefel.frame_fn, never to transforms.quadrature
+    f = fk.random_even_spectrum(4, 4, seed=2, zonal=True)
+    frames = haar_frames(4, 2, 20, seed=3)
+    tracer = spans.Tracer()
+    with tracer.recording():
+        if kind == "funk":
+            phi = funk_k_function(f.evaluate, 4, 2, profile_degree=4)
+        else:
+            phi = cosine_k_function(f.evaluate, 4, 2, 0.5, profile_degree=4)
+        phi(frames)
+    recorded = {s.name for s in tracer.spans}
+    assert {"stiefel.frame_fn", "spectral.evaluate"} <= recorded
+    assert "transforms.quadrature" not in recorded
+
+
+@pytest.mark.parametrize("J", [4, 12])
+def test_quadrature_point_counts(J):
+    # R fiber points per output for the Funk paths (the r = 0 shell has one
+    # span point); 2 (J//2 + 1) R for the k = 1 cosine paths, one shell pair
+    # per node of the half rule
+    seen = []
+    f3 = fk.random_even_spectrum(3, J, seed=4)
+    f5 = fk.random_even_spectrum(5, J, seed=5, zonal=True)
+
+    def counting(f):
+        def f_eval(points):
+            seen.append(len(points))
+            return f.evaluate(points)
+        return f_eval
+
+    def evaluated(call, outputs):
+        seen.clear()
+        call()
+        return sum(seen) / outputs
+
+    points = haar_frames(3, 1, 7, seed=6)[:, :, 0]
+    frames1, frames2 = haar_frames(5, 1, 6, seed=7), haar_frames(5, 2, 6, seed=8)
+    fiber = {d: len(_subsphere_rule(d, J)[1]) for d in (2, 3, 4)}
+    shells = 2 * (J // 2 + 1)
+    counts = {
+        "funk_geodesic_values": evaluated(
+            lambda: funk_geodesic_values(counting(f3), points, profile_degree=J), 7),
+        "funk_k": evaluated(
+            lambda: funk_k_function(counting(f5), 5, 2, profile_degree=J)(frames2), 6),
+        "cosine_quadrature_values": evaluated(
+            lambda: cosine_quadrature_values(counting(f3), points, 3, 0.5, profile_degree=J), 7),
+        "cosine_k": evaluated(
+            lambda: cosine_k_function(counting(f5), 5, 1, 0.5, profile_degree=J)(frames1), 6),
+    }
+    assert counts == {
+        "funk_geodesic_values": fiber[2],
+        "funk_k": fiber[3],
+        "cosine_quadrature_values": shells * fiber[2],
+        "cosine_k": shells * fiber[4],
+    }

@@ -153,8 +153,7 @@ def test_cosine_path_agreement_n4(even_f4, grid4):
     probes4 = grid4.nodes[::97]
     for lam in (-0.5, 1.0):
         quad = cosine_quadrature_values(
-            even_f4.evaluate, probes4, 4, lam, profile_degree=even_f4.max_degree,
-            subsphere_resolution=6,
+            even_f4.evaluate, probes4, 4, lam, profile_degree=even_f4.max_degree
         )
         spec = cosine_spectrum(even_f4, lam).evaluate(probes4)
         assert np.max(np.abs(quad - spec)) <= 1e-12
@@ -205,19 +204,19 @@ def test_funk_constant(grid3):
     spec = HarmonicSpectrum(3, 0, np.array([1.0 + 0j]))
     out = funk_spectrum(spec)
     assert abs(out.coeffs[0] - 1.0) <= 1e-14
-    geo = funk_geodesic_values(spec.evaluate, grid3.nodes[:5])
+    geo = funk_geodesic_values(spec.evaluate, grid3.nodes[:5], profile_degree=0)
     assert_allclose(geo, 1.0, atol=1e-14)
 
 
 def test_funk_zonal_degree2(probes):
     pole = np.array([0.28, 0.96, 0.0])
     f = HarmonicSpectrum(3, 2, np.array([0, 0, 1.0 + 0j]), pole)
-    geo = funk_geodesic_values(f.evaluate, probes)
+    geo = funk_geodesic_values(f.evaluate, probes, profile_degree=2)
     assert np.max(np.abs(geo - (-0.5) * f.evaluate(probes))) <= 1e-12
 
 
 def test_funk_path_agreement(even_f3, probes):
-    geo = funk_geodesic_values(even_f3.evaluate, probes, circle_nodes=64)
+    geo = funk_geodesic_values(even_f3.evaluate, probes, profile_degree=even_f3.max_degree)
     spec = funk_spectrum(even_f3).evaluate(probes)
     assert np.max(np.abs(geo - spec)) <= 1e-9
 
@@ -226,7 +225,9 @@ def test_funk_is_limit_of_cosine_family(even_f3, probes):
     # the -1 cosine transform equals the Funk transform times the fixed scale,
     # each side computed by an independent path
     lhs = cosine_spectrum(even_f3, -1.0).evaluate(probes)
-    rhs = funk_scale(3) * funk_geodesic_values(even_f3.evaluate, probes)
+    rhs = funk_scale(3) * funk_geodesic_values(
+        even_f3.evaluate, probes, profile_degree=even_f3.max_degree
+    )
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
@@ -454,7 +455,7 @@ def test_quadrature_matches_spectral_for_every_kernel(key, lam, n, J):
     points = np.random.default_rng(J).standard_normal((12, n))
     points /= np.linalg.norm(points, axis=1)[:, None]
     op = OPERATORS[key]
-    got = op.quadrature(spec.evaluate, points, n, lam, J, {})
+    got = op.quadrature(spec.evaluate, points, n, lam, J)
     want = op.spectral(spec, lam).evaluate(points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
