@@ -128,9 +128,17 @@ def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:
         z = 1.0 - (2.0 * k + 1.0) / 32.0
         r = np.sqrt(1.0 - z * z)
         return np.stack([r * np.cos(golden * k), r * np.sin(golden * k), z], axis=1)
-    t, _ = zonal_profile_rule(spec.n, spec.max_degree + 2)
+    return _meridian_points(spec, spec.max_degree + 2)[2]
+
+
+def _meridian_points(spec: HarmonicSpectrum, num: int):
+    """The nodes t and weights w of the ``num``-node zonal profile rule, and
+    the points t pole + sqrt(1-t^2) q on a meridian through the pole of spec,
+    q the first null-space direction of the pole; the rule integrates
+    profiles of degree <= 2 num - 1 exactly."""
+    t, w = zonal_profile_rule(spec.n, num)
     q = null_space_basis(spec.pole[:, None])[:, 0]
-    return t[:, None] * spec.pole[None, :] + np.sqrt(1.0 - t * t)[:, None] * q[None, :]
+    return t, w, t[:, None] * spec.pole[None, :] + np.sqrt(1.0 - t * t)[:, None] * q[None, :]
 
 
 def _zero_padded(spec: HarmonicSpectrum, max_degree: int) -> HarmonicSpectrum:

@@ -1,24 +1,26 @@
 """Transforms attached to orthonormal k-frames (codimension-k subspheres).
 
-The forward transforms integrate over the sphere and are computed by exact
-product quadrature adapted to the frame, the engine the sphere transforms of
-:mod:`funkinv.transforms` run on: the sphere splits into the shells
+The forward transforms integrate over the sphere by the exact product
+quadrature of :mod:`funkinv.transforms`, whose sphere kernel quadratures are
+their k = 1 case: the sphere splits into the shells
 v = r * (u theta) + sqrt(1-r^2) * (B omega) with theta on S^{k-1} in the
 frame's column span and omega on S^{n-k-1} in its null space.  The Funk
-transform is the r = 0 shell.  For the cosine transform the radial density
-r^{k-1} (1-r^2)^{(n-k-2)/2} times the kernel r^lam is a Jacobi weight in
-y = 2r^2-1, integrated exactly against the shell averages by Chebyshev
-moments, for real and complex lam alike.  Every rule is sized from the band
-limit of the input.
+transform is the r = 0 shell.  The cosine transform is the frame kernel
+r^lam of ``_frame_kernel_values``: with the radial density
+r^{k-1} (1-r^2)^{(n-k-2)/2} it is a Jacobi weight in y = 2r^2-1, integrated
+exactly against the shell averages by Chebyshev moments, for real and
+complex lam alike.  Every rule is sized from the band limit of the input.
 
 The dual transforms integrate over frames and are computed by Monte Carlo
-with Haar sampling (QR of Gaussian matrices with a sign-fixed R diagonal);
-estimates carry their standard error, and the counter-based generator makes
-every run bit-reproducible from its seed.
+with Haar sampling (QR of Gaussian matrices with a sign-fixed R diagonal),
+all through one batched sampling loop; estimates carry their standard error,
+and the counter-based generator makes every run bit-reproducible from its
+seed.
 
 Reconstruction checks validate the inversion identities twice: exactly, as
 degree-wise multiplier products; and end-to-end, with the dual integrals
-replaced by Monte Carlo and errors compared against 3 standard deviations.
+replaced by Monte Carlo at points along a meridian through the pole and
+errors compared against 3 standard deviations.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError, InvalidArgumentError
 from .grids import as_direction
-from .inversion import InversionReport, invert_cosine1, invert_funk
+from .inversion import InversionReport, _meridian_points, invert_cosine1, invert_funk
 from .spectral import (
     HarmonicSpectrum,
     cosine_multiplier,
@@ -40,11 +42,10 @@ from .spectral import (
     random_even_spectrum,
     sine_multiplier,
     zonal_analysis_matrix,
-    zonal_profile_rule,
 )
 from .transforms import (
+    _frame_kernel_values,
     _frame_shell_values,
-    _kernel_rule,
     check_off_even_poles,
     frame_scale,
     funk_scale,
@@ -78,6 +79,7 @@ __all__ = [
 
 FRAME_TOL = 1e-12
 MIN_SAMPLES = 100
+MC_CHUNK = 20_000  # samples drawn and evaluated per batch
 
 
 @dataclass(frozen=True)
@@ -191,18 +193,14 @@ def funk_k_function(f_eval: Callable, n: int, k: int, *, profile_degree: int) ->
 def _cosine_k_values(
     f_eval: Callable, frames: np.ndarray, lam: complex, profile_degree: int
 ) -> np.ndarray:
-    """r = |u^T v| has density c r^{k-1} (1-r^2)^{(n-k-2)/2} on (0, 1); with the
-    kernel r^lam that is the Jacobi weight a = (n-k-2)/2, b = (k-2+lam)/2 of
-    :func:`_kernel_rule` against the frame-shell averages."""
+    """The frame kernel r^lam, r = |u^T v|: the Jacobi exponents
+    a = (n-k-2)/2, b = (k-2+lam)/2 of :func:`_frame_kernel_values`."""
     _, n, k = frames.shape
     lam = complex(lam)
-    if lam.real <= -k:
-        raise DomainError(f"direct path needs Re lambda > {-k}, got {lam}")
     check_off_even_poles(lam)
-    r, w = _kernel_rule(profile_degree, (n - k - 2) / 2.0, (k - 2.0 + lam) / 2.0)
-    norm_const = 2.0 * math.gamma(n / 2.0) / (math.gamma(k / 2.0) * math.gamma((n - k) / 2.0))
-    shells = _frame_shell_values(f_eval, frames, r, profile_degree)
-    return gamma_norm_k(lam, n, k) * norm_const * (shells @ w)
+    raw = _frame_kernel_values(f_eval, frames, (n - k - 2) / 2.0, (k - 2.0 + lam) / 2.0,
+                               profile_degree)
+    return gamma_norm_k(lam, n, k) * raw
 
 
 def cosine_k(f_eval: Callable, frame: Frame, lam: complex, *, profile_degree: int) -> complex:
@@ -238,6 +236,18 @@ def _check_samples(samples: int) -> None:
         raise InsufficientSamplesError(f"need at least {MIN_SAMPLES} samples, got {samples}")
 
 
+def _sample_mean(draw: Callable, samples: int, seed: int) -> MCEstimate:
+    """Monte Carlo mean of ``draw(count, rng)``, which returns ``count``
+    sample values, over ``samples`` draws in batches of at most MC_CHUNK from
+    one generator seeded with ``seed``."""
+    rng = _rng(seed)
+    vals = np.empty(samples, dtype=complex)
+    for lo in range(0, samples, MC_CHUNK):
+        hi = min(lo + MC_CHUNK, samples)
+        vals[lo:hi] = draw(hi - lo, rng)
+    return _mc(vals)
+
+
 def _frames_orthogonal_to(v: np.ndarray, k: int, count: int, rng) -> np.ndarray:
     """Haar frames of the hyperplane orthogonal to v, embedded in R^n."""
     n = len(v)
@@ -251,8 +261,6 @@ def dual_funk_k(
     v,
     samples: int = 100_000,
     seed: int = 0,
-    *,
-    chunk: int = 20_000,
 ) -> MCEstimate:
     """Average of phi over the frames orthogonal to v (Haar measure on frames
     of the hyperplane v-perp): Monte Carlo with reported standard error."""
@@ -260,13 +268,8 @@ def dual_funk_k(
     if not isinstance(phi, StiefelFunction):
         raise InvalidArgumentError("phi must be a StiefelFunction (carries n, k)")
     v = as_direction(v)
-    rng = _rng(seed)
-    vals = np.empty(samples, dtype=complex)
-    for lo in range(0, samples, chunk):
-        hi = min(lo + chunk, samples)
-        frames = _frames_orthogonal_to(v, phi.k, hi - lo, rng)
-        vals[lo:hi] = phi(frames)
-    return _mc(vals)
+    return _sample_mean(lambda count, rng: phi(_frames_orthogonal_to(v, phi.k, count, rng)),
+                        samples, seed)
 
 
 def dual_cosine_k(
@@ -275,8 +278,6 @@ def dual_cosine_k(
     lam: complex,
     samples: int = 100_000,
     seed: int = 0,
-    *,
-    chunk: int = 20_000,
 ) -> MCEstimate:
     """Normalized integral of phi(u) |u^T v|^lam over all Haar frames."""
     _check_samples(samples)
@@ -287,14 +288,12 @@ def dual_cosine_k(
         raise DomainError(f"direct dual path needs Re lambda > {-phi.k}, got {lam}")
     check_off_even_poles(lam)
     v = as_direction(v)
-    rng = _rng(seed)
-    vals = np.empty(samples, dtype=complex)
-    for lo in range(0, samples, chunk):
-        hi = min(lo + chunk, samples)
-        frames = haar_frames(phi.n, phi.k, hi - lo, rng=rng)
-        w = np.linalg.norm(v @ frames, axis=1) ** lam
-        vals[lo:hi] = phi(frames) * w
-    return _scale_mc(_mc(vals), gamma_norm_k(lam, phi.n, phi.k))
+
+    def draw(count, rng):
+        frames = haar_frames(phi.n, phi.k, count, rng=rng)
+        return phi(frames) * np.linalg.norm(v @ frames, axis=1) ** lam
+
+    return _scale_mc(_sample_mean(draw, samples, seed), gamma_norm_k(lam, phi.n, phi.k))
 
 
 def _scale_mc(est: MCEstimate, scale: complex) -> MCEstimate:
@@ -317,14 +316,12 @@ def sine_mc_via_dual_cosine(
     lam: complex,
     samples: int = 100_000,
     seed: int = 0,
-    *,
-    chunk: int = 20_000,
 ) -> MCEstimate:
     """Sine-transform value at v through the pipeline dual-cosine after
     codimension-k Funk: Monte Carlo over all Haar frames, the inner subsphere
     average done by exact fiber quadrature per sampled frame."""
     psi = funk_k_function(f.evaluate, f.n, k, profile_degree=f.max_degree)
-    est = dual_cosine_k(psi, v, lam, samples, seed, chunk=chunk)
+    est = dual_cosine_k(psi, v, lam, samples, seed)
     return _scale_mc(est, frame_scale(f.n, k))
 
 
@@ -335,8 +332,6 @@ def sine_mc_via_dual_funk(
     lam: complex,
     samples: int = 100_000,
     seed: int = 0,
-    *,
-    chunk: int = 20_000,
 ) -> MCEstimate:
     """Sine-transform value at v through the pipeline dual-Funk after the
     codimension-k cosine transform, with both integrals sampled jointly:
@@ -348,16 +343,15 @@ def sine_mc_via_dual_funk(
         raise DomainError(f"joint sampling needs Re lambda > {-k}, got {lam}")
     check_off_even_poles(lam)
     v = as_direction(v)
-    rng = _rng(seed)
-    vals = np.empty(samples, dtype=complex)
-    for lo in range(0, samples, chunk):
-        hi = min(lo + chunk, samples)
-        frames = _frames_orthogonal_to(v, k, hi - lo, rng)
-        w_pts = _uniform_sphere(n, hi - lo, rng)
+
+    def draw(count, rng):
+        frames = _frames_orthogonal_to(v, k, count, rng)
+        w_pts = _uniform_sphere(n, count, rng)
         dots = np.linalg.norm((w_pts[:, None, :] @ frames)[:, 0], axis=1)
-        vals[lo:hi] = np.asarray(f.evaluate(w_pts), dtype=complex) * dots**lam
+        return np.asarray(f.evaluate(w_pts), dtype=complex) * dots**lam
+
     scale = frame_scale(n, k) * gamma_norm_k(lam, n, k)
-    return _scale_mc(_mc(vals), scale)
+    return _scale_mc(_sample_mean(draw, samples, seed), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +419,11 @@ def spectral_identity_error(
     return float(np.max(np.abs(chain - 1.0)))
 
 
-def _profile_directions(f: HarmonicSpectrum, num: int):
-    """Evaluation directions along a meridian through the pole, at the nodes
-    of the profile quadrature (enough for exact zonal analysis)."""
-    t, w = zonal_profile_rule(f.n, num)
-    q = null_space_basis(f.pole[:, None])[:, 0]
-    dirs = t[:, None] * f.pole[None, :] + np.sqrt(1.0 - t * t)[:, None] * q[None, :]
-    return t, w, dirs
-
-
-def _profile_analysis(f: HarmonicSpectrum, num: int):
-    """The ``num`` profile directions and the zonal analysis matrix of their
-    nodes, up to the degree of f."""
-    t, w, dirs = _profile_directions(f, num)
+def _profile_analysis(f: HarmonicSpectrum):
+    """Evaluation directions along a meridian through the pole, at the
+    f.max_degree + 3 nodes of the profile quadrature, and the zonal analysis
+    matrix of those nodes up to the degree of f (exact zonal analysis)."""
+    t, w, dirs = _meridian_points(f, f.max_degree + 3)
     return dirs, zonal_analysis_matrix(t, w, f.max_degree, f.n)
 
 
@@ -458,7 +444,6 @@ def invert_funk_k(
     mode: str = "auto",
     samples: int = 100_000,
     seed: int = 0,
-    profile_nodes: int | None = None,
 ) -> InversionReport:
     """End-to-end reconstruction from codimension-k subsphere averages.
 
@@ -485,22 +470,21 @@ def invert_funk_k(
     if mode == "dual-cosine" and (n - k) % 2:
         raise InvalidArgumentError("the dual-cosine mode needs even n-k")
 
-    num = profile_nodes or (f.max_degree + 3)
-    dirs, M = _profile_analysis(f, num)
+    dirs, M = _profile_analysis(f)
     psi = funk_k_function(f.evaluate, n, k, profile_degree=f.max_degree)
     if mode == "dual-funk":
         ell = (n - k - 1) // 2
         scale = frame_scale(n, k) * null_sphere_scale(n, k)
         estimates = [
-            _scale_mc(dual_funk_k(psi, dirs[i], samples, seed + i), scale)
-            for i in range(num)
+            _scale_mc(dual_funk_k(psi, d, samples, seed + i), scale)
+            for i, d in enumerate(dirs)
         ]
         tag = "thm4.1-i"
     else:
         ell = (n - k) // 2
         estimates = [
-            _scale_mc(dual_cosine_k(psi, dirs[i], 1 - k, samples, seed + i), frame_scale(n, k))
-            for i in range(num)
+            _scale_mc(dual_cosine_k(psi, d, 1 - k, samples, seed + i), frame_scale(n, k))
+            for i, d in enumerate(dirs)
         ]
         tag = "thm4.1-ii"
     recon, recon_sig = _zonal_mc_reconstruction(
@@ -515,7 +499,6 @@ def invert_cosine1_k(
     *,
     samples: int = 100_000,
     seed: int = 0,
-    profile_nodes: int | None = None,
 ) -> InversionReport:
     """End-to-end reconstruction from the codimension-k cosine transform at
     parameter 1, dispatching on the parity of n.
@@ -527,10 +510,9 @@ def invert_cosine1_k(
     n = f.n
     if f.kind != "zonal":
         raise InvalidArgumentError("reconstruction checks run on zonal test functions")
-    num = profile_nodes or (f.max_degree + 3)
-    dirs, M = _profile_analysis(f, num)
+    dirs, M = _profile_analysis(f)
     estimates = [
-        sine_mc_via_dual_funk(f, k, dirs[i], 1.0, samples, seed + i) for i in range(num)
+        sine_mc_via_dual_funk(f, k, d, 1.0, samples, seed + i) for i, d in enumerate(dirs)
     ]
     if n % 2 == 0:
         ell = n // 2
@@ -615,8 +597,7 @@ def check_identity(
     f = random_even_spectrum(n, max_degree, seed, zonal=True)
     if identity == "4.8":
         truth_spec = sine_spectrum(f, lam)
-        _, _, dirs = _profile_directions(f, 3)
-        v = dirs[0]
+        v = _meridian_points(f, 3)[2][0]
         truth = complex(truth_spec.evaluate(v[None, :])[0])
         est_a = sine_mc_via_dual_cosine(f, k, v, lam, samples, seed)
         est_b = sine_mc_via_dual_funk(f, k, v, lam, samples, seed + 1)

@@ -6,26 +6,25 @@ each other:
 * spectral: multiply the harmonic coefficients by the degree multipliers from
   :mod:`funkinv.spectral` (valid for any lam off the even nonnegative
   integers, via analytic continuation);
-* quadrature: numerically integrate the kernel.  The kernels are even
-  functions of t = u.v alone, so per output point the integral collapses to
-  a 1D integral over r = |u.v| of the averages of the input over the shells
-  {v : |u.v| = r}.  For input of band limit J the shell profile is a
-  polynomial of degree J//2 in y = 2r^2 - 1, and every kernel times the
-  shell measure (1-r^2)^((n-3)/2) becomes a Jacobi weight (1-y)^a (1+y)^b in
-  y, or for the logarithmic kernels its derivative in a or b.  One engine
-  integrates all of them exactly: it fits the profile at J//2 + 1 Chebyshev
-  nodes and contracts the coefficients with the Chebyshev moments of the
-  weight from the Piessens-Branders recurrence, real and complex lam alike.
-  The shell averages come from one product rule over frames,
-  :func:`_frame_shell_values`, which also serves the codimension-k frame
-  transforms of :mod:`funkinv.stiefel` (a point u is the frame u[:, None]);
-  every rule in it is sized from J.  Shell averages evaluate the input
-  off-grid, which goes through band-limited synthesis (raw grids are never
+* quadrature: numerically integrate the kernel.  Every sphere kernel is the
+  k = 1 case of a codimension-k frame kernel (a point u is the frame
+  u[:, None]), and one function, :func:`_frame_kernel_values`, integrates
+  them all, for these transforms and for those of :mod:`funkinv.stiefel`.
+  The kernels depend on r = |U^T v| alone, so per frame the integral
+  collapses to a 1D integral over r of the averages of the input over the
+  shells {v : |U^T v| = r}.  For input of band limit J the shell profile is
+  a polynomial of degree J//2 in y = 2r^2 - 1, and every kernel times the
+  density of r becomes a Jacobi weight (1-y)^a (1+y)^b in y, or for the
+  logarithmic kernels its derivative in a or b; the kernel is integrable
+  exactly when Re a, Re b > -1, the one domain check of the quadrature
+  path.  The weight is integrated exactly: the profile is fitted at J//2 + 1
+  Chebyshev nodes and its coefficients are contracted with the Chebyshev
+  moments of the weight from the Piessens-Branders recurrence, real and
+  complex lam alike.  The shell averages come from one product rule over
+  frames, :func:`_frame_shell_values`, sized from J; the Funk transform is
+  its r = 0 shell, for every n.  Shell averages evaluate the input off-grid,
+  which goes through band-limited synthesis (raw grids are never
   interpolated), and never touch the multipliers.
-
-A plain on-grid weighted sum is kept for the logarithmic cosine kernel
-(``quadrature_method="ongrid"``) for convergence studies; near the singular
-set it loses accuracy, which is why it is not the default.
 
 The five public transforms, and ``funkinv forward``, run through one function
 that reads each operator's paths and quadrature domain from ``OPERATORS``.
@@ -55,7 +54,6 @@ from .spectral import (
     cosine_multiplier,
     funk_multiplier,
     log_cosine_multiplier,
-    pushforward_constant,
     sine_multiplier,
 )
 
@@ -293,33 +291,44 @@ def _kernel_rule(profile_degree: int, a: complex, b: complex, wrt: str | None = 
     return np.cos(theta / 2.0), w
 
 
-def _kernel_values(f_eval: Callable, points: np.ndarray, rule, profile_degree: int) -> np.ndarray:
-    """2 A_n sum_i w_i avg_{|u.v| = r_i} f at every output point u, for a rule
-    (r, w) from :func:`_kernel_rule` whose kernel includes the shell measure
-    (1-r^2)^((n-3)/2): the integral over t in [-1, 1] of the kernel against
-    the shell-average profile about u, both halves at once."""
-    r, w = rule
-    pts = np.asarray(points, dtype=float)
-    shells = _frame_shell_values(f_eval, pts[:, :, None], r, profile_degree)
-    return 2.0 * pushforward_constant(pts.shape[1]) * (shells @ w)
+def _frame_kernel_values(f_eval: Callable, frames: np.ndarray, a: complex, b: complex, J: int,
+                         wrt: str | None = None) -> np.ndarray:
+    """Kernel integral of f about every frame U of a stack (S, n, k), exact
+    for f of band limit J.  r = |U^T v| has density c r^(k-1) (1-r^2)^((n-k-2)/2)
+    on (0, 1), c = 2 Gamma(n/2) / (Gamma(k/2) Gamma((n-k)/2)) (2 A_n at k = 1,
+    both halves t = +-r at once); the kernel times that density, as r W(2r^2-1),
+    is the Jacobi weight W of :func:`_kernel_rule` with exponents a, b (or its
+    derivative in ``wrt``), summed against the frame-shell averages.
+
+    This is the one integrability guard of the kernel quadratures: the
+    integral converges exactly when Re a > -1 and Re b > -1.
+    """
+    a, b = complex(a), complex(b)
+    if a.real <= -1.0 or b.real <= -1.0:
+        raise DomainError(f"kernel not integrable: Jacobi exponents a = {a}, b = {b} "
+                          "need real parts > -1")
+    _, n, k = frames.shape
+    c = 2.0 * math.gamma(n / 2.0) / (math.gamma(k / 2.0) * math.gamma((n - k) / 2.0))
+    r, w = _kernel_rule(J, a, b, wrt)
+    return c * (_frame_shell_values(f_eval, frames, r, J) @ w)
+
+
+def _point_frames(points: np.ndarray) -> np.ndarray:
+    """Unit points (S, n) as the stack of one-column frames (S, n, 1)."""
+    return np.asarray(points, dtype=float)[:, :, None]
 
 
 def cosine_quadrature_values(
     f_eval: Callable, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
 ) -> np.ndarray:
     """lam-cosine transform values at unit points, by exact kernel quadrature
-    of an input of band limit ``profile_degree``.
-
-    |t|^lam (1-t^2)^((n-3)/2) is the Jacobi weight with a = (n-3)/2,
-    b = (lam-1)/2 in y = 2t^2-1 (:func:`_kernel_rule`), for real and complex
-    lam alike.
-    """
+    of an input of band limit ``profile_degree``: the k = 1 frame kernel with
+    a = (n-3)/2, b = (lam-1)/2, for real and complex lam alike."""
     lam = complex(lam)
-    if lam.real <= -1.0:
-        raise DomainError(f"quadrature path needs Re lambda > -1, got {lam}")
     check_off_even_poles(lam)
-    rule = _kernel_rule(profile_degree, (n - 3) / 2.0, (lam - 1.0) / 2.0)
-    return gamma_norm(lam, n) * _kernel_values(f_eval, points, rule, profile_degree)
+    raw = _frame_kernel_values(f_eval, _point_frames(points), (n - 3) / 2.0, (lam - 1.0) / 2.0,
+                               profile_degree)
+    return gamma_norm(lam, n) * raw
 
 
 def sine_quadrature_values(
@@ -327,13 +336,12 @@ def sine_quadrature_values(
 ) -> np.ndarray:
     """lam-sine transform values at unit points, by exact kernel quadrature
     of an input of band limit ``profile_degree``: (1-t^2)^((lam+n-3)/2) is
-    the Jacobi weight with a = (lam+n-3)/2, b = -1/2."""
+    the k = 1 frame kernel with a = (lam+n-3)/2, b = -1/2."""
     lam = complex(lam)
-    if lam.real <= 1.0 - n:
-        raise DomainError(f"quadrature path needs Re lambda > {1 - n}, got {lam}")
     check_off_even_poles(lam)
-    rule = _kernel_rule(profile_degree, (lam + n - 3.0) / 2.0, -0.5)
-    return delta_norm(lam, n) * _kernel_values(f_eval, points, rule, profile_degree)
+    raw = _frame_kernel_values(f_eval, _point_frames(points), (lam + n - 3.0) / 2.0, -0.5,
+                               profile_degree)
+    return delta_norm(lam, n) * raw
 
 
 def log_cosine_quadrature_values(
@@ -342,8 +350,8 @@ def log_cosine_quadrature_values(
     """Logarithmic cosine transform values at unit points, by exact kernel
     quadrature of an input of band limit ``profile_degree``: log(1/|t|) is
     -1/2 times the derivative of ((1+y)/2)^b = |t|^(2b) in b at b = -1/2."""
-    rule = _kernel_rule(profile_degree, (n - 3) / 2.0, -0.5, wrt="b")
-    raw = _kernel_values(f_eval, points, rule, profile_degree)
+    raw = _frame_kernel_values(f_eval, _point_frames(points), (n - 3) / 2.0, -0.5,
+                               profile_degree, wrt="b")
     return (-1.0 / math.gamma(n / 2.0)) * raw
 
 
@@ -354,42 +362,19 @@ def log_sine_quadrature_values(
     quadrature of an input of band limit ``profile_degree``: log(1/(1-t^2))
     is minus the derivative of ((1-y)/2)^a = (1-t^2)^a in a, taken at
     a = (n-3)/2, the exponent of the shell measure."""
-    rule = _kernel_rule(profile_degree, (n - 3) / 2.0, -0.5, wrt="a")
-    raw = _kernel_values(f_eval, points, rule, profile_degree)
+    raw = _frame_kernel_values(f_eval, _point_frames(points), (n - 3) / 2.0, -0.5,
+                               profile_degree, wrt="a")
     # prefactor fixed by the limit of the lam-sine family at lam = 0, equal to
     # the factorization through the Funk transform (see tests)
     return (-math.sqrt(math.pi) / (math.gamma(n / 2.0) * math.gamma((n - 1) / 2.0))) * raw
 
 
 def funk_geodesic_values(f_eval: Callable, points: np.ndarray, *, profile_degree: int) -> np.ndarray:
-    """Great-circle averages on S^2 of an input of band limit
-    ``profile_degree``: the r = 0 shell of :func:`_frame_shell_values`, the
-    circle orthogonal to each output point under the trapezoid rule on
-    max(24, 2J+2) nodes, exact for band-limited input."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[1] != 3:
-        raise DomainError("the geodesic path is implemented for n = 3 only")
-    return _frame_shell_values(f_eval, pts[:, :, None], np.zeros(1), profile_degree)[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# plain on-grid sum (documented accuracy loss near the singular set)
-
-
-def _log_cosine_ongrid_values(f: GridFunction) -> np.ndarray:
-    """Literal weighted sum of the log(1/|u.v|) kernel over the stored grid,
-    with the kernel capped at log(1e14) where |u.v| < 1e-14."""
-    scale = 2.0 / math.gamma(f.grid.n / 2.0)
-    cap = math.log(1e14)
-    nodes = f.grid.nodes
-    wf = f.grid.weights * f.values
-    out = np.empty(f.grid.num_nodes, dtype=complex)
-    chunk = max(1, 2**22 // max(f.grid.num_nodes, 1))
-    for lo in range(0, f.grid.num_nodes, chunk):
-        dots = nodes[lo : lo + chunk] @ nodes.T
-        kernel = scale * np.minimum(np.log(1.0 / np.maximum(np.abs(dots), 1e-300)), cap)
-        out[lo : lo + chunk] = kernel @ wf
-    return out
+    """Averages over the great subspheres {v : u.v = 0} of S^{n-1}, for any
+    n, of an input of band limit ``profile_degree``: the r = 0 shell of
+    :func:`_frame_shell_values`, whose S^{n-2} rule is exact to that degree
+    (at n = 3, the circle under the trapezoid rule on max(24, 2J+2) nodes)."""
+    return _frame_shell_values(f_eval, _point_frames(points), np.zeros(1), profile_degree)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +388,10 @@ class _Operator:
     ``spectral(spec, lam)`` is the spectral path and ``quadrature(f_eval,
     points, n, lam, J)`` the quadrature path for input of band limit J, which
     sizes every rule; ``auto`` takes quadrature where ``quadrature_domain(lam,
-    n)`` holds (everywhere by default).  The paths look their functions up in this module at call
-    time, so a tracer that replaces those attributes sees every call.
+    n)`` holds (everywhere by default), which is where the kernel passes the
+    integrability guard of :func:`_frame_kernel_values`.  The paths look their
+    functions up in this module at call time, so a tracer that replaces those
+    attributes sees every call.
     """
 
     name: str
@@ -426,7 +413,6 @@ OPERATORS = {
         "funk",
         lambda spec, lam: funk_spectrum(spec),
         lambda ev, x, n, lam, J: funk_geodesic_values(ev, x, profile_degree=J),
-        lambda lam, n: n == 3,
     ),
     "logcos": _Operator(
         "log-cosine",
@@ -449,16 +435,12 @@ OPERATORS = {
 }
 
 
-def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None,
-               quadrature_method=None):
+def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None):
     """Apply ``OPERATORS[key]`` to a spectrum (spectral path, returns a
     spectrum) or to grid samples (returns samples on the same grid, with the
-    operator, the path taken, lambda and the quadrature method in the metadata).
-    ``quadrature_method="ongrid"`` is the plain on-grid sum of the log-cosine
-    kernel.
+    operator, the path taken and lambda in the metadata).
     """
-    for value, allowed in ((key, tuple(OPERATORS)), (path, ("auto", "spectral", "quadrature")),
-                           (quadrature_method, (None, "adapted", "ongrid"))):
+    for value, allowed in ((key, tuple(OPERATORS)), (path, ("auto", "spectral", "quadrature"))):
         if value not in allowed:
             raise InvalidArgumentError(f"unknown choice {value!r}; expected one of {allowed}")
     op = OPERATORS[key]
@@ -473,10 +455,8 @@ def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None,
         raise PreconditionError(f"{op.name} transform requires a mean-zero input")
     if path == "auto":
         path = "quadrature" if op.quadrature_domain(lam, f.grid.n) else "spectral"
-    meta = {"operator": op.name, "path": path, "lam": lam, "method": quadrature_method}
+    meta = {"operator": op.name, "path": path, "lam": lam}
     meta = {k: v for k, v in meta.items() if v is not None}
-    if path == "quadrature" and quadrature_method == "ongrid":
-        return GridFunction(f.grid, _log_cosine_ongrid_values(f), meta)
     spec, grid = as_spectrum(f, band_limit, pole)
     if path == "spectral":
         out = op.spectral(spec, lam).to_grid(grid)
@@ -499,25 +479,16 @@ def cosine_transform(f, *, lam: complex, path: str = "auto", band_limit: int | N
 def funk_transform(f, *, path: str = "auto", band_limit: int | None = None, pole=None):
     """Funk transform: average over the great subsphere orthogonal to u.
 
-    The quadrature (geodesic) path is the n = 3 great-circle trapezoid rule on
-    max(24, 2J+2) nodes for input of band limit J; the spectral path works for
-    any n.
+    Both paths work for any n; the quadrature path averages over each great
+    subsphere with a rule exact for input of band limit J
+    (:func:`funk_geodesic_values`).
     """
     return _transform("funk", f, path=path, band_limit=band_limit, pole=pole)
 
 
-def log_cosine_transform(f, *, path: str = "auto", band_limit: int | None = None, pole=None,
-                         quadrature_method: str = "adapted"):
-    """Logarithmic cosine transform of a mean-zero function.
-
-    ``quadrature_method="ongrid"`` uses the literal weighted sum over the
-    stored grid with the kernel capped at log(1e14) where |u.v| < 1e-14; it
-    converges slowly near the singular circle and exists for convergence
-    studies.  The default adapted rule integrates the logarithm exactly
-    against the band-limited shell profile, to rounding (about 1e-15).
-    """
-    return _transform("logcos", f, path=path, band_limit=band_limit, pole=pole,
-                      quadrature_method=quadrature_method)
+def log_cosine_transform(f, *, path: str = "auto", band_limit: int | None = None, pole=None):
+    """Logarithmic cosine transform of a mean-zero function."""
+    return _transform("logcos", f, path=path, band_limit=band_limit, pole=pole)
 
 
 def sine_transform(f, *, lam: complex, path: str = "auto", band_limit: int | None = None,

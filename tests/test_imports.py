@@ -1,5 +1,6 @@
-"""Every module-level import in the funkinv package is used, and imports
-inside functions are kept for import cycles.
+"""Every module-level import in the funkinv package is used, imports inside
+functions are kept for import cycles, and every name a module lists in
+``__all__`` exists.
 
 A name counts as used when the module reads it or exports it through
 ``__all__``; an import kept only so that other code can reach it through the
@@ -10,6 +11,7 @@ cycle``); otherwise it belongs at the top of the module.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import funkinv
@@ -63,6 +65,30 @@ def test_unused_import_is_found(tmp_path):
         "__all__ = ['dumps']\n"
     )
     assert unused_imports(path, "probe") == ["probe.py:1: math", "probe.py:3: loads"]
+
+
+def unresolved_exports(module) -> list:
+    """Names listed in ``module.__all__`` that the module does not bind."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_every_exported_name_resolves():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = "funkinv" if path.stem == "__init__" else f"funkinv.{path.stem}"
+        found += [f"{module}.{name}" for name in unresolved_exports(importlib.import_module(module))]
+    assert found == []
+
+
+def test_stale_export_is_found(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from json import dumps\n__all__ = ['dumps', 'gone', 'loads']\n")
+    spec = importlib.util.spec_from_file_location("probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert unresolved_exports(module) == ["gone", "loads"]
 
 
 def function_level_relative_imports(path: Path) -> list:

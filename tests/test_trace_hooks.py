@@ -85,12 +85,13 @@ def test_frame_transform_spans_stay_in_stiefel(spans, kind):
 
 @pytest.mark.parametrize("J", [4, 12])
 def test_quadrature_point_counts(J):
-    # R fiber points per output for the Funk paths (the r = 0 shell has one
-    # span point); 2 (J//2 + 1) R for the k = 1 cosine paths, one shell pair
+    # R fiber points per output for the Funk paths, at n = 3 and 5 (the r = 0
+    # shell has one span point); 2 (J//2 + 1) R for the k = 1 cosine paths, one shell pair
     # per node of the half rule
     seen = []
     f3 = fk.random_even_spectrum(3, J, seed=4)
     f5 = fk.random_even_spectrum(5, J, seed=5, zonal=True)
+    points5 = haar_frames(5, 1, 6, seed=9)[:, :, 0]
 
     def counting(f):
         def f_eval(points):
@@ -110,6 +111,8 @@ def test_quadrature_point_counts(J):
     counts = {
         "funk_geodesic_values": evaluated(
             lambda: funk_geodesic_values(counting(f3), points, profile_degree=J), 7),
+        "funk_geodesic_values n5": evaluated(
+            lambda: funk_geodesic_values(counting(f5), points5, profile_degree=J), 6),
         "funk_k": evaluated(
             lambda: funk_k_function(counting(f5), 5, 2, profile_degree=J)(frames2), 6),
         "cosine_quadrature_values": evaluated(
@@ -119,6 +122,7 @@ def test_quadrature_point_counts(J):
     }
     assert counts == {
         "funk_geodesic_values": fiber[2],
+        "funk_geodesic_values n5": fiber[4],
         "funk_k": fiber[3],
         "cosine_quadrature_values": shells * fiber[2],
         "cosine_k": shells * fiber[4],

@@ -13,7 +13,7 @@ from funkinv.errors import (
     PoleError,
     PreconditionError,
 )
-from funkinv.grids import build_grid, grid_function, integrate, remove_mean
+from funkinv.grids import build_grid, grid_function
 from funkinv.spectral import (
     HarmonicSpectrum,
     analyze,
@@ -98,9 +98,6 @@ def test_unknown_choices_and_inputs_are_rejected(grid3, transform, kw):
                 transform(f, path=path, **kw)
     with pytest.raises(InvalidArgumentError):
         transform(x0.values, **kw)  # neither a spectrum nor grid samples
-    if transform is log_cosine_transform:
-        with pytest.raises(InvalidArgumentError):
-            transform(x0, quadrature_method="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +233,12 @@ def test_funk_grid_api(grid3, even_f3):
     out_q = funk_transform(f_grid, path="quadrature")
     out_s = funk_transform(f_grid, path="spectral")
     assert np.max(np.abs(out_q.values - out_s.values)) <= 1e-9
-    with pytest.raises(DomainError):
-        funk_transform(random_even_spectrum(4, 4, 1).to_grid(build_grid(4, 5)),
-                       path="quadrature", pole=np.eye(4)[0])
+    # the great-subsphere quadrature serves every n, and auto takes it
+    x4 = random_even_spectrum(4, 4, 1).to_grid(build_grid(4, 5))
+    out_q = funk_transform(x4, path="quadrature", pole=np.eye(4)[0])
+    out_s = funk_transform(x4, path="spectral", pole=np.eye(4)[0])
+    assert np.max(np.abs(out_q.values - out_s.values)) <= 1e-12 * np.max(np.abs(out_s.values))
+    assert funk_transform(x4, pole=np.eye(4)[0]).meta["path"] == "quadrature"
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -289,15 +289,6 @@ def test_log_cosine_zonal_and_path_agreement(probes):
     quad = log_cosine_quadrature_values(f0.evaluate, probes, 3, profile_degree=8)
     spec = log_cosine_spectrum(f0).evaluate(probes)
     assert np.max(np.abs(quad - spec)) <= 1e-12
-
-
-def test_log_cosine_ongrid_method_documented_loss(grid3, even_f3):
-    f0 = remove_mean(even_f3.to_grid(grid3))
-    out = log_cosine_transform(f0, quadrature_method="ongrid")
-    spec = log_cosine_transform(f0, path="spectral", band_limit=8)
-    err = np.max(np.abs(out.values - spec.values))
-    assert err <= 5e-2  # converges slowly near the singular circle
-    assert err > 1e-7  # and is genuinely less accurate than the adapted rule
 
 
 def test_log_cosine_is_limit_of_cosine_family(probes):
@@ -448,7 +439,7 @@ def _random_spectrum(n, J, seed):
 @pytest.mark.parametrize("key, lam", [
     ("cosine", 0.5), ("cosine", 0.5 + 1.0j), ("cosine", -0.7 - 0.4j),
     ("sine", -0.5), ("sine", 0.3 - 0.8j),
-    ("logcos", None), ("logsine", None),
+    ("logcos", None), ("logsine", None), ("funk", None),
 ])
 def test_quadrature_matches_spectral_for_every_kernel(key, lam, n, J):
     spec = _random_spectrum(n, J, seed=10 * n + J)
@@ -458,6 +449,26 @@ def test_quadrature_matches_spectral_for_every_kernel(key, lam, n, J):
     got = op.quadrature(spec.evaluate, points, n, lam, J)
     want = op.spectral(spec, lam).evaluate(points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("transform, edge", [(cosine_transform, lambda n: -1.0),
+                                             (sine_transform, lambda n: 1.0 - n)])
+def test_auto_path_agrees_with_the_integrability_guard(transform, edge, n):
+    # auto takes the quadrature path exactly where the kernel quadrature does
+    # not raise DomainError, on both sides of the edge of integrability
+    spec = random_even_spectrum(n, 4, seed=n)
+    x = spec.to_grid(build_grid(n, 5))
+    chosen = set()
+    for lam in (edge(n) + d + 1j * im for d in (-1e-3, 1e-3) for im in (0.0, 0.7, -1.3)):
+        try:
+            transform(x, lam=lam, path="quadrature", pole=spec.pole)
+            want = "quadrature"
+        except DomainError:
+            want = "spectral"
+        assert transform(x, lam=lam, path="auto", pole=spec.pole).meta["path"] == want, lam
+        chosen.add(want)
+    assert chosen == {"quadrature", "spectral"}
 
 
 @pytest.mark.parametrize("transform, lam", [(cosine_transform, 0.5 + 1j),
