@@ -367,7 +367,7 @@ def _cmd_convergence(args) -> int:
         sample_counts = [int(s) for s in cfg["samples_list"].split(",")]
         if len(sample_counts) < 3:
             raise InvalidArgumentError("need at least 3 sample counts")
-        n = max(cfg["n"], 4)
+        n = cfg["n"]
         f = random_even_spectrum(n, 4, cfg["seed"], zonal=True)
         psi = funk_k_function(f.evaluate, n, cfg["k"], profile_degree=f.max_degree)
         v = np.eye(n)[1]

@@ -176,7 +176,6 @@ def funk_hecke_multiplier_quadrature(
     power: float = 0.0,
     edge_power: float = 0.0,
     num_nodes: int = 48,
-    check: bool = True,
 ) -> complex:
     """Diagonal eigenvalue of the kernel operator f -> int f(v) k(u.v) d_*v.
 
@@ -209,13 +208,12 @@ def funk_hecke_multiplier_quadrature(
 
     coarse = one_pass(num_nodes)
     fine = one_pass(2 * num_nodes)
-    if check:
-        d1 = abs(fine - coarse)
-        if d1 > 1e-9 * max(1.0, abs(fine)):
-            finest = one_pass(4 * num_nodes)
-            if abs(finest - fine) > d1:
-                raise DivergenceError("quadrature diverges under refinement")
-            return finest
+    d1 = abs(fine - coarse)
+    if d1 > 1e-9 * max(1.0, abs(fine)):
+        finest = one_pass(4 * num_nodes)
+        if abs(finest - fine) > d1:
+            raise DivergenceError("quadrature diverges under refinement")
+        return finest
     return fine
 
 

@@ -17,10 +17,12 @@ all through one batched sampling loop; estimates carry their standard error,
 and the counter-based generator makes every run bit-reproducible from its
 seed.
 
-Reconstruction checks validate the inversion identities twice: exactly, as
-degree-wise multiplier products; and end-to-end, with the dual integrals
-replaced by Monte Carlo at points along a meridian through the pole and
-errors compared against 3 standard deviations.
+Four identity tags are one identity, Delta_{1-n,(n-1+s)/2} S_s = I for the
+lam-sine transform S_s (n-1+s even, s != 0), with s = 1-n (4.9), -k
+(thm4.1-i), 1-k (thm4.1-ii) or 1 (4.13); 4.8 is sine = cosine x Funk and
+4.14 its lam = 1 case.  Each is checked exactly, degree-wise, and end to end
+with S_s f estimated by Monte Carlo along a meridian through the pole, errors
+compared against 3 standard deviations.
 """
 
 from __future__ import annotations
@@ -248,6 +250,12 @@ def _sample_mean(draw: Callable, samples: int, seed: int) -> MCEstimate:
     return _mc(vals)
 
 
+def _check_hyperplane_k(n: int, k: int) -> None:
+    """The frames of a hyperplane v-perp have 1 <= k <= n-2 columns."""
+    if not 1 <= k <= n - 2:
+        raise InvalidArgumentError(f"frames of v-perp need 1 <= k <= n-2, got k = {k}, n = {n}")
+
+
 def _frames_orthogonal_to(v: np.ndarray, k: int, count: int, rng) -> np.ndarray:
     """Haar frames of the hyperplane orthogonal to v, embedded in R^n."""
     n = len(v)
@@ -267,6 +275,7 @@ def dual_funk_k(
     _check_samples(samples)
     if not isinstance(phi, StiefelFunction):
         raise InvalidArgumentError("phi must be a StiefelFunction (carries n, k)")
+    _check_hyperplane_k(phi.n, phi.k)
     v = as_direction(v)
     return _sample_mean(lambda count, rng: phi(_frames_orthogonal_to(v, phi.k, count, rng)),
                         samples, seed)
@@ -319,8 +328,14 @@ def sine_mc_via_dual_cosine(
 ) -> MCEstimate:
     """Sine-transform value at v through the pipeline dual-cosine after
     codimension-k Funk: Monte Carlo over all Haar frames, the inner subsphere
-    average done by exact fiber quadrature per sampled frame."""
+    average done by exact fiber quadrature per sampled frame.
+
+    At the end point lam = -k the dual cosine transform is the dual Funk
+    transform (over the frames of v-perp) times null_sphere_scale(n, k)."""
     psi = funk_k_function(f.evaluate, f.n, k, profile_degree=f.max_degree)
+    if complex(lam) == -k:
+        est = dual_funk_k(psi, v, samples, seed)
+        return _scale_mc(est, frame_scale(f.n, k) * null_sphere_scale(f.n, k))
     est = dual_cosine_k(psi, v, lam, samples, seed)
     return _scale_mc(est, frame_scale(f.n, k))
 
@@ -339,6 +354,7 @@ def sine_mc_via_dual_funk(
     _check_samples(samples)
     lam = complex(lam)
     n = f.n
+    _check_hyperplane_k(n, k)
     if lam.real <= -k:
         raise DomainError(f"joint sampling needs Re lambda > {-k}, got {lam}")
     check_off_even_poles(lam)
@@ -359,6 +375,24 @@ def sine_mc_via_dual_funk(
 
 
 IDENTITY_TAGS = ("4.8", "4.9", "thm4.1-i", "thm4.1-ii", "4.13", "4.14")
+
+# the Laplacian identities Delta_{1-n,(n-1+s)/2} S_s f = f: the sine
+# parameter s(n, k) of each tag
+_SINE_PARAMETER = {
+    "4.9": lambda n, k: 1 - n,
+    "thm4.1-i": lambda n, k: -k,
+    "thm4.1-ii": lambda n, k: 1 - k,
+    "4.13": lambda n, k: 1,
+}
+
+
+def _laplacian_identity(identity: str, n: int, k: int) -> tuple[int, int]:
+    """The sine parameter s of a Laplacian identity and the order
+    ell = (n-1+s)/2 of the weighted Laplacian that inverts S_s."""
+    s = _SINE_PARAMETER[identity](n, k)
+    if (n - 1 + s) % 2 or s == 0:
+        raise InvalidArgumentError(f"{identity} needs n-1+s even and s != 0, got s = {s}")
+    return s, (n - 1 + s) // 2
 
 
 def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -388,7 +422,10 @@ def spectral_identity_error(
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError("need 1 <= k <= n-1")
     j = np.arange(0, max_degree + 1, 2)
-    if identity in ("4.8", "4.14"):
+    if identity in _SINE_PARAMETER:
+        s, ell = _laplacian_identity(identity, n, k)
+        chain = delta_op_eigenvalue(j, n, 1 - n, ell) * sine_multiplier(j, n, s)
+    elif identity in ("4.8", "4.14"):
         # the sine = cosine x Funk factorization; 4.14 is its lam = 1 case
         if identity == "4.14":
             if n % 2 == 0:
@@ -400,31 +437,30 @@ def spectral_identity_error(
         if not np.all(den):
             raise DomainError(f"the cosine multiplier vanishes at lambda = {lam}: no ratio")
         chain = _quotient(sine_multiplier(j, n, lam), den)
-    elif identity == "4.9":
-        chain = sine_multiplier(j, n, 1 - n)
-    elif identity == "thm4.1-i":
-        if (n - k) % 2 == 0:
-            raise InvalidArgumentError("this mode needs odd n-k")
-        chain = delta_op_eigenvalue(j, n, 1 - n, (n - k - 1) // 2) * sine_multiplier(j, n, -k)
-    elif identity == "thm4.1-ii":
-        if (n - k) % 2 or k == 1:
-            raise InvalidArgumentError("this mode needs even n-k and k > 1")
-        chain = delta_op_eigenvalue(j, n, 1 - n, (n - k) // 2) * sine_multiplier(j, n, 1 - k)
-    elif identity == "4.13":
-        if n % 2:
-            raise InvalidArgumentError("this identity needs even n")
-        chain = delta_op_eigenvalue(j, n, 1 - n, n // 2) * sine_multiplier(j, n, 1.0)
     else:
         raise InvalidArgumentError(f"unknown identity tag {identity!r}")
     return float(np.max(np.abs(chain - 1.0)))
 
 
-def _profile_analysis(f: HarmonicSpectrum):
-    """Evaluation directions along a meridian through the pole, at the
-    f.max_degree + 3 nodes of the profile quadrature, and the zonal analysis
-    matrix of those nodes up to the degree of f (exact zonal analysis)."""
+def _meridian_estimates(f: HarmonicSpectrum, pipeline: Callable, k, lam, samples, seed):
+    """The zonal analysis matrix of the f.max_degree + 3 profile nodes on a
+    meridian through the pole, and S_lam f estimated at node i by the sine_mc_*
+    ``pipeline`` with seed + i."""
+    if f.kind != "zonal":
+        raise InvalidArgumentError("reconstruction checks run on zonal test functions")
     t, w, dirs = _meridian_points(f, f.max_degree + 3)
-    return dirs, zonal_analysis_matrix(t, w, f.max_degree, f.n)
+    estimates = [pipeline(f, k, v, lam, samples, seed + i) for i, v in enumerate(dirs)]
+    return zonal_analysis_matrix(t, w, f.max_degree, f.n), estimates
+
+
+def _laplacian_reconstruction(f, identity, mode, pipeline, k, samples, seed) -> InversionReport:
+    """f by a Laplacian identity: S_s f estimated by ``pipeline`` at the
+    meridian nodes, analyzed, and inverted by the Laplacian of order ell."""
+    s, ell = _laplacian_identity(identity, f.n, k)
+    M, estimates = _meridian_estimates(f, pipeline, k, s, samples, seed)
+    factor = delta_op_eigenvalue(np.arange(f.max_degree + 1), f.n, 1 - f.n, ell)
+    recon, recon_sig = _zonal_mc_reconstruction(M, estimates, factor)
+    return _mc_report(f, recon, recon_sig, identity, mode, k, samples, seed, ell)
 
 
 def _zonal_mc_reconstruction(M: np.ndarray, node_estimates, factor: np.ndarray):
@@ -441,56 +477,20 @@ def invert_funk_k(
     f: HarmonicSpectrum,
     k: int,
     *,
-    mode: str = "auto",
     samples: int = 100_000,
     seed: int = 0,
 ) -> InversionReport:
     """End-to-end reconstruction from codimension-k subsphere averages.
 
-    mode 'dual-funk' (odd n-k): dual transform of the averages, then the
-    weighted Laplacian.  mode 'dual-cosine' (even n-k, k > 1): dual cosine
-    transform of the averages at parameter 1-k, then the weighted Laplacian.
-    The dual integrals are Monte Carlo at the profile nodes of a zonal test
-    function; the operator is applied on the degree-wise representation, and
-    errors are compared against the propagated 3-sigma band.
+    The dual cosine transform at s of the averages is S_s f, inverted by the
+    weighted Laplacian of order (n-1+s)/2; n-k fixes s: odd n-k is thm4.1-i,
+    s = -k (the dual Funk end point), even n-k is thm4.1-ii, s = 1-k, excluded
+    at k = 1 (a pole).  Monte Carlo at the profile nodes of a zonal f, errors
+    against the propagated 3-sigma band.
     """
-    n = f.n
-    if f.kind != "zonal":
-        raise InvalidArgumentError("reconstruction checks run on zonal test functions")
-    if not 1 <= k <= n - 1:
-        raise InvalidArgumentError("need 1 <= k <= n-1")
-    if mode == "auto":
-        mode = "dual-funk" if (n - k) % 2 else "dual-cosine"
-    if mode == "dual-cosine" and k == 1:
-        raise InvalidArgumentError(
-            "the dual-cosine mode is excluded at k = 1 (its coefficient has a pole there)"
-        )
-    if mode == "dual-funk" and (n - k) % 2 == 0:
-        raise InvalidArgumentError("the dual-funk mode needs odd n-k")
-    if mode == "dual-cosine" and (n - k) % 2:
-        raise InvalidArgumentError("the dual-cosine mode needs even n-k")
-
-    dirs, M = _profile_analysis(f)
-    psi = funk_k_function(f.evaluate, n, k, profile_degree=f.max_degree)
-    if mode == "dual-funk":
-        ell = (n - k - 1) // 2
-        scale = frame_scale(n, k) * null_sphere_scale(n, k)
-        estimates = [
-            _scale_mc(dual_funk_k(psi, d, samples, seed + i), scale)
-            for i, d in enumerate(dirs)
-        ]
-        tag = "thm4.1-i"
-    else:
-        ell = (n - k) // 2
-        estimates = [
-            _scale_mc(dual_cosine_k(psi, d, 1 - k, samples, seed + i), frame_scale(n, k))
-            for i, d in enumerate(dirs)
-        ]
-        tag = "thm4.1-ii"
-    recon, recon_sig = _zonal_mc_reconstruction(
-        M, estimates, delta_op_eigenvalue(np.arange(f.max_degree + 1), n, 1 - n, ell)
-    )
-    return _mc_report(f, recon, recon_sig, tag, mode, k, samples, seed, ell)
+    _check_hyperplane_k(f.n, k)
+    identity, mode = ("thm4.1-i", "dual-funk") if (f.n - k) % 2 else ("thm4.1-ii", "dual-cosine")
+    return _laplacian_reconstruction(f, identity, mode, sine_mc_via_dual_cosine, k, samples, seed)
 
 
 def invert_cosine1_k(
@@ -503,27 +503,20 @@ def invert_cosine1_k(
     """End-to-end reconstruction from the codimension-k cosine transform at
     parameter 1, dispatching on the parity of n.
 
-    Even n: weighted Laplacian applied to the dual-Funk pipeline.  Odd n: the
-    pipeline value is a sine transform at 1, undone by composing the two
-    sphere inversions (Funk and 1-cosine) on the degree-wise representation.
+    Even n: the identity 4.13, the weighted Laplacian applied to the sine
+    transform at 1 estimated by the dual-Funk pipeline.  Odd n: the pipeline
+    value is undone by composing the two sphere inversions (Funk and
+    1-cosine) on the degree-wise representation.
     """
     n = f.n
-    if f.kind != "zonal":
-        raise InvalidArgumentError("reconstruction checks run on zonal test functions")
-    dirs, M = _profile_analysis(f)
-    estimates = [
-        sine_mc_via_dual_funk(f, k, d, 1.0, samples, seed + i) for i, d in enumerate(dirs)
-    ]
     if n % 2 == 0:
-        ell = n // 2
-        recon, recon_sig = _zonal_mc_reconstruction(
-            M, estimates, delta_op_eigenvalue(np.arange(f.max_degree + 1), n, 1 - n, ell)
-        )
-        return _mc_report(f, recon, recon_sig, "4.13", "dual-funk", k, samples, seed, ell)
+        return _laplacian_reconstruction(f, "4.13", "dual-funk", sine_mc_via_dual_funk, k,
+                                         samples, seed)
 
     # odd n: the estimates approximate the sine transform at 1 (the
     # frame_scale prefactor already matches the factorization); invert the
     # 1-cosine and Funk factors through the sphere inversion theorems
+    M, estimates = _meridian_estimates(f, sine_mc_via_dual_funk, k, 1.0, samples, seed)
     noisy = HarmonicSpectrum(n, f.max_degree, M @ np.array([e.value for e in estimates]), f.pole)
     unscaled = (1.0 / funk_scale(n)) * noisy
     step1 = invert_cosine1(unscaled).primary
@@ -605,11 +598,8 @@ def check_identity(
         mc_error, mc_sigma = (err_a, est_a.sigma) if err_a / max(est_a.sigma, 1e-300) >= err_b / max(est_b.sigma, 1e-300) else (err_b, est_b.sigma)
         within = err_a <= 3 * est_a.sigma and err_b <= 3 * est_b.sigma
     else:
-        if identity in ("4.13", "4.14"):
-            report = invert_cosine1_k(f, k, samples=samples, seed=seed)
-        else:
-            mode = {"4.9": "auto", "thm4.1-i": "dual-funk", "thm4.1-ii": "dual-cosine"}[identity]
-            report = invert_funk_k(f, k, mode=mode, samples=samples, seed=seed)
+        invert = invert_cosine1_k if identity in ("4.13", "4.14") else invert_funk_k
+        report = invert(f, k, samples=samples, seed=seed)
         mc_error, mc_sigma = report.extras["mc_error"], report.extras["mc_sigma"]
         within = report.extras["within_3sigma"]
     return {

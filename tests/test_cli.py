@@ -11,6 +11,8 @@ import pytest
 import funkinv
 from funkinv.cli import main, parse_function_spec
 from funkinv.errors import InvalidArgumentError
+from funkinv.spectral import random_even_spectrum
+from funkinv.stiefel import dual_funk_k, funk_k_function
 
 # The directory holding the imported package, absolute so that a child started
 # in another working directory (a relative PYTHONPATH such as ``src`` would
@@ -187,6 +189,18 @@ def test_convergence_cli(tmp_path):
     err = json.loads(res.stderr)
     assert err["error"] == "InvalidArgumentError"
     assert "need at least 3 step sizes" in err["message"]
+
+
+def test_mc_dual_study_runs_at_the_given_n(tmp_path):
+    out = tmp_path / "mc.csv"
+    counts = (500, 2000, 8000)
+    assert main(["convergence", "--study", "mc-dual", "--n", "3", "--samples-list",
+                 ",".join(map(str, counts)), "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    f = random_even_spectrum(3, 4, 0, zonal=True)
+    psi = funk_k_function(f.evaluate, 3, 1, profile_degree=f.max_degree)
+    want = [dual_funk_k(psi, np.eye(3)[1], count, 0).sigma for count in counts]
+    assert [float(row[1]) for row in rows] == want
 
 
 def test_config_file_precedence(tmp_path):

@@ -313,6 +313,22 @@ def test_spectral_identity_guards():
         spectral_identity_error("4.8", 4, 2, 6)  # missing lambda
     with pytest.raises(DomainError):
         spectral_identity_error("4.8", 4, 2, 6, lam=-6.0)  # both sides vanish at degree 0
+    # Delta_{1-n,(n-1+s)/2} S_s f = f holds exactly when n-1+s is even and s != 0
+    sine_parameter = {"4.9": lambda n, k: 1 - n, "thm4.1-i": lambda n, k: -k,
+                      "thm4.1-ii": lambda n, k: 1 - k, "4.13": lambda n, k: 1}
+    raised = held = 0
+    for tag, s_of in sine_parameter.items():
+        for n in range(3, 9):
+            for k in range(1, n):
+                s = s_of(n, k)
+                if (n - 1 + s) % 2 or s == 0:
+                    with pytest.raises(InvalidArgumentError):
+                        spectral_identity_error(tag, n, k, 10)
+                    raised += 1
+                else:
+                    assert spectral_identity_error(tag, n, k, 10) <= 1e-13, (tag, n, k)
+                    held += 1
+    assert raised and held
 
 
 def test_factorization_mc_both_pipelines(zonal_f4):
@@ -329,6 +345,20 @@ def test_factorization_mc_both_pipelines(zonal_f4):
     assert est_b.within(truth)
 
 
+@pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 3)])
+def test_dual_cosine_pipeline_at_its_funk_end_point(n, k):
+    # at lam = -k the dual cosine transform is the dual Funk transform times
+    # null_sphere_scale
+    f = random_even_spectrum(n, 4, seed=340 + n, zonal=True)
+    v = np.array([0.6, 0.0, 0.8] + [0.0] * (n - 3))
+    est = sine_mc_via_dual_cosine(f, k, v, -k, samples=SAMPLES, seed=13)
+    psi = funk_k_function(f.evaluate, n, k, profile_degree=f.max_degree)
+    ref = dual_funk_k(psi, v, samples=SAMPLES, seed=13)
+    scale = frame_scale(n, k) * null_sphere_scale(n, k)
+    assert est.value == ref.value * scale and est.sigma == ref.sigma * abs(scale)
+    assert est.within(complex(sine_spectrum(f, -k).evaluate(v[None, :])[0]))
+
+
 def test_reconstruction_mc_dual_funk(zonal_f4):
     report = invert_funk_k(zonal_f4, 1, samples=SAMPLES, seed=5)
     assert report.extras["within_3sigma"]
@@ -342,13 +372,31 @@ def test_reconstruction_mc_dual_cosine(zonal_f4):
     assert report.extras["identity"] == "thm4.1-ii"
 
 
-def test_reconstruction_mode_guards(zonal_f4, zonal_f5):
+def test_reconstruction_mode_guards(zonal_f5):
     with pytest.raises(InvalidArgumentError):
-        invert_funk_k(zonal_f5, 1, mode="auto", samples=200, seed=0)  # n-k even, k=1
-    with pytest.raises(InvalidArgumentError):
-        invert_funk_k(zonal_f4, 1, mode="dual-cosine", samples=200, seed=0)
-    with pytest.raises(InvalidArgumentError):
-        invert_funk_k(zonal_f4, 2, mode="dual-funk", samples=200, seed=0)
+        invert_funk_k(zonal_f5, 1, samples=200, seed=0)  # n-k even, k=1
+
+
+_HYPERPLANE_PIPELINES = {
+    "dual_funk_k": lambda f, k: dual_funk_k(
+        funk_k_function(f.evaluate, f.n, k, profile_degree=f.max_degree), np.eye(f.n)[1],
+        samples=200),
+    "sine_mc_via_dual_funk": lambda f, k: sine_mc_via_dual_funk(
+        f, k, np.eye(f.n)[1], 1.0, samples=200),
+    "invert_funk_k": lambda f, k: invert_funk_k(f, k, samples=200),
+    "invert_cosine1_k": lambda f, k: invert_cosine1_k(f, k, samples=200),
+    "check_identity": lambda f, k: check_identity("thm4.1-i", f.n, k, samples=200),
+}
+
+
+@pytest.mark.parametrize("entry, k", [
+    *itertools.product(sorted(set(_HYPERPLANE_PIPELINES) - {"check_identity"}), (-1, 0, 3)),
+    ("check_identity", 3),  # below k = 1 its spectral check rejects k first
+])
+def test_hyperplane_frame_range(entry, k, zonal_f4):
+    # the frames of v-perp in R^4 have 1 <= k <= 2 columns
+    with pytest.raises(InvalidArgumentError, match="1 <= k <= n-2"):
+        _HYPERPLANE_PIPELINES[entry](zonal_f4, k)
 
 
 def test_cosine1_reconstruction_even_n(zonal_f4):
