@@ -19,8 +19,9 @@ from funkinv.errors import (
     PoleError,
     ResolutionError,
 )
-from funkinv.grids import build_grid
+from funkinv.grids import QuadratureGrid, as_direction, build_grid
 from funkinv.spectral import (
+    ZONAL_BLOCK,
     HarmonicSpectrum,
     analyze,
     cosine_multiplier,
@@ -37,6 +38,7 @@ from funkinv.spectral import (
     zonal_analysis_matrix,
     zonal_eval,
     zonal_norm_sq,
+    zonal_profile_rule,
 )
 from funkinv.transforms import delta_norm, funk_scale, gamma_norm
 
@@ -81,9 +83,9 @@ def _zonal_profile_restarted(j, n, t):
 
 
 def test_zonal_one_pass_matches_per_degree_reference():
-    # analysis and synthesis draw every degree from one pass of the recurrence;
-    # the arithmetic is unchanged, so the results equal a per-degree restart
-    # bit for bit
+    # the block engine runs each degree's recurrence with the arithmetic of a
+    # per-degree restart, so rows and synthesis equal it bit for bit; analysis
+    # contracts the rows by matrix products, which sum in another order
     grid, J, n = build_grid(5, 9), 8, 5
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(J + 1) + 1j * rng.standard_normal(J + 1)
@@ -100,11 +102,15 @@ def test_zonal_one_pass_matches_per_degree_reference():
     values = spec.to_grid(grid)
     assert np.array_equal(values.values, want)
 
+    # float64 bound on reordering a sum of N terms: |dc_j| <= 2 N eps sum_i
+    # |w_i f_i Z_j(t_i)| / |Z_j|^2, both sums within N eps of the exact one
     wf = grid.weights * values.values
-    want = np.array([
-        np.dot(wf, _zonal_profile_restarted(j, n, t)) / zonal_norm_sq(j, n) for j in range(J + 1)
-    ])
-    assert np.array_equal(analyze(values, J, pole=spec.pole).coeffs, want)
+    profiles = np.array([_zonal_profile_restarted(j, n, t) for j in range(J + 1)])
+    norms = np.array([zonal_norm_sq(j, n) for j in range(J + 1)])
+    want = profiles @ wf / norms
+    bound = 2 * grid.num_nodes * np.finfo(float).eps * (np.abs(profiles * wf) @ np.ones(
+        grid.num_nodes)) / norms
+    assert np.all(np.abs(analyze(values, J, pole=spec.pole).coeffs - want) <= bound)
 
     x, w = np.linspace(-1.0, 1.0, 13), np.full(13, 1.0 / 13)
     want = np.array([w * _zonal_profile_restarted(j, n, x) / zonal_norm_sq(j, n)
@@ -112,11 +118,87 @@ def test_zonal_one_pass_matches_per_degree_reference():
     assert np.array_equal(zonal_analysis_matrix(x, w, J, n), want)
 
 
+def _zonal_rule_grid(n, pole, num_nodes, rule_nodes, rng):
+    """A grid of ``num_nodes`` points whose heights u.pole repeat the nodes of
+    a ``rule_nodes``-point profile rule, each copy taking its share of the
+    weight; it integrates zonal polynomials about ``pole`` of degree
+    <= 2 rule_nodes - 1 exactly (and nothing else)."""
+    t, w = zonal_profile_rule(n, rule_nodes)
+    k = np.arange(num_nodes) % rule_nodes
+    side = rng.standard_normal((num_nodes, n))
+    side -= np.outer(side @ pole, pole)
+    side /= np.linalg.norm(side, axis=1)[:, None]
+    nodes = t[k, None] * pole + np.sqrt(1.0 - t[k] ** 2)[:, None] * side
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    weights = w[k] / np.bincount(k, minlength=rule_nodes)[k]
+    return QuadratureGrid(n, nodes, weights, None, exactness_degree=2 * rule_nodes - 1)
+
+
+@pytest.mark.parametrize("N", [0, 1, ZONAL_BLOCK - 1, ZONAL_BLOCK, ZONAL_BLOCK + 1,
+                               2 * ZONAL_BLOCK + 3])
+def test_zonal_blocks_join_at_every_boundary(N):
+    n, J = 5, 8
+    rng = np.random.default_rng(N)
+    pole = as_direction(rng.standard_normal(n))
+    coeffs = rng.standard_normal(J + 1) + 1j * rng.standard_normal(J + 1)
+    coeffs[2], coeffs[3], coeffs[5] = 0.5, 0.5j, 0.0  # evaluate skips zero parts
+    spec = HarmonicSpectrum(n, J, coeffs, pole)
+
+    points = rng.standard_normal((N, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    t = np.clip(points @ spec.pole, -1.0, 1.0)
+    want = np.zeros(N, dtype=complex)
+    for j in range(J + 1):
+        want += spec.coeffs[j] * _zonal_profile_restarted(j, n, t)
+    got = spec.evaluate(points)
+    assert got.shape == (N,) and np.array_equal(got, want)
+    assert np.array_equal(zonal_eval(J, n, t), _zonal_profile_restarted(J, n, t))
+    assert zonal_analysis_matrix(t, np.ones(N), J, n).shape == (J + 1, N)
+
+    if N == 0:  # a grid holds at least one node
+        return
+    band = min(N, J + 1) - 1
+    grid = _zonal_rule_grid(n, spec.pole, N, band + 1, rng)
+    known = HarmonicSpectrum(n, band, coeffs[: band + 1], spec.pole)
+    got = analyze(known.to_grid(grid), band, pole=spec.pole).coeffs
+    assert np.max(np.abs(got - known.coeffs)) <= 1e-13
+
+
 def test_zonal_domain_error():
     with pytest.raises(DomainError):
         zonal_eval(2, 3, 1.5)
     with pytest.raises(InvalidArgumentError):
         zonal_eval(-1, 3, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_arguments_raise_domain_error(bad):
+    with pytest.raises(DomainError):
+        zonal_eval(2, 3, bad)
+    with pytest.raises(DomainError):
+        zonal_eval(2, 5, np.array([0.1, bad, 0.3]))
+    full = random_even_spectrum(3, 4, seed=1)
+    zonal = random_even_spectrum(5, 4, seed=1, zonal=True)
+    for spec in (full, zonal):
+        points = np.zeros((3, spec.n))
+        points[:, 0] = 1.0
+        points[1, 0] = bad
+        with pytest.raises(DomainError):
+            spec.evaluate(points)
+        points[1, 0], points[2, 1] = 1.0, bad
+        with pytest.raises(DomainError):
+            spec.evaluate(points)
+
+
+@pytest.mark.parametrize("n, zonal", [(3, False), (3, True), (4, True)])
+def test_evaluate_checks_the_shape_of_its_points(n, zonal):
+    spec = random_even_spectrum(n, 4, seed=2, zonal=zonal)
+    u = np.zeros(n)
+    u[0], u[-1] = 0.6, 0.8
+    for points in (u, u[None, :-1], np.append(u, 0.0)[None, :], u[None, None, :]):
+        with pytest.raises(InvalidArgumentError):
+            spec.evaluate(points)
+    assert spec.evaluate(u[None, :]).shape == (1,)
 
 
 def test_zonal_norms_match_quadrature_oracle():

@@ -127,3 +127,20 @@ def test_quadrature_point_counts(J):
         "cosine_quadrature_values": shells * fiber[2],
         "cosine_k": shells * fiber[4],
     }
+
+
+def test_zonal_blocks_record_one_span_per_call(spans):
+    # the block engine runs inside evaluate and analyze, never through the
+    # hooked public functions, so each call is one span whatever its size
+    grid = fk.build_grid(5, 9)
+    assert grid.num_nodes > fk.spectral.ZONAL_BLOCK
+    f = fk.random_even_spectrum(5, 8, seed=3, zonal=True)
+    values = f.to_grid(grid)
+    tracer = spans.Tracer()
+    with tracer.recording():
+        f.evaluate(grid.nodes)
+        fk.analyze(values, 8, pole=f.pole)
+    assert [(s.name, s.n) for s in tracer.spans] == [
+        ("spectral.evaluate", grid.num_nodes),
+        ("spectral.analyze", 0),
+    ]
