@@ -12,10 +12,10 @@ exactly against the shell averages by Chebyshev moments, for real and
 complex lam alike.  Every rule is sized from the band limit of the input.
 
 The dual transforms integrate over frames and are computed by Monte Carlo
-with Haar sampling (QR of Gaussian matrices with a sign-fixed R diagonal),
-all through one batched sampling loop; estimates carry their standard error,
-and the counter-based generator makes every run bit-reproducible from its
-seed.
+with Haar sampling (Gram-Schmidt orthonormalization of Gaussian matrices,
+the QR factor with a positive R diagonal), all through one batched sampling
+loop; estimates carry their standard error, and the counter-based generator
+makes every run bit-reproducible from its seed.
 
 Four identity tags are one identity, Delta_{1-n,(n-1+s)/2} S_s = I for the
 lam-sine transform S_s (n-1+s even, s != 0), with s = 1-n (4.9), -k
@@ -28,6 +28,7 @@ compared against 3 standard deviations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -140,28 +141,52 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _gram_schmidt(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormalized columns of a stack of n x k matrices (S, n, k), and a
+    flag per matrix whose rank is short (a residual column norm < 1e-13).
+
+    Column j is orthogonalized against columns 0..j-1 twice (classical
+    Gram-Schmidt with one reorthogonalization, which keeps orthogonality at
+    rounding level), then normalized, for the whole stack at once.  This is
+    the Q of g = QR with R's diagonal (the residual norms) positive.
+    """
+    cols = np.ascontiguousarray(g.transpose(2, 0, 1))  # (k, S, n)
+    short = np.zeros(cols.shape[1], dtype=bool)
+    for j, col in enumerate(cols):
+        for _ in range(2 if j else 0):
+            coef = np.einsum("isn,sn->is", cols[:j], col)
+            col -= np.einsum("is,isn->sn", coef, cols[:j])
+        norm = np.sqrt(np.einsum("sn,sn->s", col, col))
+        tiny = norm < 1e-13
+        short |= tiny
+        col /= np.where(tiny, 1.0, norm)[:, None]
+    return cols.transpose(1, 2, 0), short
+
+
 def haar_frames(n: int, k: int, count: int, seed: int | None = None, rng=None) -> np.ndarray:
     """Stack of Haar-distributed frames, shape (count, n, k).
 
-    QR of standard Gaussian matrices with R's diagonal forced positive, which
-    is what makes the distribution exactly invariant.  Rank-deficient draws
-    (probability zero, but checked) are resampled.
+    The Q factor, with R's diagonal positive, of standard Gaussian n x k
+    matrices, which is what makes the distribution exactly invariant
+    (Mezzadri 2007), computed by Gram-Schmidt over the stack.  Rank-deficient
+    draws (probability zero, but checked) are resampled.
     """
+    try:
+        n, k, count = operator.index(n), operator.index(k), operator.index(count)
+    except TypeError:
+        raise InvalidArgumentError("n, k and count must be integers") from None
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError("need 1 <= k <= n-1")
+    if count < 0:
+        raise InvalidArgumentError(f"need count >= 0, got {count}")
     if rng is None:
         rng = _rng(0 if seed is None else seed)
-    out = np.empty((count, n, k))
-    todo = np.arange(count)
-    while len(todo):
-        g = rng.standard_normal((len(todo), n, k))
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        bad = np.any(np.abs(diag) < 1e-13, axis=1)
-        signs = np.where(diag < 0, -1.0, 1.0)
-        out[todo] = q * signs[:, None, :]
-        todo = todo[bad]
-    return out
+    frames, short = _gram_schmidt(rng.standard_normal((count, n, k)))
+    redo = np.flatnonzero(short)
+    while len(redo):
+        frames[redo], short = _gram_schmidt(rng.standard_normal((len(redo), n, k)))
+        redo = redo[short]
+    return frames
 
 
 def haar_frame(n: int, k: int, seed: int) -> Frame:

@@ -178,16 +178,44 @@ def log_sine_spectrum(spec: HarmonicSpectrum) -> HarmonicSpectrum:
 # adapted quadrature engine
 
 
+def _reflect(cols: np.ndarray, v: np.ndarray, scale: np.ndarray) -> None:
+    """Apply I - scale v v^T, per stack entry, to the columns (C, S, m) in place."""
+    cols -= np.einsum("si,csi->cs", v, cols)[:, :, None] * (scale[:, None] * v)
+
+
 def null_space_basis(u: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of u^T (n x (n-k)) for a frame u
     (n x k), by Householder completion; deterministic in u.
 
-    A stack of frames (..., n, k) gives a stack of bases (..., n, n-k) from one
-    batched QR; a unit vector as an n x 1 frame gives its orthogonal hyperplane.
+    A stack of frames (..., n, k) gives a stack of bases (..., n, n-k); a unit
+    vector as an n x 1 frame gives its orthogonal hyperplane.  The k
+    reflections of the Householder QR of u, with LAPACK's sign convention
+    (beta = -sign(alpha) |x|), are computed for the whole stack at once and
+    applied to the last n-k unit columns: the complete Q's trailing columns.
     """
     u = np.asarray(u, dtype=float)
-    q = np.linalg.qr(u, mode="complete")[0]
-    return q[..., u.shape[-1] :]
+    if u.ndim < 2 or u.shape[-1] > u.shape[-2]:
+        raise InvalidArgumentError(f"need a frame (..., n, k) with k <= n, got shape {u.shape}")
+    *stack, n, k = u.shape
+    cols = np.array(u.reshape(-1, n, k).transpose(2, 0, 1))  # (k, S, n)
+    basis = np.zeros((n - k, cols.shape[1], n))
+    basis[:, :, k:] = np.eye(n - k)[:, None, :]
+    reflectors = []
+    for j in range(k):
+        x = cols[j, :, j:]
+        alpha = x[:, 0]
+        beta = -np.copysign(np.sqrt(np.einsum("si,si->s", x, x)), alpha)
+        v = x.copy()
+        v[:, 0] -= beta
+        # H = I - 2 v v^T / |v|^2, |v|^2 = 2 beta (beta - alpha); a zero column gives H = I
+        den = beta * (beta - alpha)
+        scale = np.divide(1.0, den, out=np.zeros_like(den), where=den != 0)
+        if j + 1 < k:
+            _reflect(cols[j + 1 :, :, j:], v, scale)
+        reflectors.append((v, scale))
+    for j in reversed(range(k)):
+        _reflect(basis[:, :, j:], *reflectors[j])
+    return basis.transpose(1, 2, 0).reshape(*stack, n, n - k)
 
 
 def _subsphere_rule(d: int, J: int):
@@ -219,13 +247,13 @@ def _frame_shell_values(f_eval: Callable, frames: np.ndarray, r: np.ndarray, J: 
     omega, ow = _subsphere_rule(n - k, J)
     cos_r = np.asarray(r, dtype=float)[None, :, None, None, None]
     sin_r = np.sqrt(1.0 - cos_r * cos_r)
+    bases = null_space_basis(frames)
     out = np.empty((count, cos_r.shape[1]), dtype=complex)
     # frames per f_eval call, at most 2^14 points each, bound the point arrays
     chunk = max(1, 2**14 // (cos_r.size * len(theta) * len(omega)))
     for lo in range(0, count, chunk):
-        batch = frames[lo : lo + chunk]
-        span = theta @ batch.transpose(0, 2, 1)  # (B, T, n)
-        fiber = omega @ null_space_basis(batch).transpose(0, 2, 1)  # (B, W, n)
+        span = theta @ frames[lo : lo + chunk].transpose(0, 2, 1)  # (B, T, n)
+        fiber = omega @ bases[lo : lo + chunk].transpose(0, 2, 1)  # (B, W, n)
         # pts[b, i, t, w, :] = r_i U_b theta_t + sqrt(1 - r_i^2) B_b omega_w
         pts = cos_r * span[:, None, :, None, :] + sin_r * fiber[:, None, None, :, :]
         vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex)

@@ -95,8 +95,60 @@ def test_haar_projection_moment():
 
 
 def test_haar_rejects_bad_shape():
-    with pytest.raises(InvalidArgumentError):
-        haar_frames(4, 4, 10, seed=0)
+    for args in ((4, 4, 10), (4, 2, -1), (4, 2, 2.5), (4.0, 2, 10)):
+        with pytest.raises(InvalidArgumentError):
+            haar_frames(*args, seed=0)
+    assert haar_frames(4, 2, 0, seed=0).shape == (0, 4, 2)
+
+
+def _lapack_haar(g):
+    """The Haar frames of the Gaussian draws g (S, n, k) by LAPACK QR with
+    R's diagonal made positive, the reference the Gram-Schmidt frames follow."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert np.all(np.abs(diag) >= 1e-13)  # no draw here needs resampling
+    return q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 2), (5, 3), (6, 2), (6, 5)])
+def test_haar_frames_match_lapack_reference(n, k):
+    count, seed = 20_000, 17 + n + k
+    frames = haar_frames(n, k, count, seed=seed)
+    want = _lapack_haar(_rng(seed).standard_normal((count, n, k)))
+    assert np.max(np.abs(frames - want)) <= 1e-11
+    gram = np.einsum("snk,snj->skj", frames, frames)
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-14
+    assert np.array_equal(haar_frame(n, k, seed).matrix, haar_frame(n, k, seed).matrix)
+
+
+class _QueuedNormals:
+    """A generator stub that hands out fixed Gaussian draws in order and
+    records the shape of each request."""
+
+    def __init__(self, *draws):
+        self.draws, self.shapes = list(draws), []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        draw = self.draws.pop(0)
+        assert draw.shape == shape
+        return draw.copy()
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (5, 3)])
+def test_haar_frames_resample_rank_deficient_draws(n, k):
+    count, bad = 6, 2
+    g = _rng(5).standard_normal((count, n, k))
+    g[bad, :, k - 1] = g[bad, :, 0]  # two equal columns: rank k-1
+    fresh = _rng(6).standard_normal((1, n, k))
+    stub = _QueuedNormals(g, fresh)
+    frames = haar_frames(n, k, count, rng=stub)
+    assert stub.shapes == [(count, n, k), (1, n, k)]
+    assert np.max(np.abs(frames[bad].T @ frames[bad] - np.eye(k))) <= 1e-14
+    assert np.array_equal(frames[bad], haar_frames(n, k, 1, rng=_QueuedNormals(fresh))[0])
+    others = np.arange(count) != bad
+    assert np.array_equal(frames[others],
+                          haar_frames(n, k, count - 1, rng=_QueuedNormals(g[others])))
 
 
 def test_null_space_basis():

@@ -11,10 +11,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import funkinv as fk
-from funkinv.stiefel import cosine_k_function, funk_k_function, haar_frames
+from funkinv.stiefel import check_identity, cosine_k_function, funk_k_function, haar_frames
 from funkinv.transforms import _subsphere_rule, cosine_quadrature_values, funk_geodesic_values
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -144,3 +145,20 @@ def test_zonal_blocks_record_one_span_per_call(spans):
         ("spectral.evaluate", grid.num_nodes),
         ("spectral.analyze", 0),
     ]
+
+
+def test_frame_paths_run_no_qr(monkeypatch):
+    # Haar frames and shell complements are orthonormalized by Gram-Schmidt
+    # and Householder loops over the stack, never one LAPACK QR per matrix
+    def no_qr(*args, **kwargs):
+        raise AssertionError("numpy.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for tag, n, k, lam in (("4.8", 4, 2, 1.0), ("4.9", 4, 1, None), ("thm4.1-i", 5, 2, None),
+                           ("4.14", 5, 2, None)):
+        assert check_identity(tag, n, k, lam=lam, samples=200)["spectral_error"] <= 1e-12
+    f = fk.random_even_spectrum(5, 4, seed=2, zonal=True)
+    phi = cosine_k_function(f.evaluate, 5, 2, 0.5, profile_degree=4)
+    assert np.all(np.isfinite(phi(haar_frames(5, 2, 20, seed=3))))
+    x = fk.random_even_spectrum(3, 4, seed=1).to_grid(fk.build_grid(3, 6))
+    assert fk.cosine_transform(x, lam=0.5, path="quadrature").meta["path"] == "quadrature"

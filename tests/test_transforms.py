@@ -243,8 +243,8 @@ def test_funk_grid_api(grid3, even_f3):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_complement_basis_stack_matches_single(n):
-    # one batched QR gives the same bases as one QR per frame, so the
-    # quadrature shells and the frame fibers keep their points
+    # the batched reflections give the same bases as one call per frame, so
+    # the quadrature shells and the frame fibers keep their points
     rng = np.random.default_rng(n)
     u = rng.standard_normal((200, n))
     u /= np.linalg.norm(u, axis=1)[:, None]
@@ -258,6 +258,33 @@ def test_complement_basis_stack_matches_single(n):
         assert np.max(np.abs(np.einsum("bik,bij->bkj", stack, bases))) <= 1e-15
         gram = np.einsum("bij,bik->bjk", bases, bases)
         assert np.max(np.abs(gram - np.eye(n - k))) <= 1e-15
+
+
+def _lapack_complement(u):
+    return np.linalg.qr(u, mode="complete")[0][..., u.shape[-1]:]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_complement_basis_matches_lapack(n):
+    # the Householder completion reproduces LAPACK's complete Q, signs included
+    rng = np.random.default_rng(40 + n)
+    units = rng.standard_normal((300, n))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    coordinate = np.concatenate([np.eye(n), -np.eye(n)])  # LAPACK's reflector is I at e_1
+    cases = [units[:, :, None], coordinate[:, :, None], units[0][:, None], coordinate[1][:, None]]
+    for k in range(1, n):
+        cases.append(np.linalg.qr(rng.standard_normal((2, 3, n, k)))[0])
+        cases.append(np.stack([np.eye(n)[:, :k], -np.eye(n)[:, :k], np.eye(n)[:, ::-1][:, :k]]))
+    for u in cases:
+        got = null_space_basis(u)
+        assert got.shape == u.shape[:-1] + (n - u.shape[-1],)
+        assert np.max(np.abs(got - _lapack_complement(u))) <= 1e-13, u.shape
+
+
+def test_complement_basis_rejects_non_frames():
+    for u in (np.ones(3), np.ones((2, 3))):
+        with pytest.raises(InvalidArgumentError):
+            null_space_basis(u)
 
 
 # ---------------------------------------------------------------------------
