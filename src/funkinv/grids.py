@@ -43,6 +43,9 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-14
 WEIGHT_SUM_TOL = 1e-13
+# spread of nodes[:, 0] allowed within one ring; build_grid's normalization
+# moves a ring's heights by at most an ulp
+RING_TOL = 1e-15
 
 
 def as_direction(x) -> np.ndarray:
@@ -69,6 +72,13 @@ class QuadratureGrid:
     exactness_degree : largest polynomial degree integrated exactly
         (0 when unknown, e.g. for loaded grids without metadata)
     resolution : number of 1D polar nodes used in construction (0 if unknown)
+    ring_heights : (resolution,) read-only heights x_1 of the grid's rings,
+        worked out from the nodes, not passed in.  Set when ``resolution``
+        divides N and x_1 is constant to ``RING_TOL`` on each of the
+        ``resolution`` contiguous blocks of nodes (the value is the first
+        node's); every :func:`build_grid` output has this layout, because
+        its first polar index varies slowest.  None for any other grid.
+        A function zonal about +-e_1 is constant on each ring.
     """
 
     n: int
@@ -77,6 +87,7 @@ class QuadratureGrid:
     antipode: np.ndarray | None
     exactness_degree: int = 0
     resolution: int = 0
+    ring_heights: np.ndarray | None = field(init=False, default=None, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -100,6 +111,7 @@ class QuadratureGrid:
             anti = np.ascontiguousarray(self.antipode, dtype=np.intp)
             anti.setflags(write=False)
             object.__setattr__(self, "antipode", anti)
+        object.__setattr__(self, "ring_heights", _ring_heights(nodes, self.resolution))
 
     @property
     def num_nodes(self) -> int:
@@ -155,6 +167,18 @@ class GridFunction:
 
     def __repr__(self):
         return f"GridFunction(nodes={self.grid.num_nodes}, meta={self.meta})"
+
+
+def _ring_heights(nodes: np.ndarray, rings: int) -> np.ndarray | None:
+    """x_1 of each of ``rings`` contiguous node blocks, if constant on each."""
+    if rings <= 0 or len(nodes) % rings:
+        return None
+    x1 = nodes[:, 0].reshape(rings, -1)
+    heights = x1[:, 0].copy()
+    if np.max(np.abs(x1 - heights[:, None])) > RING_TOL:
+        return None
+    heights.setflags(write=False)
+    return heights
 
 
 def _symmetric_rule(num_nodes: int, alpha: float):

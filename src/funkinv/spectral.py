@@ -436,6 +436,15 @@ def _synthesize_full(points: np.ndarray, max_degree: int, coeffs: np.ndarray) ->
     return out
 
 
+def _ring_nodes(grid: QuadratureGrid, pole) -> np.ndarray | None:
+    """The first node of each ring of ``grid`` when a profile of u.pole is
+    constant on every ring: the grid has ``ring_heights`` and the pole is
+    within ``AXIS_TOL`` of +-e_1.  None otherwise, or when pole is None."""
+    if pole is None or grid.ring_heights is None or np.max(np.abs(pole[1:])) > AXIS_TOL:
+        return None
+    return grid.nodes[:: grid.num_nodes // len(grid.ring_heights)]
+
+
 @lru_cache(maxsize=None)
 def _degree_index(max_degree: int, full: bool) -> np.ndarray:
     """The read-only ``HarmonicSpectrum.degrees`` of each storage kind."""
@@ -614,9 +623,21 @@ class HarmonicSpectrum:
         return out
 
     def to_grid(self, grid: QuadratureGrid) -> GridFunction:
+        """Sample the spectrum at the grid's nodes.
+
+        A zonal table about +-e_1 (within ``AXIS_TOL``) on a grid with
+        ``ring_heights`` is constant on each ring, so it is evaluated at the
+        first node of each ring and each value repeated over its ring;
+        anything else is evaluated at every node.
+        """
         if grid.n != self.n:
             raise InvalidArgumentError("grid dimension mismatch")
-        return GridFunction(grid, self.evaluate(grid.nodes), {"band_limit": self.max_degree})
+        ring = _ring_nodes(grid, self.pole)
+        if ring is None:
+            values = self.evaluate(grid.nodes)
+        else:
+            values = np.repeat(self.evaluate(ring), grid.num_nodes // len(ring))
+        return GridFunction(grid, values, {"band_limit": self.max_degree})
 
     @staticmethod
     def zeros(n: int, max_degree: int, pole=None) -> "HarmonicSpectrum":
@@ -633,7 +654,10 @@ def analyze(f: GridFunction, max_degree: int, pole=None) -> HarmonicSpectrum:
     profile's squared norm.  The profiles come block by block from
     :func:`_zonal_blocks`, and each block's (J+1, block) rows are contracted
     with the real and imaginary parts of the weighted samples in one real
-    matrix product.
+    matrix product.  When the pole is within ``AXIS_TOL`` of +-e_1 and the
+    grid has ``ring_heights``, every profile is constant on each ring: the
+    weighted samples are first summed per ring (pairwise summation), and the
+    profiles are taken only at the first node of each ring.
     """
     grid = f.grid
     if grid.exactness_degree < 2 * max_degree:
@@ -648,10 +672,15 @@ def analyze(f: GridFunction, max_degree: int, pole=None) -> HarmonicSpectrum:
         basis = harmonic_basis(grid.nodes, max_degree)
         return HarmonicSpectrum(3, max_degree, basis.conj().T @ wf)
     pole = as_direction(pole)
-    # (N, 2) real view: column 0 the real parts, column 1 the imaginary parts
+    points = _ring_nodes(grid, pole)
+    if points is None:
+        points = grid.nodes
+    else:
+        wf = wf.reshape(len(points), -1).sum(axis=1)
+    # (points, 2) real view: column 0 the real parts, column 1 the imaginary parts
     parts = wf.view(float).reshape(-1, 2)
     sums = np.zeros((max_degree + 1, 2))
-    for lo, hi, rows in _zonal_blocks(grid.n, grid.nodes @ pole, max_degree):
+    for lo, hi, rows in _zonal_blocks(grid.n, points @ pole, max_degree):
         sums += rows @ parts[lo:hi]
     sums /= _zonal_norms(max_degree, grid.n)[:, None]
     return HarmonicSpectrum(grid.n, max_degree, sums[:, 0] + 1j * sums[:, 1], pole)
@@ -680,7 +709,9 @@ def as_spectrum(f, band_limit: int | None = None, pole=None):
 
 
 def synthesize(spectrum: HarmonicSpectrum, grid: QuadratureGrid) -> GridFunction:
-    """Evaluate a spectrum on a grid (direct summation)."""
+    """Evaluate a spectrum on a grid: ``spectrum.to_grid(grid)``, which sums
+    the spectrum once per ring for a zonal table about the grid's polar axis
+    and once per node otherwise."""
     return spectrum.to_grid(grid)
 
 

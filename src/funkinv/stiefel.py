@@ -286,7 +286,9 @@ def _frames_orthogonal_to(v: np.ndarray, k: int, count: int, rng) -> np.ndarray:
     n = len(v)
     basis = null_space_basis(v[:, None])  # (n, n-1)
     small = haar_frames(n - 1, k, count, rng=rng)
-    return basis @ small
+    # one (n, n-1) by (n-1, count*k) product, where a batched matmul would
+    # run count tiny products
+    return np.moveaxis(np.tensordot(basis, small, axes=(1, 1)), 0, 1)
 
 
 def dual_funk_k(
@@ -388,7 +390,7 @@ def sine_mc_via_dual_funk(
     def draw(count, rng):
         frames = _frames_orthogonal_to(v, k, count, rng)
         w_pts = _uniform_sphere(n, count, rng)
-        dots = np.linalg.norm((w_pts[:, None, :] @ frames)[:, 0], axis=1)
+        dots = np.linalg.norm(np.einsum("sn,snk->sk", w_pts, frames), axis=1)
         return np.asarray(f.evaluate(w_pts), dtype=complex) * dots**lam
 
     scale = frame_scale(n, k) * gamma_norm_k(lam, n, k)

@@ -9,6 +9,8 @@ from funkinv.errors import (
 )
 from funkinv.grids import (
     GridFunction,
+    QuadratureGrid,
+    _symmetric_rule,
     as_direction,
     build_grid,
     constant_function,
@@ -20,6 +22,7 @@ from funkinv.grids import (
     remove_mean,
     save_grid,
 )
+from funkinv.spectral import analyze, random_even_spectrum
 
 
 @pytest.mark.parametrize("n,res", [(3, 16), (4, 6), (5, 5)])
@@ -149,6 +152,47 @@ def test_grid_serialization_round_trip(tmp_path):
     assert_allclose(loaded.weights, g.weights, rtol=0, atol=0)
     # antipodal pairing survives the 17-significant-digit round trip
     assert np.max(np.abs(loaded.nodes[loaded.antipode] + loaded.nodes)) == 0.0
+
+
+@pytest.mark.parametrize("n,res", [(3, 16), (4, 6), (5, 5)])
+def test_build_grid_records_its_rings(n, res):
+    g = build_grid(n, res)
+    heights = g.ring_heights
+    assert heights.shape == (res,) and not heights.flags.writeable
+    # x_1 runs through the first polar rule, Gauss-Jacobi with alpha = (n-3)/2
+    assert np.max(np.abs(heights - _symmetric_rule(res, (n - 3) / 2.0)[0])) <= 1e-15
+    assert np.max(np.abs(g.nodes[:, 0].reshape(res, -1) - heights[:, None])) <= 1e-15
+
+
+def test_permuted_grid_has_no_rings_and_the_same_spectrum():
+    g = build_grid(4, 8)
+    perm = np.random.default_rng(3).permutation(g.num_nodes)
+    shuffled = QuadratureGrid(4, g.nodes[perm], g.weights[perm], None, g.exactness_degree,
+                              g.resolution)
+    assert shuffled.ring_heights is None
+    f = random_even_spectrum(4, 6, seed=5) * (0.5 + 1j)
+    on_rings, scattered = f.to_grid(g), f.to_grid(shuffled)
+    assert np.max(np.abs(scattered.values - on_rings.values[perm])) <= 1e-13
+    diff = analyze(scattered, 6, pole=f.pole).coeffs - analyze(on_rings, 6, pole=f.pole).coeffs
+    assert np.max(np.abs(diff)) <= 1e-13
+
+
+def test_grid_file_round_trip_keeps_the_spectrum(tmp_path):
+    g = build_grid(5, 7)
+    path = tmp_path / "grid.txt"
+    save_grid(g, path)
+    with_rings = load_grid(path, exactness_degree=g.exactness_degree, resolution=g.resolution)
+    without = load_grid(path, exactness_degree=g.exactness_degree)
+    assert np.array_equal(with_rings.ring_heights, g.ring_heights)
+    assert without.ring_heights is None
+    f = random_even_spectrum(5, 6, seed=6)
+    x = f.to_grid(g)
+    want = analyze(x, 6, pole=f.pole).coeffs
+    assert np.array_equal(f.to_grid(with_rings).values, x.values)
+    assert np.max(np.abs(f.to_grid(without).values - x.values)) <= 1e-13
+    for loaded in (with_rings, without):
+        got = analyze(GridFunction(loaded, x.values), 6, pole=f.pole).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_direction_validation():

@@ -19,7 +19,7 @@ from funkinv.errors import (
     PoleError,
     ResolutionError,
 )
-from funkinv.grids import QuadratureGrid, as_direction, build_grid
+from funkinv.grids import GridFunction, QuadratureGrid, as_direction, build_grid
 from funkinv.spectral import (
     ZONAL_BLOCK,
     HarmonicSpectrum,
@@ -429,6 +429,37 @@ def test_zonal_round_trip(grid4, even_f4):
     grid_f = even_f4.to_grid(grid4)
     back = analyze(grid_f, 6, pole=even_f4.pole)
     assert np.max(np.abs(back.coeffs - even_f4.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n, res, J", [(3, 17, 16), (4, 17, 16), (5, 17, 16), (6, 9, 8)])
+def test_zonal_route_on_the_polar_axis(n, res, J, sign):
+    # about +-e_1 every profile is constant on the rings of a build_grid
+    # output: to_grid evaluates one node per ring, analyze sums per ring
+    grid = build_grid(n, res)
+    j = np.arange(J + 1)
+    rng = np.random.default_rng(n)
+    coeffs = (rng.standard_normal(J + 1) + 1j * rng.standard_normal(J + 1)) / (1.0 + j) ** 2
+    f = HarmonicSpectrum(n, J, coeffs, sign * np.eye(n)[0])
+    values = f.to_grid(grid)
+    assert np.max(np.abs(values.values - f.evaluate(grid.nodes))) <= 1e-14
+    back = analyze(values, J, pole=f.pole)
+    assert np.max(np.abs(back.coeffs - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("pole", [[1.0, 2.0, -0.5, 0.3, 0.7], [1.0, 1e-13, 0.0, 0.0, 0.0]])
+def test_off_axis_pole_runs_the_block_engine(pole):
+    # any pole farther than AXIS_TOL from +-e_1 sees the grid node by node,
+    # bitwise as on the same nodes without rings
+    grid = build_grid(5, 9)
+    bare = QuadratureGrid(5, grid.nodes, grid.weights, grid.antipode, grid.exactness_degree)
+    assert grid.ring_heights is not None and bare.ring_heights is None
+    f = random_even_spectrum(5, 8, seed=11, pole=pole) * (1.0 - 0.5j)
+    values = f.to_grid(grid).values
+    assert np.array_equal(values, f.evaluate(grid.nodes))
+    assert np.array_equal(values, f.to_grid(bare).values)
+    on_rings = analyze(GridFunction(grid, values), 8, pole=pole)
+    assert np.array_equal(on_rings.coeffs, analyze(GridFunction(bare, values), 8, pole=pole).coeffs)
 
 
 def test_analyze_resolution_guard(grid4):

@@ -147,6 +147,23 @@ def test_zonal_blocks_record_one_span_per_call(spans):
     ]
 
 
+@pytest.mark.parametrize("n, res", [(4, 10), (5, 6), (5, 12)])
+def test_axis_synthesis_evaluates_one_point_per_ring(spans, n, res):
+    # a zonal spectrum about the grid's polar axis is synthesized from one
+    # node per ring; an oblique pole still evaluates every node
+    grid = fk.build_grid(n, res)
+    on_axis = fk.random_even_spectrum(n, 8, seed=3)
+    oblique = fk.random_even_spectrum(n, 8, seed=3, pole=np.arange(1.0, n + 1))
+    tracer = spans.Tracer()
+    with tracer.recording():
+        on_axis.to_grid(grid)
+        oblique.to_grid(grid)
+    assert [(s.name, s.n) for s in tracer.spans] == [
+        ("spectral.evaluate", res),
+        ("spectral.evaluate", grid.num_nodes),
+    ]
+
+
 def test_frame_paths_run_no_qr(monkeypatch):
     # Haar frames and shell complements are orthonormalized by Gram-Schmidt
     # and Householder loops over the stack, never one LAPACK QR per matrix
