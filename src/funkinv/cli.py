@@ -11,7 +11,8 @@ standard error).
 
 Flags override config-file values, which override built-in defaults.  Config
 files are flat ``key = value`` text; keys are the long option names with
-dashes replaced by underscores.
+dashes replaced by underscores.  Each subcommand's options, with their
+defaults, are declared once, in ``SUBCOMMANDS``.
 """
 
 from __future__ import annotations
@@ -167,12 +168,7 @@ def parse_function_spec(text: str, n: int, max_degree: int) -> HarmonicSpectrum:
 # subcommands
 
 
-def _cmd_multipliers(args) -> int:
-    defaults = {
-        "operator": "cosine", "n": 3, "J": 16, "lambda_re": -1.0, "lambda_im": 0.0,
-        "ell": 1, "out": "multipliers.csv",
-    }
-    cfg = _effective_config(args, defaults)
+def _cmd_multipliers(cfg: dict) -> int:
     h = _config_hash(cfg)
     lam = complex(cfg["lambda_re"], cfg["lambda_im"])
     table = multiplier_table(cfg["operator"], cfg["n"], cfg["J"], lam=lam, ell=cfg["ell"])
@@ -191,12 +187,7 @@ def _cmd_multipliers(args) -> int:
     return 0
 
 
-def _cmd_forward(args) -> int:
-    defaults = {
-        "transform": "cosine", "n": 3, "lambda_re": -0.5, "lambda_im": 0.0,
-        "path": "auto", "input": "", "resolution": 16, "J": 8, "out": "forward.csv",
-    }
-    cfg = _effective_config(args, defaults)
+def _cmd_forward(cfg: dict) -> int:
     # the logarithmic transforms need a mean-zero input, so their default is one
     op = OPERATORS.get(cfg["transform"])
     cfg["input"] = cfg["input"] or (
@@ -224,13 +215,7 @@ def _cmd_forward(args) -> int:
     return 0
 
 
-def _cmd_diffop(args) -> int:
-    defaults = {
-        "lambda_re": -1.5, "lambda_im": 0.0, "ell": 1, "n": 3, "path": "spectral",
-        "h": 1e-3, "input": "random-even:J=6,seed=0", "resolution": 12, "J": 6,
-        "out": "diffop.csv",
-    }
-    cfg = _effective_config(args, defaults)
+def _cmd_diffop(cfg: dict) -> int:
     h = _config_hash(cfg)
     n = cfg["n"]
     spec = parse_function_spec(cfg["input"], n, cfg["J"])
@@ -266,13 +251,7 @@ _INVERT_TOL = {
 }
 
 
-def _cmd_invert(args) -> int:
-    defaults = {
-        "theorem": "funk", "n": 3, "lambda_re": -0.5, "lambda_im": 0.0, "ell": 1,
-        "input": "", "resolution": 12, "J": 8, "seed": 0, "tolerance": 0.0,
-        "out": "invert.json", "csv": "",
-    }
-    cfg = _effective_config(args, defaults)
+def _cmd_invert(cfg: dict) -> int:
     h = _config_hash(cfg)
     n = cfg["n"]
     input_spec = cfg["input"] or f"random-even:J={cfg['J']},seed={cfg['seed']}"
@@ -317,15 +296,9 @@ def _cmd_invert(args) -> int:
     return 0 if report["passed"] else 2
 
 
-def _cmd_convergence(args) -> int:
-    defaults = {
-        "study": "fd-beltrami", "n": 3, "lambda_re": -1.5, "lambda_im": 0.0, "ell": 1,
-        "seed": 0, "J": 6, "h_values": "1e-2,3e-3,1e-3", "resolutions": "4,6,8,10,12",
-        "samples_list": "1000,4000,16000,64000", "k": 1, "out": "convergence.csv",
-    }
-    cfg = _effective_config(args, defaults)
+def _cmd_convergence(cfg: dict) -> int:
     h = _config_hash(cfg)
-    study = cfg["study"]
+    study, n = cfg["study"], cfg["n"]
     rows = []
     passed = True
     slope = None
@@ -333,8 +306,8 @@ def _cmd_convergence(args) -> int:
         steps = [float(s) for s in cfg["h_values"].split(",")]
         if len(steps) < 3:
             raise InvalidArgumentError("need at least 3 step sizes")
-        f = random_even_spectrum(3, cfg["J"], cfg["seed"], decay=2.0)
-        probes = build_grid(3, 6).nodes[::5]
+        f = random_even_spectrum(n, cfg["J"], cfg["seed"], decay=2.0)
+        probes = build_grid(n, 6).nodes[::5]
         errors = []
         for step in steps:
             if study == "fd-beltrami":
@@ -342,7 +315,7 @@ def _cmd_convergence(args) -> int:
                 ref = beltrami_spectrum(f).evaluate(probes)
             else:
                 op = WeightedOpSpec(lam=complex(cfg["lambda_re"], cfg["lambda_im"]),
-                                    ell=cfg["ell"], n=3)
+                                    ell=cfg["ell"], n=n)
                 fd = weighted_laplacian_fd(f.evaluate, op, probes, h=step)
                 ref = weighted_laplacian_spectrum(f, op).evaluate(probes)
             errors.append(float(np.max(np.abs(fd - ref))))
@@ -367,7 +340,6 @@ def _cmd_convergence(args) -> int:
         sample_counts = [int(s) for s in cfg["samples_list"].split(",")]
         if len(sample_counts) < 3:
             raise InvalidArgumentError("need at least 3 sample counts")
-        n = cfg["n"]
         f = random_even_spectrum(n, 4, cfg["seed"], zonal=True)
         psi = funk_k_function(f.evaluate, n, cfg["k"], profile_degree=f.max_degree)
         v = np.eye(n)[1]
@@ -389,12 +361,7 @@ def _cmd_convergence(args) -> int:
     return 0 if passed else 2
 
 
-def _cmd_stiefel_check(args) -> int:
-    defaults = {
-        "identity": "4.8", "n": 4, "k": 2, "lambda_re": 1.0, "lambda_im": 0.0,
-        "samples": 100000, "seed": 1, "J": 4, "out": "stiefel-check.json",
-    }
-    cfg = _effective_config(args, defaults)
+def _cmd_stiefel_check(cfg: dict) -> int:
     h = _config_hash(cfg)
     lam = complex(cfg["lambda_re"], cfg["lambda_im"]) if cfg["identity"] == "4.8" else None
     result = check_identity(
@@ -407,23 +374,54 @@ def _cmd_stiefel_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the option table and the parser
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    p.add_argument("--config", default=None, help="flat key = value config file")
-    if "n" in names:
-        p.add_argument("--n", type=int, default=None)
-    if "lam" in names:
-        p.add_argument("--lambda-re", "--lambda", dest="lambda_re", type=float, default=None)
-        p.add_argument("--lambda-im", dest="lambda_im", type=float, default=None)
-    if "ell" in names:
-        p.add_argument("--ell", type=int, default=None)
-    if "seed" in names:
-        p.add_argument("--seed", type=int, default=None)
-    if "J" in names:
-        p.add_argument("--J", type=int, default=None)
-    if "out" in names:
-        p.add_argument("--out", default=None)
+# subcommand -> (handler, help, defaults).  The defaults are the subcommand's
+# options: each key is a config-file key and, with dashes for underscores and a
+# leading "--", a flag of the default's type.
+SUBCOMMANDS = {
+    "multipliers": (_cmd_multipliers, "degree-multiplier tables as CSV", {
+        "operator": "cosine", "n": 3, "J": 16, "lambda_re": -1.0, "lambda_im": 0.0,
+        "ell": 1, "out": "multipliers.csv",
+    }),
+    "forward": (_cmd_forward, "forward transform of a synthesized input", {
+        "transform": "cosine", "n": 3, "lambda_re": -0.5, "lambda_im": 0.0,
+        "path": "auto", "input": "", "resolution": 16, "J": 8, "out": "forward.csv",
+    }),
+    "diffop": (_cmd_diffop, "weighted Laplacian path comparison as CSV", {
+        "lambda_re": -1.5, "lambda_im": 0.0, "ell": 1, "n": 3, "path": "spectral",
+        "h": 1e-3, "input": "random-even:J=6,seed=0", "resolution": 12, "J": 6,
+        "out": "diffop.csv",
+    }),
+    "invert": (_cmd_invert, "round-trip inversion report (JSON + optional CSV)", {
+        "theorem": "funk", "n": 3, "lambda_re": -0.5, "lambda_im": 0.0, "ell": 1,
+        "input": "", "resolution": 12, "J": 8, "seed": 0, "tolerance": 0.0,
+        "out": "invert.json", "csv": "",
+    }),
+    "convergence": (_cmd_convergence, "error vs parameter tables with slope checks", {
+        "study": "fd-beltrami", "n": 3, "lambda_re": -1.5, "lambda_im": 0.0, "ell": 1,
+        "seed": 0, "J": 6, "h_values": "1e-2,7e-3,5e-3", "resolutions": "4,6,8,10,12",
+        "samples_list": "1000,4000,16000,64000", "k": 1, "out": "convergence.csv",
+    }),
+    "stiefel-check": (_cmd_stiefel_check, "frame-transform identity check (JSON)", {
+        "identity": "4.8", "n": 4, "k": 2, "lambda_re": 1.0, "lambda_im": 0.0,
+        "samples": 100000, "seed": 1, "J": 4, "out": "stiefel-check.json",
+    }),
+}
+
+_CHOICES = {
+    "operator": tuple(_TABLE_BUILDERS),
+    "transform": tuple(OPERATORS),
+    "theorem": THEOREMS,
+    "study": STUDIES,
+    "identity": IDENTITY_TAGS,
+}
+_PATHS = {"forward": ("quadrature", "spectral", "auto"), "diffop": ("spectral", "factored", "fd")}
+_HELP = {
+    "config": "flat key = value config file",
+    "input": "zonal:j=..,pole=.. | const:c | random-even:J=..,seed=..",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,67 +431,27 @@ def build_parser() -> argparse.ArgumentParser:
         "and their inversion identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("multipliers", help="degree-multiplier tables as CSV")
-    p.add_argument("--operator", choices=tuple(_TABLE_BUILDERS), default=None)
-    _add_common(p, "n", "lam", "ell", "J", "out")
-    p.set_defaults(fn=_cmd_multipliers)
-
-    p = sub.add_parser("forward", help="forward transform of a synthesized input")
-    p.add_argument("--transform", choices=tuple(OPERATORS), default=None)
-    p.add_argument("--path", choices=("quadrature", "spectral", "auto"), default=None)
-    p.add_argument("--input", default=None, help="zonal:j=..,pole=.. | const:c | random-even:J=..,seed=..")
-    p.add_argument("--resolution", type=int, default=None)
-    _add_common(p, "n", "lam", "J", "out")
-    p.set_defaults(fn=_cmd_forward)
-
-    p = sub.add_parser("diffop", help="weighted Laplacian path comparison as CSV")
-    p.add_argument("--path", choices=("spectral", "factored", "fd"), default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--input", default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    _add_common(p, "n", "lam", "ell", "J", "out")
-    p.set_defaults(fn=_cmd_diffop)
-
-    p = sub.add_parser("invert", help="round-trip inversion report (JSON + optional CSV)")
-    p.add_argument("--theorem", choices=THEOREMS, default=None)
-    p.add_argument("--input", default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--csv", default=None)
-    _add_common(p, "n", "lam", "ell", "seed", "J", "out")
-    p.set_defaults(fn=_cmd_invert)
-
-    p = sub.add_parser("convergence", help="error vs parameter tables with slope checks")
-    p.add_argument("--study", choices=STUDIES, default=None)
-    p.add_argument("--h-values", dest="h_values", default=None)
-    p.add_argument("--resolutions", default=None)
-    p.add_argument("--samples-list", dest="samples_list", default=None)
-    p.add_argument("--k", type=int, default=None)
-    _add_common(p, "n", "lam", "ell", "seed", "J", "out")
-    p.set_defaults(fn=_cmd_convergence)
-
-    p = sub.add_parser("stiefel-check", help="frame-transform identity check (JSON)")
-    p.add_argument("--identity", choices=IDENTITY_TAGS, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    _add_common(p, "n", "lam", "seed", "J", "out")
-    p.set_defaults(fn=_cmd_stiefel_check)
-
+    for command, (_, help_text, defaults) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", default=None, help=_HELP["config"])
+        for key, default in defaults.items():
+            flags = ["--" + key.replace("_", "-")] + (["--lambda"] if key == "lambda_re" else [])
+            choices = _PATHS[command] if key == "path" else _CHOICES.get(key)
+            # None marks an option that was not given, so config files can fill it
+            p.add_argument(*flags, dest=key, type=type(default), choices=choices,
+                           default=None, help=_HELP.get(key))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, defaults = SUBCOMMANDS[args.command]
     try:
-        return args.fn(args)
-    except FunkinvError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except OSError as exc:
-        json.dump({"error": "OSError", "message": str(exc)}, sys.stderr)
+        return handler(_effective_config(args, defaults))
+    except (FunkinvError, OSError) as exc:
+        # a file-system failure of any kind reports as OSError
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
 

@@ -8,9 +8,10 @@ Three independent realizations, used to cross-validate one another:
   polynomial, which cancels catastrophically for large |lam|);
 * finite differences: the defining formula taken literally, i.e. central
   second differences of the homogeneous extension |x|^(lam+2*ell) f(x/|x|)
-  in R^3 with the seven-point stencil iterated ell times.  The extension is
+  in R^n with the (2n+1)-point stencil iterated ell times.  The extension is
   evaluated exactly at the stencil points (it is analytic off the origin), so
-  the only error is the O(h^2) truncation.
+  the only error is the O(h^2) truncation, until rounding, amplified by
+  h^(-2*ell), takes over at small h.
 """
 
 from __future__ import annotations
@@ -171,14 +172,14 @@ def weighted_laplacian_fd(
     grid_or_points,
     h: float = 1e-3,
 ):
-    """Weighted Laplacian by iterated 7-point stencils on the homogeneous
-    extension; n = 3 and ell <= 2 only (wider stencils accumulate rounding).
+    """Weighted Laplacian by iterated (2n+1)-point stencils on the homogeneous
+    extension in R^n; ell <= 2 only (wider stencils accumulate rounding).  At
+    ell = 2 and n > 3 rounding outweighs the O(h^2) truncation below
+    h of about 5e-3.
 
     ``f_eval`` must evaluate the function off-grid (band-limited synthesis);
     returns a GridFunction when given a grid, else an array of values.
     """
-    if op.n != 3:
-        raise InvalidArgumentError("the finite-difference path is implemented for n = 3")
     if op.ell > 2:
         raise InvalidArgumentError("finite differences support ell <= 2")
     _check_h(h)
@@ -186,6 +187,8 @@ def weighted_laplacian_fd(
         points = grid_or_points.nodes
     else:
         points = np.asarray(grid_or_points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != op.n:
+        raise InvalidArgumentError(f"points must have shape (N, {op.n}), got {points.shape}")
     g = _extension_eval(f_eval, op.lam + 2.0 * op.ell)
     vals = (-0.25) ** op.ell * _apply_stencil(g, points, op.ell, h)
     if isinstance(grid_or_points, QuadratureGrid):

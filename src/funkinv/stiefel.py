@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientSamplesError, InvalidArgumentError
 from .grids import as_direction
-from .inversion import InversionReport, _meridian_points, invert_cosine1, invert_funk
+from .inversion import InversionReport, _meridian_points
 from .spectral import (
     HarmonicSpectrum,
     cosine_multiplier,
@@ -469,35 +469,46 @@ def spectral_identity_error(
     return float(np.max(np.abs(chain - 1.0)))
 
 
-def _meridian_estimates(f: HarmonicSpectrum, pipeline: Callable, k, lam, samples, seed):
-    """The zonal analysis matrix of the f.max_degree + 3 profile nodes on a
-    meridian through the pole, and S_lam f estimated at node i by the sine_mc_*
-    ``pipeline`` with seed + i."""
+# reconstruction tag -> (mode, the sine_mc_* pipeline that estimates S_s f)
+_RECONSTRUCTIONS = {
+    "thm4.1-i": ("dual-funk", sine_mc_via_dual_cosine),
+    "thm4.1-ii": ("dual-cosine", sine_mc_via_dual_cosine),
+    "4.13": ("dual-funk", sine_mc_via_dual_funk),
+    "4.14": ("product-inverse", sine_mc_via_dual_funk),
+}
+
+
+def _reconstruction(f: HarmonicSpectrum, identity: str, k: int, samples: int,
+                    seed: int) -> InversionReport:
+    """f from Monte Carlo estimates of a sine transform S_s f at the
+    f.max_degree + 3 profile nodes of a meridian through the pole (node i with
+    seed + i), analyzed and scaled degree by degree.
+
+    The Laplacian identities scale by the eigenvalues of the weighted
+    Laplacian of order ell = (n-1+s)/2; 4.14 (s = 1, odd n) divides by the
+    cosine-at-1 and Funk multipliers of the factorization sine = cosine x Funk.
+    Each coefficient's sigma is propagated through the same linear map."""
     if f.kind != "zonal":
         raise InvalidArgumentError("reconstruction checks run on zonal test functions")
-    t, w, dirs = _meridian_points(f, f.max_degree + 3)
-    estimates = [pipeline(f, k, v, lam, samples, seed + i) for i, v in enumerate(dirs)]
-    return zonal_analysis_matrix(t, w, f.max_degree, f.n), estimates
-
-
-def _laplacian_reconstruction(f, identity, mode, pipeline, k, samples, seed) -> InversionReport:
-    """f by a Laplacian identity: S_s f estimated by ``pipeline`` at the
-    meridian nodes, analyzed, and inverted by the Laplacian of order ell."""
-    s, ell = _laplacian_identity(identity, f.n, k)
-    M, estimates = _meridian_estimates(f, pipeline, k, s, samples, seed)
-    factor = delta_op_eigenvalue(np.arange(f.max_degree + 1), f.n, 1 - f.n, ell)
-    recon, recon_sig = _zonal_mc_reconstruction(M, estimates, factor)
+    n, J = f.n, f.max_degree
+    mode, pipeline = _RECONSTRUCTIONS[identity]
+    if identity == "4.14":
+        s, ell = 1, None
+        even = np.arange(0, J + 1, 2)
+        factor = np.zeros(J + 1, dtype=complex)
+        factor[even] = 1.0 / (funk_scale(n) * cosine_multiplier(even, n, 1.0)
+                              * funk_multiplier(even, n))
+    else:
+        s, ell = _laplacian_identity(identity, n, k)
+        factor = delta_op_eigenvalue(np.arange(J + 1), n, 1 - n, ell)
+    t, w, dirs = _meridian_points(f, J + 3)
+    M = zonal_analysis_matrix(t, w, J, n)
+    estimates = [pipeline(f, k, v, s, samples, seed + i) for i, v in enumerate(dirs)]
+    g_vals = np.array([e.value for e in estimates])
+    g_sig = np.array([e.sigma for e in estimates])
+    recon = factor * (M @ g_vals)
+    recon_sig = np.abs(factor) * np.sqrt((M**2) @ g_sig**2)
     return _mc_report(f, recon, recon_sig, identity, mode, k, samples, seed, ell)
-
-
-def _zonal_mc_reconstruction(M: np.ndarray, node_estimates, factor: np.ndarray):
-    """Propagate per-node MC estimates through the zonal analysis matrix M and
-    the diagonal degree chain ``factor`` (one entry per degree); returns
-    per-degree reconstructed coefficients and their sigmas."""
-    g_vals = np.array([e.value for e in node_estimates])
-    g_sig = np.array([e.sigma for e in node_estimates])
-    sigmas = np.sqrt((M**2) @ g_sig**2)
-    return factor * (M @ g_vals), np.abs(factor) * sigmas
 
 
 def invert_funk_k(
@@ -516,8 +527,7 @@ def invert_funk_k(
     against the propagated 3-sigma band.
     """
     _check_hyperplane_k(f.n, k)
-    identity, mode = ("thm4.1-i", "dual-funk") if (f.n - k) % 2 else ("thm4.1-ii", "dual-cosine")
-    return _laplacian_reconstruction(f, identity, mode, sine_mc_via_dual_cosine, k, samples, seed)
+    return _reconstruction(f, "thm4.1-i" if (f.n - k) % 2 else "thm4.1-ii", k, samples, seed)
 
 
 def invert_cosine1_k(
@@ -528,33 +538,15 @@ def invert_cosine1_k(
     seed: int = 0,
 ) -> InversionReport:
     """End-to-end reconstruction from the codimension-k cosine transform at
-    parameter 1, dispatching on the parity of n.
+    parameter 1, through the sine transform at 1 estimated by the dual-Funk
+    pipeline, dispatching on the parity of n.
 
-    Even n: the identity 4.13, the weighted Laplacian applied to the sine
-    transform at 1 estimated by the dual-Funk pipeline.  Odd n: the pipeline
-    value is undone by composing the two sphere inversions (Funk and
-    1-cosine) on the degree-wise representation.
+    Even n: the identity 4.13, the weighted Laplacian applied to the
+    estimates.  Odd n: the identity 4.14, the estimates divided degree-wise by
+    the cosine-at-1 and Funk multipliers (the frame_scale prefactor already
+    matches the factorization).
     """
-    n = f.n
-    if n % 2 == 0:
-        return _laplacian_reconstruction(f, "4.13", "dual-funk", sine_mc_via_dual_funk, k,
-                                         samples, seed)
-
-    # odd n: the estimates approximate the sine transform at 1 (the
-    # frame_scale prefactor already matches the factorization); invert the
-    # 1-cosine and Funk factors through the sphere inversion theorems
-    M, estimates = _meridian_estimates(f, sine_mc_via_dual_funk, k, 1.0, samples, seed)
-    noisy = HarmonicSpectrum(n, f.max_degree, M @ np.array([e.value for e in estimates]), f.pole)
-    unscaled = (1.0 / funk_scale(n)) * noisy
-    step1 = invert_cosine1(unscaled).primary
-    recon_spec = invert_funk(step1).primary
-    recon = recon_spec.coeffs
-    even = np.arange(0, f.max_degree + 1, 2)
-    factor = np.zeros(f.max_degree + 1, dtype=complex)
-    factor[even] = 1.0 / (funk_scale(n) * cosine_multiplier(even, n, 1.0)
-                          * funk_multiplier(even, n))
-    _, recon_sig = _zonal_mc_reconstruction(M, estimates, factor)
-    return _mc_report(f, recon, recon_sig, "4.14", "product-inverse", k, samples, seed, None)
+    return _reconstruction(f, "4.13" if f.n % 2 == 0 else "4.14", k, samples, seed)
 
 
 def _mc_report(

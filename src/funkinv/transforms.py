@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -218,16 +219,22 @@ def null_space_basis(u: np.ndarray) -> np.ndarray:
     return basis.transpose(1, 2, 0).reshape(*stack, n, n - k)
 
 
+@lru_cache(maxsize=None)
 def _subsphere_rule(d: int, J: int):
-    """Probability rule on S^{d-1}, exact for polynomials of degree <= J."""
+    """Probability rule on S^{d-1}, exact for polynomials of degree <= J;
+    cached, so its arrays are read-only."""
+    if d >= 3:
+        g = build_grid(d, max(4, J // 2 + 2))
+        return g.nodes, g.weights
     if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
-    if d == 2:
+        nodes, weights = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+    else:
         num = max(24, 2 * J + 2)
         ang = 2.0 * math.pi * np.arange(num) / num
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1), np.full(num, 1.0 / num)
-    g = build_grid(d, max(4, J // 2 + 2))
-    return g.nodes, g.weights
+        nodes, weights = np.stack([np.cos(ang), np.sin(ang)], axis=1), np.full(num, 1.0 / num)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _frame_shell_values(f_eval: Callable, frames: np.ndarray, r: np.ndarray, J: int) -> np.ndarray:

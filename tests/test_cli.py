@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import funkinv
-from funkinv.cli import main, parse_function_spec
+from funkinv.cli import build_parser, main, parse_function_spec
+from funkinv.diffops import beltrami_fd_values, beltrami_spectrum
 from funkinv.errors import InvalidArgumentError
+from funkinv.grids import build_grid
 from funkinv.spectral import random_even_spectrum
 from funkinv.stiefel import dual_funk_k, funk_k_function
 
@@ -233,3 +235,96 @@ def test_parse_function_spec():
     assert spec.max_degree == 6 and spec.kind == "full"
     with pytest.raises(InvalidArgumentError):
         parse_function_spec("spline:k=3", 3, 8)
+
+
+# every subcommand's options: dest -> option strings, and the choices of the
+# options that have them
+CLI_SURFACE = {
+    "multipliers": {
+        "config": ["--config"], "operator": ["--operator"], "n": ["--n"],
+        "lambda_re": ["--lambda-re", "--lambda"], "lambda_im": ["--lambda-im"],
+        "ell": ["--ell"], "J": ["--J"], "out": ["--out"],
+    },
+    "forward": {
+        "config": ["--config"], "transform": ["--transform"], "path": ["--path"],
+        "input": ["--input"], "resolution": ["--resolution"], "n": ["--n"],
+        "lambda_re": ["--lambda-re", "--lambda"], "lambda_im": ["--lambda-im"],
+        "J": ["--J"], "out": ["--out"],
+    },
+    "diffop": {
+        "config": ["--config"], "path": ["--path"], "h": ["--h"], "input": ["--input"],
+        "resolution": ["--resolution"], "n": ["--n"],
+        "lambda_re": ["--lambda-re", "--lambda"], "lambda_im": ["--lambda-im"],
+        "ell": ["--ell"], "J": ["--J"], "out": ["--out"],
+    },
+    "invert": {
+        "config": ["--config"], "theorem": ["--theorem"], "input": ["--input"],
+        "resolution": ["--resolution"], "tolerance": ["--tolerance"], "csv": ["--csv"],
+        "n": ["--n"], "lambda_re": ["--lambda-re", "--lambda"], "lambda_im": ["--lambda-im"],
+        "ell": ["--ell"], "seed": ["--seed"], "J": ["--J"], "out": ["--out"],
+    },
+    "convergence": {
+        "config": ["--config"], "study": ["--study"], "h_values": ["--h-values"],
+        "resolutions": ["--resolutions"], "samples_list": ["--samples-list"], "k": ["--k"],
+        "n": ["--n"], "lambda_re": ["--lambda-re", "--lambda"], "lambda_im": ["--lambda-im"],
+        "ell": ["--ell"], "seed": ["--seed"], "J": ["--J"], "out": ["--out"],
+    },
+    "stiefel-check": {
+        "config": ["--config"], "identity": ["--identity"], "k": ["--k"],
+        "samples": ["--samples"], "n": ["--n"], "lambda_re": ["--lambda-re", "--lambda"],
+        "lambda_im": ["--lambda-im"], "seed": ["--seed"], "J": ["--J"], "out": ["--out"],
+    },
+}
+CLI_CHOICES = {
+    ("multipliers", "operator"): ("cosine", "sine", "funk", "log-cosine", "delta-op"),
+    ("forward", "transform"): ("cosine", "funk", "logcos", "sine", "logsine"),
+    ("forward", "path"): ("quadrature", "spectral", "auto"),
+    ("diffop", "path"): ("spectral", "factored", "fd"),
+    ("invert", "theorem"): ("funk", "cosine1", "general-between", "general-outside"),
+    ("convergence", "study"): ("fd-beltrami", "fd-weighted", "quadrature", "mc-dual"),
+    ("stiefel-check", "identity"): ("4.8", "4.9", "thm4.1-i", "thm4.1-ii", "4.13", "4.14"),
+}
+
+
+def test_cli_option_surface():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(commands) == set(CLI_SURFACE)
+    choices = {}
+    for name, sub in commands.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        assert {a.dest: a.option_strings for a in actions} == CLI_SURFACE[name]
+        choices.update({(name, a.dest): tuple(a.choices) for a in actions if a.choices})
+        # an option left out stays None, so that a config file can set it
+        assert all(a.default is None for a in actions)
+    assert choices == CLI_CHOICES
+
+
+def test_diffop_fd_path_runs_at_n4(tmp_path):
+    out = tmp_path / "d4.csv"
+    assert main(["diffop", "--path", "fd", "--n", "4", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows[0][:4] == ["x1", "x2", "x3", "x4"]
+    assert max(float(r[-1]) for r in rows[1:]) <= 1e-4
+
+
+@pytest.mark.parametrize("extra", [[], ["--ell", "2"]])
+def test_convergence_fd_weighted_defaults_pass(tmp_path, extra):
+    # the default steps stop at 5e-3, above where rounding takes over at ell = 2
+    out = tmp_path / "c.csv"
+    assert main(["convergence", "--study", "fd-weighted", *extra, "--out", str(out)]) == 0
+    slope = float(next(l for l in out.read_text().splitlines()
+                       if l.startswith("# slope")).split("=")[1])
+    assert abs(slope - 2.0) <= 0.05
+
+
+def test_fd_study_runs_at_the_given_n(tmp_path):
+    out = tmp_path / "fd.csv"
+    assert main(["convergence", "--study", "fd-beltrami", "--n", "4", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    f = random_even_spectrum(4, 6, 0, decay=2.0)
+    probes = build_grid(4, 6).nodes[::5]
+    ref = beltrami_spectrum(f).evaluate(probes)
+    want = [float(np.max(np.abs(beltrami_fd_values(f.evaluate, probes, h=h) - ref)))
+            for h in (1e-2, 7e-3, 5e-3)]
+    assert [float(row[1]) for row in rows] == want

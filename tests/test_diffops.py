@@ -13,6 +13,7 @@ from funkinv.diffops import (
     weighted_laplacian_fd,
     weighted_laplacian_spectrum,
 )
+from funkinv.grids import build_grid
 from funkinv.spectral import HarmonicSpectrum, delta_op_eigenvalue, random_even_spectrum
 from funkinv.transforms import cosine_spectrum
 
@@ -145,6 +146,24 @@ def test_fd_convergence_slope(smooth_f3, probes):
     ]
     slope = fd_convergence_slope(errs, steps)
     assert abs(slope - 2.0) <= 0.2
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_fd_second_order_beyond_n3(n, ell):
+    # the (2n+1)-point stencil in R^n; at ell = 2 rounding outweighs the
+    # truncation below h of about 5e-3, so the steps stop there
+    op = WeightedOpSpec(lam=-1.5, ell=ell, n=n)
+    probes = build_grid(n, 6).nodes[::5]
+    steps = (1e-2, 7e-3, 5e-3)
+    for seed in range(3):
+        f = random_even_spectrum(n, 6, seed, decay=2.0)
+        ref = weighted_laplacian_spectrum(f, op).evaluate(probes)
+        errs = [
+            np.max(np.abs(weighted_laplacian_fd(f.evaluate, op, probes, h=h) - ref))
+            for h in steps
+        ]
+        assert abs(fd_convergence_slope(errs, steps) - 2.0) <= 0.2
 
 
 def test_fd_guards(smooth_f3, probes):

@@ -19,8 +19,10 @@ from funkinv.spectral import (
     sine_multiplier,
     zonal_eval,
 )
+from funkinv import stiefel, transforms
 from funkinv.stiefel import (
     Frame,
+    MCEstimate,
     _frames_orthogonal_to,
     _rng,
     check_identity,
@@ -461,6 +463,41 @@ def test_cosine1_reconstruction_odd_n(zonal_f5):
     report = invert_cosine1_k(zonal_f5, 2, samples=SAMPLES, seed=10)
     assert report.extras["within_3sigma"]
     assert report.extras["identity"] == "4.14"
+
+
+@pytest.mark.parametrize("identity, n, k", [
+    ("thm4.1-i", 5, 2), ("thm4.1-ii", 6, 2), ("4.13", 4, 1), ("4.14", 5, 2), ("4.14", 3, 1),
+])
+def test_reconstruction_of_exact_sine_values_is_f(monkeypatch, identity, n, k):
+    # fed S_s f without sampling noise, each reconstruction's degree-wise map
+    # returns f to rounding (amplified by the order-ell Laplacian), with zero sigma
+    f = random_even_spectrum(n, 6, seed=41, zonal=True)
+    mode, _ = stiefel._RECONSTRUCTIONS[identity]
+
+    def exact(g, k, v, s, samples, seed):
+        return MCEstimate(complex(sine_spectrum(g, s).evaluate(v[None, :])[0]), 0.0, samples)
+
+    monkeypatch.setitem(stiefel._RECONSTRUCTIONS, identity, (mode, exact))
+    report = stiefel._reconstruction(f, identity, k, 200, 0)
+    assert report.extras["identity"] == identity and report.extras["mode"] == mode
+    assert report.max_error <= 1e-10
+    assert report.extras["mc_sigma"] == 0.0
+
+
+def test_subsphere_rule_is_built_once(monkeypatch):
+    # every fiber of a reconstruction reuses one product grid per (d, J)
+    calls = []
+    real = transforms.build_grid
+    monkeypatch.setattr(transforms, "build_grid", lambda *a: calls.append(a) or real(*a))
+    transforms._subsphere_rule.cache_clear()
+    first = check_identity("thm4.1-i", 5, 2, samples=3600)
+    assert check_identity("thm4.1-i", 5, 2, samples=3600) == first
+    assert calls == [(3, 4)]
+    for d in (1, 2, 3):
+        nodes, weights = transforms._subsphere_rule(d, 4)
+        fresh = transforms._subsphere_rule.__wrapped__(d, 4)
+        assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_check_identity_entry_point():
