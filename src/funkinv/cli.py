@@ -35,7 +35,7 @@ from .diffops import (
     weighted_laplacian_spectrum,
 )
 from .grids import build_grid, grid_function, integrate
-from .inversion import invert_cosine1, invert_funk, invert_general_between, invert_general_outside
+from .inversion import THEOREMS
 from .spectral import (
     _TABLE_BUILDERS,
     HarmonicSpectrum,
@@ -44,9 +44,8 @@ from .spectral import (
     zonal_eval,
 )
 from .stiefel import IDENTITY_TAGS, check_identity, dual_funk_k, funk_k_function
-from .transforms import OPERATORS, _transform, cosine_spectrum, funk_spectrum
+from .transforms import OPERATORS, _transform
 
-THEOREMS = ("funk", "cosine1", "general-between", "general-outside")
 STUDIES = ("fd-beltrami", "fd-weighted", "quadrature", "mc-dual")
 
 _FLOAT = ".17g"
@@ -78,21 +77,21 @@ def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
         for key, val in file_cfg.items():
             if key not in cfg:
                 raise InvalidArgumentError(f"unknown config key {key!r}")
-            cfg[key] = _coerce(val, defaults[key])
+            cfg[key] = _coerce(key, val, defaults[key])
     for key in cfg:
         if supplied.get(key) is not None:
             cfg[key] = supplied[key]
     return cfg
 
 
-def _coerce(text: str, default):
-    if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text
+def _coerce(key: str, text: str, default):
+    """A config-file value as the type of its option's default."""
+    try:
+        return type(default)(text)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"config key {key!r}: cannot read {text!r} as {type(default).__name__}"
+        ) from None
 
 
 def _config_hash(cfg: dict) -> str:
@@ -243,36 +242,17 @@ def _cmd_diffop(cfg: dict) -> int:
     return 0
 
 
-_INVERT_TOL = {
-    ("funk", 0): 1e-9, ("funk", 1): 1e-6,
-    ("cosine1", 0): 1e-8, ("cosine1", 1): 1e-6,
-    ("general-between", 0): 1e-8, ("general-between", 1): 1e-8,
-    ("general-outside", 0): 1e-8, ("general-outside", 1): 1e-8,
-}
-
-
 def _cmd_invert(cfg: dict) -> int:
     h = _config_hash(cfg)
     n = cfg["n"]
     input_spec = cfg["input"] or f"random-even:J={cfg['J']},seed={cfg['seed']}"
     f = parse_function_spec(input_spec, n, cfg["J"])
-    lam = complex(cfg["lambda_re"], cfg["lambda_im"])
-    if cfg["theorem"] == "funk":
-        phi = funk_spectrum(f)
-        result = invert_funk(phi, reference=f)
-    elif cfg["theorem"] == "cosine1":
-        phi = cosine_spectrum(f, 1.0)
-        result = invert_cosine1(phi, reference=f)
-    elif cfg["theorem"] == "general-between":
-        phi = cosine_spectrum(f, lam + 2 * cfg["ell"])
-        result = invert_general_between(phi, lam, cfg["ell"], reference=f)
-    elif cfg["theorem"] == "general-outside":
-        phi = cosine_spectrum(f, lam)
-        result = invert_general_outside(phi, lam, cfg["ell"], reference=f)
-    else:
+    theorem = THEOREMS.get(cfg["theorem"])
+    if theorem is None:
         raise InvalidArgumentError(f"unknown theorem {cfg['theorem']!r}")
-
-    tol = cfg["tolerance"] or _INVERT_TOL[(cfg["theorem"], n % 2)]
+    lam, ell = complex(cfg["lambda_re"], cfg["lambda_im"]), cfg["ell"]
+    result = theorem.inverse(theorem.forward(f, lam, ell), lam, ell, f)
+    tol = cfg["tolerance"] or theorem.tolerance[n % 2]
     report = result.report.to_dict()
     report["input"] = input_spec
     report["tolerance"] = tol
@@ -280,18 +260,12 @@ def _cmd_invert(cfg: dict) -> int:
     _write_json(cfg["out"], report, h)
     if cfg["csv"]:
         grid = build_grid(n, cfg["resolution"])
-        truth = f.evaluate(grid.nodes)
-        recons = [r.evaluate(grid.nodes) if isinstance(r, HarmonicSpectrum) else r.values
-                  for r in result.reconstructions]
-        columns = [f"x{i + 1}" for i in range(n)] + ["f_re", "f_im"]
-        for idx in range(len(recons)):
-            columns += [f"recon{idx + 1}_re", f"recon{idx + 1}_im"]
-        rows = []
-        for i, node in enumerate(grid.nodes):
-            row = [_fmt(c) for c in node] + [_fmt(truth[i].real), _fmt(truth[i].imag)]
-            for rec in recons:
-                row += [_fmt(rec[i].real), _fmt(rec[i].imag)]
-            rows.append(row)
+        # f, then each reconstruction, as a real and an imaginary column
+        values = [f.evaluate(grid.nodes)] + [r.evaluate(grid.nodes) for r in result.reconstructions]
+        names = ["f"] + [f"recon{i}" for i in range(1, len(values))]
+        columns = [f"x{i + 1}" for i in range(n)] + [f"{a}_{b}" for a in names for b in ("re", "im")]
+        rows = [[_fmt(c) for c in node] + [_fmt(x) for v in values for x in (v[i].real, v[i].imag)]
+                for i, node in enumerate(grid.nodes)]
         _write_csv(cfg["csv"], columns, rows, h)
     return 0 if report["passed"] else 2
 
@@ -413,7 +387,7 @@ SUBCOMMANDS = {
 _CHOICES = {
     "operator": tuple(_TABLE_BUILDERS),
     "transform": tuple(OPERATORS),
-    "theorem": THEOREMS,
+    "theorem": tuple(THEOREMS),
     "study": STUDIES,
     "identity": IDENTITY_TAGS,
 }

@@ -1,25 +1,33 @@
-"""Reconstruction of f from its cosine-family transforms.
+"""Reconstruction of f from its cosine-family transforms C_lam.
 
-The general chains place the weighted Laplacian either between two cosine
-transforms or outside them; the Funk and lam=1 specializations dispatch on
-the parity of n, with the odd-parity branches passing through the
-logarithmic transform of the mean-removed data.  Every operation returns the
-reconstruction(s) together with an :class:`InversionReport` carrying the
-per-degree condition numbers and, when a reference is supplied, the errors.
+Two general chains place the weighted Laplacian Delta_{lam,ell} between two
+cosine transforms or outside them: ``between``, C_{-lam-n} Delta_{lam,ell},
+undoes C_{lam+2 ell}; ``outside``, Delta_{-lam-n,ell} C_{-lam-n+2 ell}, undoes
+C_lam.  Where the inner exponent -lam-n+2 ell is 0, ``outside`` takes the log
+branch: the log-cosine transform (C_0 on degrees >= 2) of the mean-zero part,
+plus the mean over the degree-0 multiplier of C_lam.
 
-For even n the two alternative formulas are both computed and their mutual
-agreement is reported; it is itself an identity worth testing.
+The Funk and 1-cosine theorems undo C_mu, mu = -1 (on funk_scale(n) times the
+data, as F = C_{-1} / funk_scale(n)) and mu = 1, at ell = (n + mu) // 2: even
+n runs ``between`` at (1-n, ell) and ``outside`` at (mu, ell) and reports
+their agreement, itself an identity worth testing; odd n runs ``outside`` at
+(mu, ell), where the log branch applies.
+
+Every operation returns the reconstruction(s) with an :class:`InversionReport`
+of the per-degree condition numbers and, given a reference, the errors.
+``THEOREMS`` holds the four inversions as ``funkinv invert`` runs them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import gammafn
-from .errors import InvalidArgumentError, PoleError
+from .errors import PoleError
 from .diffops import WeightedOpSpec, weighted_laplacian_spectrum
 from .grids import GridFunction
 from .spectral import (
@@ -30,6 +38,7 @@ from .spectral import (
     zonal_profile_rule,
 )
 from .transforms import (
+    EVEN_POLE_TOL,
     check_off_even_poles,
     cosine_spectrum,
     funk_scale,
@@ -45,6 +54,7 @@ __all__ = [
     "invert_general_outside",
     "invert_funk",
     "invert_cosine1",
+    "THEOREMS",
     "DEFAULT_BAND_CEILING",
 ]
 
@@ -199,123 +209,143 @@ def _finish(
     return InversionResult(tuple(outputs), tuple(methods), report)
 
 
-def invert_general_between(
-    phi,
-    lam: complex,
-    ell: int,
-    *,
-    band_limit: int | None = None,
-    pole=None,
-    reference=None,
-) -> InversionResult:
+def _between(spec: HarmonicSpectrum, lam: complex, ell: int) -> HarmonicSpectrum:
+    """C_{-lam-n} Delta_{lam,ell} spec, which undoes C_{lam+2 ell}."""
+    n = spec.n
+    _guard(-lam - n, "-lambda-n")
+    _guard(lam + 2 * ell, "lambda+2*ell")
+    op = WeightedOpSpec(lam=lam, ell=ell, n=n)
+    return cosine_spectrum(weighted_laplacian_spectrum(spec, op), -lam - n)
+
+
+def _outside(spec: HarmonicSpectrum, lam: complex, ell: int):
+    """Delta_{-lam-n,ell} C_{-lam-n+2 ell} spec, which undoes C_lam, and the
+    method that ran: ``outside``, or ``log-branch`` where the inner exponent
+    is 0.  There lam = 2 ell - n, the cosine transform is the logarithmic one
+    on the mean-zero part, and the mean is restored with the reciprocal of
+    the degree-0 multiplier, 1/C_lam(0) = Gamma(ell) / Gamma(n/2 - ell)."""
+    n = spec.n
+    _guard(lam, "lambda")
+    inner = -lam - n + 2 * ell
+    op = WeightedOpSpec(lam=-lam - n, ell=ell, n=n)
+    if abs(inner) > EVEN_POLE_TOL:
+        _guard(inner, "-lambda-n+2*ell")
+        return weighted_laplacian_spectrum(cosine_spectrum(spec, inner), op), "outside"
+    out = weighted_laplacian_spectrum(log_cosine_spectrum(spec.with_zero_mean()), op)
+    return _add_constant(out, _mean_factor(n, ell) * spec.mean), "log-branch"
+
+
+def _mean_factor(n: int, ell: int) -> float:
+    """1/C_lam(0) at the log point lam = 2 ell - n: Gamma(ell) / Gamma(n/2 - ell).
+    At ell = 0 (lam = -n) C_lam(0) vanishes and the mean cannot be restored."""
+    if ell == 0:
+        raise PoleError(f"inversion constraint violated: the degree-0 multiplier of "
+                        f"C_lambda vanishes at lambda = {-n}", pole=-n)
+    return math.gamma(ell) / gammafn.gamma(n / 2.0 - ell).real
+
+
+def _undo_cosine(spec: HarmonicSpectrum, mu: int):
+    """The reconstructions that undo C_mu, mu = +-1, their methods and their
+    order ell, by the parameter rule of the module docstring."""
+    n = spec.n
+    ell = (n + mu) // 2
+    if n % 2:
+        out, method = _outside(spec, mu, ell)
+        return [out], [method], ell
+    return [_between(spec, 1 - n, ell), _outside(spec, mu, ell)[0]], ["between", "outside"], ell
+
+
+def invert_general_between(phi, lam: complex, ell: int, *, band_limit: int | None = None,
+                           pole=None, reference=None) -> InversionResult:
     """Undo the (lam+2*ell)-cosine transform: weighted Laplacian of order ell
     sandwiched between the data and a (-lam-n)-cosine transform."""
     lam = complex(lam)
     phi_spec = _as_spectrum(phi, band_limit, pole)
     n = phi_spec.n
-    _guard(-lam - n, "-lambda-n")
-    _guard(lam + 2 * ell, "lambda+2*ell")
-    op = WeightedOpSpec(lam=lam, ell=ell, n=n)
-    out = cosine_spectrum(weighted_laplacian_spectrum(phi_spec, op), -lam - n)
+    out = _between(phi_spec, lam, ell)
     condition = _condition(lambda j: cosine_multiplier(j, n, lam + 2 * ell), phi_spec)
     params = {"lam": lam, "ell": ell, "n": n, "band_limit": phi_spec.max_degree}
     return _finish([out], ["between"], phi, phi_spec, params, condition, reference, band_limit)
 
 
-def invert_general_outside(
-    phi,
-    lam: complex,
-    ell: int,
-    *,
-    band_limit: int | None = None,
-    pole=None,
-    reference=None,
-) -> InversionResult:
+def invert_general_outside(phi, lam: complex, ell: int, *, band_limit: int | None = None,
+                           pole=None, reference=None) -> InversionResult:
     """Undo the lam-cosine transform: (-lam-n+2*ell)-cosine transform of the
-    data followed by the weighted Laplacian outside."""
+    data followed by the weighted Laplacian outside.  At lam = 2*ell - n the
+    inner exponent is 0 and the log branch runs; it needs ell >= 1."""
     lam = complex(lam)
     phi_spec = _as_spectrum(phi, band_limit, pole)
     n = phi_spec.n
-    _guard(lam, "lambda")
-    _guard(-lam - n + 2 * ell, "-lambda-n+2*ell")
-    op = WeightedOpSpec(lam=-lam - n, ell=ell, n=n)
-    out = weighted_laplacian_spectrum(cosine_spectrum(phi_spec, -lam - n + 2 * ell), op)
+    out, method = _outside(phi_spec, lam, ell)
     condition = _condition(lambda j: cosine_multiplier(j, n, lam), phi_spec)
     params = {"lam": lam, "ell": ell, "n": n, "band_limit": phi_spec.max_degree}
-    return _finish([out], ["outside"], phi, phi_spec, params, condition, reference, band_limit)
+    return _finish([out], [method], phi, phi_spec, params, condition, reference, band_limit)
 
 
-def invert_funk(
-    phi,
-    *,
-    band_limit: int | None = None,
-    pole=None,
-    reference=None,
-) -> InversionResult:
+def invert_funk(phi, *, band_limit: int | None = None, pole=None,
+                reference=None) -> InversionResult:
     """Reconstruct an even function from its great-subsphere averages.
 
-    Even n: both orderings (differential operator inside / outside the final
-    averaging) are returned and their agreement reported.  Odd n: the
-    logarithmic branch, with the mean restored additively.
+    The chains undo C_{-1} on funk_scale(n) phi, with ell = (n-1)//2 and the
+    Laplacian weight 1-n.  Even n: ``between`` at (1-n, ell) and ``outside``
+    at (-1, ell) are both returned and their agreement reported.  Odd n: the
+    log branch of ``outside`` at (-1, ell), with the mean restored additively.
     """
     phi_spec = _as_spectrum(phi, band_limit, pole)
     n = phi_spec.n
-    if n < 3:
-        raise InvalidArgumentError("need n >= 3")
-    cn = funk_scale(n)
+    outputs, methods, ell = _undo_cosine(funk_scale(n) * phi_spec, -1)
     condition = _condition(lambda j: funk_multiplier(j, n), phi_spec)
-    if n % 2 == 0:
-        op = WeightedOpSpec(lam=1 - n, ell=(n - 2) // 2, n=n)
-        d_phi = cn * cn * weighted_laplacian_spectrum(phi_spec, op)
-        first = funk_spectrum(d_phi)
-        second = cn * cn * weighted_laplacian_spectrum(funk_spectrum(phi_spec), op)
-        params = {"n": n, "ell": op.ell, "lam": op.lam, "band_limit": phi_spec.max_degree}
-        return _finish(
-            [first, second], ["between", "outside"], phi, phi_spec, params, condition,
-            reference, band_limit,
-        )
-    mean = phi_spec.mean
-    op = WeightedOpSpec(lam=1 - n, ell=(n - 1) // 2, n=n)
-    logged = log_cosine_spectrum(phi_spec.with_zero_mean())
-    out = cn * weighted_laplacian_spectrum(logged, op)
-    out = _add_constant(out, mean)
-    params = {"n": n, "ell": op.ell, "lam": op.lam, "band_limit": phi_spec.max_degree}
-    return _finish([out], ["log-branch"], phi, phi_spec, params, condition, reference, band_limit)
+    params = {"n": n, "ell": ell, "lam": complex(1 - n), "band_limit": phi_spec.max_degree}
+    return _finish(outputs, methods, phi, phi_spec, params, condition, reference, band_limit)
 
 
-def invert_cosine1(
-    phi,
-    *,
-    band_limit: int | None = None,
-    pole=None,
-    reference=None,
-) -> InversionResult:
-    """Reconstruct an even function from its 1-cosine transform."""
+def invert_cosine1(phi, *, band_limit: int | None = None, pole=None,
+                   reference=None) -> InversionResult:
+    """Reconstruct an even function from its 1-cosine transform.
+
+    The chains undo C_1 with ell = (n+1)//2.  Even n: ``between`` at
+    (1-n, ell) and ``outside`` at (1, ell), both returned.  Odd n: the log
+    branch of ``outside`` at (1, ell), which restores the mean with
+    c = 1/C_1(0) = Gamma((n+1)/2) / Gamma(-1/2), reported as ``c``.
+    """
     phi_spec = _as_spectrum(phi, band_limit, pole)
     n = phi_spec.n
-    if n < 3:
-        raise InvalidArgumentError("need n >= 3")
-    cn = funk_scale(n)
+    outputs, methods, ell = _undo_cosine(phi_spec, 1)
     condition = _condition(lambda j: cosine_multiplier(j, n, 1.0), phi_spec)
-    if n % 2 == 0:
-        op1 = WeightedOpSpec(lam=1 - n, ell=n // 2, n=n)
-        op2 = WeightedOpSpec(lam=-1 - n, ell=n // 2, n=n)
-        first = funk_spectrum(cn * weighted_laplacian_spectrum(phi_spec, op1))
-        second = cn * weighted_laplacian_spectrum(funk_spectrum(phi_spec), op2)
-        params = {"n": n, "ell": n // 2, "band_limit": phi_spec.max_degree}
-        return _finish(
-            [first, second], ["between", "outside"], phi, phi_spec, params, condition,
-            reference, band_limit,
-        )
-    # constant restoring coefficient: the reciprocal of the degree-0 multiplier
-    c = math.gamma((n + 1) / 2.0) / gammafn.gamma(-0.5).real
-    mean = phi_spec.mean
-    op = WeightedOpSpec(lam=-1 - n, ell=(n + 1) // 2, n=n)
-    logged = log_cosine_spectrum(phi_spec.with_zero_mean())
-    out = weighted_laplacian_spectrum(logged, op)
-    out = _add_constant(out, c * mean)
-    params = {"n": n, "ell": op.ell, "c": c, "band_limit": phi_spec.max_degree}
-    return _finish([out], ["log-branch"], phi, phi_spec, params, condition, reference, band_limit)
+    params = {"n": n, "ell": ell, "band_limit": phi_spec.max_degree}
+    if "log-branch" in methods:
+        params["c"] = _mean_factor(n, ell)
+    return _finish(outputs, methods, phi, phi_spec, params, condition, reference, band_limit)
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    forward: Callable  # (f, lam, ell) -> phi, the transform the theorem undoes
+    inverse: Callable  # (phi, lam, ell, reference) -> InversionResult
+    tolerance: tuple  # the default bound on max_error at even n and at odd n
+
+
+# keyed and ordered by the names ``funkinv invert --theorem`` takes; the
+# entries look their functions up in this module at call time, so a tracer
+# that replaces those attributes sees every call
+THEOREMS = {
+    "funk": _Theorem(
+        lambda f, lam, ell: funk_spectrum(f),
+        lambda phi, lam, ell, ref: invert_funk(phi, reference=ref),
+        (1e-9, 1e-6)),
+    "cosine1": _Theorem(
+        lambda f, lam, ell: cosine_spectrum(f, 1.0),
+        lambda phi, lam, ell, ref: invert_cosine1(phi, reference=ref),
+        (1e-8, 1e-6)),
+    "general-between": _Theorem(
+        lambda f, lam, ell: cosine_spectrum(f, lam + 2 * ell),
+        lambda phi, lam, ell, ref: invert_general_between(phi, lam, ell, reference=ref),
+        (1e-8, 1e-8)),
+    "general-outside": _Theorem(
+        lambda f, lam, ell: cosine_spectrum(f, lam),
+        lambda phi, lam, ell, ref: invert_general_outside(phi, lam, ell, reference=ref),
+        (1e-8, 1e-8)),
+}
 
 
 def _add_constant(spec: HarmonicSpectrum, value: complex) -> HarmonicSpectrum:

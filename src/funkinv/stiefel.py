@@ -47,8 +47,8 @@ from .spectral import (
     zonal_analysis_matrix,
 )
 from .transforms import (
-    _frame_kernel_values,
-    _frame_shell_values,
+    _frame_cosine_values,
+    _frame_funk_values,
     check_off_even_poles,
     frame_scale,
     funk_scale,
@@ -198,50 +198,32 @@ def haar_frame(n: int, k: int, seed: int) -> Frame:
 # forward transforms (exact product quadrature)
 
 
-def _funk_k_values(f_eval: Callable, frames: np.ndarray, profile_degree: int) -> np.ndarray:
-    """Averages of f over the null-space subspheres of a stack of frames."""
-    return _frame_shell_values(f_eval, frames, np.zeros(1), profile_degree)[:, 0]
-
-
 def funk_k(f_eval: Callable, frame: Frame, *, profile_degree: int) -> complex:
     """Average of f over {v : u^T v = 0}, the unit sphere of the frame's
     null space, with its invariant probability measure, exact for f of band
     limit ``profile_degree``."""
-    return complex(_funk_k_values(f_eval, frame.matrix[None], profile_degree)[0])
+    return complex(_frame_funk_values(f_eval, frame.matrix[None], profile_degree)[0])
 
 
 def funk_k_function(f_eval: Callable, n: int, k: int, *, profile_degree: int) -> StiefelFunction:
     def fn(frames):
-        return _funk_k_values(f_eval, frames, profile_degree)
+        return _frame_funk_values(f_eval, frames, profile_degree)
 
     return StiefelFunction(fn, n, k, tag="funk_k")
-
-
-def _cosine_k_values(
-    f_eval: Callable, frames: np.ndarray, lam: complex, profile_degree: int
-) -> np.ndarray:
-    """The frame kernel r^lam, r = |u^T v|: the Jacobi exponents
-    a = (n-k-2)/2, b = (k-2+lam)/2 of :func:`_frame_kernel_values`."""
-    _, n, k = frames.shape
-    lam = complex(lam)
-    check_off_even_poles(lam)
-    raw = _frame_kernel_values(f_eval, frames, (n - k - 2) / 2.0, (k - 2.0 + lam) / 2.0,
-                               profile_degree)
-    return gamma_norm_k(lam, n, k) * raw
 
 
 def cosine_k(f_eval: Callable, frame: Frame, lam: complex, *, profile_degree: int) -> complex:
     """Codimension-k cosine transform at one frame: the normalized integral of
     f(v) |u^T v|^lam, |.| the Euclidean length of the k-vector u^T v, exact
     for f of band limit ``profile_degree``."""
-    return complex(_cosine_k_values(f_eval, frame.matrix[None], lam, profile_degree)[0])
+    return complex(_frame_cosine_values(f_eval, frame.matrix[None], lam, profile_degree)[0])
 
 
 def cosine_k_function(
     f_eval: Callable, n: int, k: int, lam: complex, *, profile_degree: int
 ) -> StiefelFunction:
     def fn(frames):
-        return _cosine_k_values(f_eval, frames, lam, profile_degree)
+        return _frame_cosine_values(f_eval, frames, lam, profile_degree)
 
     return StiefelFunction(fn, n, k, tag="cosine_k")
 

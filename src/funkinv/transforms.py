@@ -353,17 +353,30 @@ def _point_frames(points: np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=float)[:, :, None]
 
 
+def _frame_funk_values(f_eval: Callable, frames: np.ndarray, J: int) -> np.ndarray:
+    """Averages of f over the null-space spheres {v : U^T v = 0} of a stack
+    of frames (S, n, k), exact for f of band limit J: the r = 0 shell."""
+    return _frame_shell_values(f_eval, frames, np.zeros(1), J)[:, 0]
+
+
+def _frame_cosine_values(f_eval: Callable, frames: np.ndarray, lam: complex, J: int) -> np.ndarray:
+    """The normalized frame kernel r^lam, r = |U^T v|, about every frame of a
+    stack (S, n, k), exact for f of band limit J: the Jacobi exponents
+    a = (n-k-2)/2, b = (k-2+lam)/2 of :func:`_frame_kernel_values`."""
+    _, n, k = frames.shape
+    lam = complex(lam)
+    check_off_even_poles(lam)
+    raw = _frame_kernel_values(f_eval, frames, (n - k - 2) / 2.0, (k - 2.0 + lam) / 2.0, J)
+    return gamma_norm_k(lam, n, k) * raw
+
+
 def cosine_quadrature_values(
     f_eval: Callable, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
 ) -> np.ndarray:
     """lam-cosine transform values at unit points, by exact kernel quadrature
-    of an input of band limit ``profile_degree``: the k = 1 frame kernel with
-    a = (n-3)/2, b = (lam-1)/2, for real and complex lam alike."""
-    lam = complex(lam)
-    check_off_even_poles(lam)
-    raw = _frame_kernel_values(f_eval, _point_frames(points), (n - 3) / 2.0, (lam - 1.0) / 2.0,
-                               profile_degree)
-    return gamma_norm(lam, n) * raw
+    of an input of band limit ``profile_degree``: the k = 1 frame kernel, for
+    real and complex lam alike."""
+    return _frame_cosine_values(f_eval, _point_frames(points), lam, profile_degree)
 
 
 def sine_quadrature_values(
@@ -409,7 +422,7 @@ def funk_geodesic_values(f_eval: Callable, points: np.ndarray, *, profile_degree
     n, of an input of band limit ``profile_degree``: the r = 0 shell of
     :func:`_frame_shell_values`, whose S^{n-2} rule is exact to that degree
     (at n = 3, the circle under the trapezoid rule on max(24, 2J+2) nodes)."""
-    return _frame_shell_values(f_eval, _point_frames(points), np.zeros(1), profile_degree)[:, 0]
+    return _frame_funk_values(f_eval, _point_frames(points), profile_degree)
 
 
 # ---------------------------------------------------------------------------

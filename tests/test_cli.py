@@ -151,6 +151,16 @@ def test_invert_csv_output(tmp_path):
     assert np.max(np.abs(data[:, 3] - data[:, 5])) <= 1e-8  # recon matches truth
 
 
+def test_invert_general_outside_at_the_log_point(tmp_path):
+    # -lam-n+2 ell = 0: the outside chain runs its log branch
+    res = run_cli(["invert", "--theorem", "general-outside", "--n", "3", "--lambda", "-1",
+                   "--ell", "1", "--out", "r.json"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["passed"] is True and report["method"] == "log-branch"
+    assert report["max_error"] <= 1e-13
+
+
 def test_cli_byte_determinism(tmp_path):
     args = ["invert", "--theorem", "funk", "--n", "4", "--seed", "7", "--out", "r.json"]
     res = run_cli(args, tmp_path)
@@ -223,6 +233,19 @@ def test_unknown_config_key(tmp_path):
     res = run_cli(["multipliers", "--config", str(cfg), "--out", "m.csv"], tmp_path)
     assert res.returncode == 1
     assert json.loads(res.stderr)["error"] == "InvalidArgumentError"
+
+
+def test_unparsable_config_value(tmp_path):
+    # a value that is not of its option's type is an InvalidArgumentError
+    # naming the key and the value, not a traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n = x\n")
+    res = run_cli(["multipliers", "--config", str(cfg), "--out", "m.csv"], tmp_path)
+    assert res.returncode == 1
+    err = json.loads(res.stderr)
+    assert err["error"] == "InvalidArgumentError"
+    assert "'n'" in err["message"] and "'x'" in err["message"]
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_parse_function_spec():

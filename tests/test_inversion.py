@@ -6,13 +6,14 @@ import pytest
 from funkinv.errors import InvalidArgumentError, PoleError
 from funkinv.grids import build_grid
 from funkinv.inversion import (
+    THEOREMS,
     invert_cosine1,
     invert_funk,
     invert_general_between,
     invert_general_outside,
 )
 from funkinv.spectral import HarmonicSpectrum, random_even_spectrum
-from funkinv.transforms import cosine_spectrum, funk_spectrum, funk_transform
+from funkinv.transforms import cosine_spectrum, funk_scale, funk_spectrum, funk_transform
 
 
 def _max_coeff_err(spec_a, spec_b):
@@ -218,3 +219,65 @@ def test_grid_reference_for_n_above_3(n, theorem):
     assert rep.max_error <= 1e-12
     assert set(rep.per_degree_errors) == set(range(7))
     assert max(rep.per_degree_errors.values()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_funk_and_cosine1_are_the_general_chains(n):
+    # undoing C_mu, mu = -1 (Funk, on funk_scale(n) phi) or 1, at
+    # ell = (n + mu) // 2: even n runs between at (1-n, ell) and outside at
+    # (mu, ell); odd n runs outside at (mu, ell), the log point
+    for seed in (0, 1, 2):
+        f = random_even_spectrum(n, 10, seed, zonal=(n != 3))
+        for mu, phi, invert in ((-1, funk_spectrum(f), invert_funk),
+                                (1, cosine_spectrum(f, 1.0), invert_cosine1)):
+            ell = (n + mu) // 2
+            data = funk_scale(n) * phi if mu == -1 else phi
+            want = [invert_general_outside(data, mu, ell).primary]
+            if n % 2 == 0:
+                want.insert(0, invert_general_between(data, 1 - n, ell).primary)
+            got = invert(phi).reconstructions
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert _max_coeff_err(a, b) <= 1e-13 * np.max(np.abs(b.coeffs))
+
+
+@pytest.mark.parametrize("n, lam, ell", [(3, -1, 1), (3, 3, 3), (4, -2, 1), (5, 1, 3), (6, -4, 1)])
+def test_outside_log_point_round_trip(n, lam, ell):
+    # -lam-n+2 ell = 0: the outside chain takes the log branch instead of
+    # raising at the pole of C_0
+    for seed in (0, 1, 2):
+        f = random_even_spectrum(n, 10, seed, zonal=(n != 3))
+        result = invert_general_outside(cosine_spectrum(f, lam), lam, ell, reference=f)
+        assert result.methods == ("log-branch",)
+        assert result.report.method == "log-branch"
+        assert result.report.max_error <= 1e-13
+        assert _max_coeff_err(result.primary, f.even_projected()) <= 1e-13
+
+
+def test_outside_log_point_needs_a_mean_factor(even_f3):
+    # at ell = 0 the log point is lam = -n, where C_lam(0) = 0: the mean is lost
+    with pytest.raises(PoleError) as exc:
+        invert_general_outside(even_f3, -3.0, 0)
+    assert exc.value.pole == -3
+    # the other poles of the inner exponent still raise: -lam-n+2 ell = 2
+    with pytest.raises(PoleError):
+        invert_general_outside(even_f3, -1.0, 2)
+
+
+def test_theorem_table_maps_and_tolerances():
+    assert list(THEOREMS) == ["funk", "cosine1", "general-between", "general-outside"]
+    f = random_even_spectrum(4, 6, seed=5, zonal=True)
+    lam, ell = -0.5 + 0j, 1
+    forwards = {
+        "funk": funk_spectrum(f),
+        "cosine1": cosine_spectrum(f, 1.0),
+        "general-between": cosine_spectrum(f, lam + 2 * ell),
+        "general-outside": cosine_spectrum(f, lam),
+    }
+    for name, theorem in THEOREMS.items():
+        phi = theorem.forward(f, lam, ell)
+        assert np.array_equal(phi.coeffs, forwards[name].coeffs)
+        result = theorem.inverse(phi, lam, ell, f)
+        assert result.report.max_error <= theorem.tolerance[0]
+    assert THEOREMS["funk"].tolerance == (1e-9, 1e-6)
+    assert THEOREMS["cosine1"].tolerance == (1e-8, 1e-6)

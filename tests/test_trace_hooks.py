@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 import funkinv as fk
-from funkinv.stiefel import check_identity, cosine_k_function, funk_k_function, haar_frames
+from funkinv.cli import main
+from funkinv.stiefel import (
+    check_identity,
+    cosine_k,
+    cosine_k_function,
+    funk_k,
+    funk_k_function,
+    haar_frames,
+)
 from funkinv.transforms import _subsphere_rule, cosine_quadrature_values, funk_geodesic_values
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -68,20 +76,38 @@ def test_transform_spans_follow_the_chosen_path(spans, name, path):
 
 @pytest.mark.parametrize("kind", ["funk", "cosine"])
 def test_frame_transform_spans_stay_in_stiefel(spans, kind):
-    # the frame transforms run the transforms' shell engine directly, so their
-    # time is attributed to stiefel.frame_fn, never to transforms.quadrature
+    # the frame transforms run the transforms' private frame helpers, so their
+    # time is attributed to stiefel.frame_fn, never to transforms.quadrature,
+    # even at k = 1 where the public sphere quadratures compute the same values
     f = fk.random_even_spectrum(4, 4, seed=2, zonal=True)
-    frames = haar_frames(4, 2, 20, seed=3)
+    for k in (1, 2):
+        frames = haar_frames(4, k, 20, seed=3)
+        tracer = spans.Tracer()
+        with tracer.recording():
+            if kind == "funk":
+                phi = funk_k_function(f.evaluate, 4, k, profile_degree=4)
+                one = funk_k(f.evaluate, fk.Frame(frames[0]), profile_degree=4)
+            else:
+                phi = cosine_k_function(f.evaluate, 4, k, 0.5, profile_degree=4)
+                one = cosine_k(f.evaluate, fk.Frame(frames[0]), 0.5, profile_degree=4)
+            values = phi(frames)
+        assert abs(one - values[0]) <= 1e-14 * abs(values[0])
+        recorded = {s.name for s in tracer.spans}
+        assert {"stiefel.frame_fn", "spectral.evaluate"} <= recorded
+        assert "transforms.quadrature" not in recorded
+
+
+@pytest.mark.parametrize("theorem", ["funk", "cosine1", "general-between", "general-outside"])
+def test_cli_invert_runs_inside_the_inversion_span(spans, theorem, tmp_path):
+    # the theorem table looks the inversions up at call time, so a CLI run is
+    # covered by the inversion span and its forward map by transforms.spectral
     tracer = spans.Tracer()
     with tracer.recording():
-        if kind == "funk":
-            phi = funk_k_function(f.evaluate, 4, 2, profile_degree=4)
-        else:
-            phi = cosine_k_function(f.evaluate, 4, 2, 0.5, profile_degree=4)
-        phi(frames)
-    recorded = {s.name for s in tracer.spans}
-    assert {"stiefel.frame_fn", "spectral.evaluate"} <= recorded
-    assert "transforms.quadrature" not in recorded
+        assert main(["invert", "--theorem", theorem, "--n", "4",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    recorded = [s.name for s in tracer.spans]
+    assert recorded.count("inversion") == 1
+    assert "transforms.spectral" in recorded
 
 
 @pytest.mark.parametrize("J", [4, 12])
