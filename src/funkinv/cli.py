@@ -77,20 +77,21 @@ def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
         for key, val in file_cfg.items():
             if key not in cfg:
                 raise InvalidArgumentError(f"unknown config key {key!r}")
-            cfg[key] = _coerce(key, val, defaults[key])
+            cfg[key] = _coerce(f"config key {key!r}", val, defaults[key])
     for key in cfg:
         if supplied.get(key) is not None:
             cfg[key] = supplied[key]
     return cfg
 
 
-def _coerce(key: str, text: str, default):
-    """A config-file value as the type of its option's default."""
+def _coerce(name: str, text: str, default):
+    """A config-file value or function-spec field, named ``name`` in the
+    error, as the type of its default."""
     try:
         return type(default)(text)
     except ValueError:
         raise InvalidArgumentError(
-            f"config key {key!r}: cannot read {text!r} as {type(default).__name__}"
+            f"{name}: cannot read {text!r} as {type(default).__name__}"
         ) from None
 
 
@@ -124,10 +125,17 @@ def _write_json(path: str, obj: dict, cfg_hash: str) -> None:
 # function-spec mini-language: zonal:j=..,pole=x,y,z | const:c | random-even:J=..,seed=..
 
 
+def _spec_field(fields: dict, key: str, default):
+    """A function-spec field as the type of its default, which it defaults to."""
+    if key not in fields:
+        return default
+    return _coerce(f"function spec field {key!r}", fields[key], default)
+
+
 def parse_function_spec(text: str, n: int, max_degree: int) -> HarmonicSpectrum:
     kind, _, rest = text.partition(":")
     if kind == "const":
-        value = complex(rest) if rest else 1.0
+        value = _coerce("function spec constant", rest, 0j) if rest else 1.0
         if n == 3:
             return HarmonicSpectrum(3, 0, np.array([value]))
         return HarmonicSpectrum(n, 0, np.array([value]), np.eye(n)[0])
@@ -144,12 +152,13 @@ def parse_function_spec(text: str, n: int, max_degree: int) -> HarmonicSpectrum:
                 while len(comps) < n and i + 1 < len(parts) and "=" not in parts[i + 1]:
                     i += 1
                     comps.append(parts[i])
-                fields["pole"] = np.array([float(c) for c in comps])
+                fields["pole"] = np.array([_coerce("function spec field 'pole'", c, 0.0)
+                                           for c in comps])
             else:
                 fields[key] = val
             i += 1
     if kind == "zonal":
-        j = int(fields.get("j", 2))
+        j = _spec_field(fields, "j", 2)
         pole = fields.get("pole")
         if pole is None:
             pole = np.eye(n)[0]
@@ -157,8 +166,8 @@ def parse_function_spec(text: str, n: int, max_degree: int) -> HarmonicSpectrum:
         coeffs[j] = 1.0
         return HarmonicSpectrum(n, j, coeffs, pole)
     if kind == "random-even":
-        J = int(fields.get("J", max_degree))
-        seed = int(fields.get("seed", 0))
+        J = _spec_field(fields, "J", max_degree)
+        seed = _spec_field(fields, "seed", 0)
         return random_even_spectrum(n, J, seed, zonal=(n != 3))
     raise InvalidArgumentError(f"unknown function spec kind {kind!r}")
 
@@ -301,10 +310,10 @@ def _cmd_convergence(cfg: dict) -> int:
         resolutions = [int(s) for s in cfg["resolutions"].split(",")]
         if len(resolutions) < 3:
             raise InvalidArgumentError("need at least 3 resolutions")
-        pole = np.array([0.6, 0.0, 0.8])
+        pole = np.array([0.6, 0.0, 0.8] + [0.0] * (n - 3))
         for res in resolutions:
-            grid = build_grid(3, res)
-            f = grid_function(grid, lambda v: zonal_eval(6, 3, v @ pole))
+            grid = build_grid(n, res)
+            f = grid_function(grid, lambda v: zonal_eval(6, n, v @ pole))
             err = abs(integrate(f))
             rows.append([str(res), _fmt(err)])
             if res >= 8 and err >= 1e-12:

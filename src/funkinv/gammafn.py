@@ -19,22 +19,9 @@ from scipy import special
 
 from .errors import DomainError, PoleError
 
-__all__ = ["gamma", "rgamma", "sinpi", "POLE_TOLERANCE"]
+__all__ = ["gamma", "rgamma", "POLE_TOLERANCE"]
 
 POLE_TOLERANCE = 1e-12
-
-
-def sinpi(z: complex) -> complex:
-    """sin(pi*z) with the argument reduced modulo 1 before multiplying by pi.
-
-    The reduction keeps full relative accuracy near the integers, which the
-    naive ``sin(pi*z)`` loses once |z| is moderately large.
-    """
-    z = complex(z)
-    k = round(z.real)
-    w = complex(z.real - k, z.imag)
-    s = cmath.sin(cmath.pi * w)
-    return -s if k % 2 else s
 
 
 def nearest_pole(z: complex) -> int | None:

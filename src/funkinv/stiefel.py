@@ -17,12 +17,15 @@ the QR factor with a positive R diagonal), all through one batched sampling
 loop; estimates carry their standard error, and the counter-based generator
 makes every run bit-reproducible from its seed.
 
-Four identity tags are one identity, Delta_{1-n,(n-1+s)/2} S_s = I for the
-lam-sine transform S_s (n-1+s even, s != 0), with s = 1-n (4.9), -k
-(thm4.1-i), 1-k (thm4.1-ii) or 1 (4.13); 4.8 is sine = cosine x Funk and
-4.14 its lam = 1 case.  Each is checked exactly, degree-wise, and end to end
-with S_s f estimated by Monte Carlo along a meridian through the pole, errors
-compared against 3 standard deviations.
+Each identity tag states one degree-wise inverse of a lam-sine transform
+S_s, written once in ``_sine_inverse``.  Four tags are one identity,
+Delta_{1-n,(n-1+s)/2} S_s = I (n-1+s even, s != 0), with s = 1-n (4.9), -k
+(thm4.1-i), 1-k (thm4.1-ii) or 1 (4.13); 4.8 inverts sine = cosine x Funk
+at lam and 4.14 at lam = 1 (odd n).  Each is checked exactly, degree-wise,
+and end to end with S_s f estimated by Monte Carlo along a meridian through
+the pole, errors compared against 3 standard deviations.  4.9 has no Monte
+Carlo path of its own: S_{1-n} is not sampled, and its end-to-end check is
+the thm4.1 reconstruction that matches the parity of n-k.
 """
 
 from __future__ import annotations
@@ -240,15 +243,12 @@ def _mc(values: np.ndarray) -> MCEstimate:
     return MCEstimate(mean, sigma, count)
 
 
-def _check_samples(samples: int) -> None:
-    if samples < MIN_SAMPLES:
-        raise InsufficientSamplesError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-
-
 def _sample_mean(draw: Callable, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo mean of ``draw(count, rng)``, which returns ``count``
     sample values, over ``samples`` draws in batches of at most MC_CHUNK from
     one generator seeded with ``seed``."""
+    if samples < MIN_SAMPLES:
+        raise InsufficientSamplesError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     rng = _rng(seed)
     vals = np.empty(samples, dtype=complex)
     for lo in range(0, samples, MC_CHUNK):
@@ -281,7 +281,6 @@ def dual_funk_k(
 ) -> MCEstimate:
     """Average of phi over the frames orthogonal to v (Haar measure on frames
     of the hyperplane v-perp): Monte Carlo with reported standard error."""
-    _check_samples(samples)
     if not isinstance(phi, StiefelFunction):
         raise InvalidArgumentError("phi must be a StiefelFunction (carries n, k)")
     _check_hyperplane_k(phi.n, phi.k)
@@ -298,7 +297,6 @@ def dual_cosine_k(
     seed: int = 0,
 ) -> MCEstimate:
     """Normalized integral of phi(u) |u^T v|^lam over all Haar frames."""
-    _check_samples(samples)
     lam = complex(lam)
     if not isinstance(phi, StiefelFunction):
         raise InvalidArgumentError("phi must be a StiefelFunction (carries n, k)")
@@ -360,7 +358,6 @@ def sine_mc_via_dual_funk(
     """Sine-transform value at v through the pipeline dual-Funk after the
     codimension-k cosine transform, with both integrals sampled jointly:
     frames Haar in v-perp, sphere points uniform."""
-    _check_samples(samples)
     lam = complex(lam)
     n = f.n
     _check_hyperplane_k(n, k)
@@ -395,13 +392,34 @@ _SINE_PARAMETER = {
 }
 
 
-def _laplacian_identity(identity: str, n: int, k: int) -> tuple[int, int]:
-    """The sine parameter s of a Laplacian identity and the order
-    ell = (n-1+s)/2 of the weighted Laplacian that inverts S_s."""
-    s = _SINE_PARAMETER[identity](n, k)
-    if (n - 1 + s) % 2 or s == 0:
-        raise InvalidArgumentError(f"{identity} needs n-1+s even and s != 0, got s = {s}")
-    return s, (n - 1 + s) // 2
+def _sine_inverse(identity: str, n: int, k: int, degrees: np.ndarray, lam: complex | None = None):
+    """(s, ell, num, den): the sine parameter s of an identity, the order ell
+    of its weighted Laplacian (None for the factorization tags), and the
+    inverse of S_s on ``degrees`` as the degree-wise quotient num / den.
+
+    The Laplacian tags undo S_s by Delta_{1-n,ell}, ell = (n-1+s)/2, which
+    needs n-1+s even and s != 0: num holds its eigenvalues and den is 1.  4.8
+    (at lam) and 4.14 (at 1, odd n) undo sine = cosine x Funk: num is 1 and
+    den is funk_scale * C_lam * F, which must not vanish."""
+    ones = np.ones(len(degrees))
+    if identity in _SINE_PARAMETER:
+        s = _SINE_PARAMETER[identity](n, k)
+        if (n - 1 + s) % 2 or s == 0:
+            raise InvalidArgumentError(f"{identity} needs n-1+s even and s != 0, got s = {s}")
+        ell = (n - 1 + s) // 2
+        return s, ell, delta_op_eigenvalue(degrees, n, 1 - n, ell), ones
+    if identity == "4.14":
+        if n % 2 == 0:
+            raise InvalidArgumentError("4.14 needs odd n")
+        lam = 1.0
+    elif identity != "4.8":
+        raise InvalidArgumentError(f"unknown identity tag {identity!r}")
+    elif lam is None:
+        raise InvalidArgumentError("factorization check needs lambda")
+    den = funk_scale(n) * cosine_multiplier(degrees, n, lam) * funk_multiplier(degrees, n)
+    if not np.all(den):
+        raise DomainError(f"the cosine multiplier vanishes at lambda = {lam}: no ratio")
+    return lam, None, ones, den
 
 
 def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -422,33 +440,17 @@ def spectral_identity_error(
 ) -> float:
     """Max deviation of the reduced degree-wise multiplier chain from 1.
 
-    Each reconstruction identity collapses, degree by degree, to a product of
-    sine/cosine multipliers and weighted-Laplacian eigenvalues; this evaluates
-    that product over the even degrees.  For the factorization tag the
-    reduced content is the sine = cosine x Funk splitting (the k > 1 content
-    is exercised end to end by the Monte-Carlo pipelines).
+    Each identity collapses, degree by degree, to its inverse of S_s times the
+    sine multiplier of S_s; this evaluates that product over the even degrees.
+    For the factorization tags the reduced content is the sine = cosine x Funk
+    splitting (the k > 1 content is exercised end to end by the Monte-Carlo
+    pipelines).
     """
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError("need 1 <= k <= n-1")
     j = np.arange(0, max_degree + 1, 2)
-    if identity in _SINE_PARAMETER:
-        s, ell = _laplacian_identity(identity, n, k)
-        chain = delta_op_eigenvalue(j, n, 1 - n, ell) * sine_multiplier(j, n, s)
-    elif identity in ("4.8", "4.14"):
-        # the sine = cosine x Funk factorization; 4.14 is its lam = 1 case
-        if identity == "4.14":
-            if n % 2 == 0:
-                raise InvalidArgumentError("this identity needs odd n")
-            lam = 1.0
-        elif lam is None:
-            raise InvalidArgumentError("factorization check needs lambda")
-        den = cosine_multiplier(j, n, lam) * funk_scale(n) * funk_multiplier(j, n)
-        if not np.all(den):
-            raise DomainError(f"the cosine multiplier vanishes at lambda = {lam}: no ratio")
-        chain = _quotient(sine_multiplier(j, n, lam), den)
-    else:
-        raise InvalidArgumentError(f"unknown identity tag {identity!r}")
-    return float(np.max(np.abs(chain - 1.0)))
+    s, _, num, den = _sine_inverse(identity, n, k, j, lam)
+    return float(np.max(np.abs(_quotient(num * sine_multiplier(j, n, s), den) - 1.0)))
 
 
 # reconstruction tag -> (mode, the sine_mc_* pipeline that estimates S_s f)
@@ -464,33 +466,42 @@ def _reconstruction(f: HarmonicSpectrum, identity: str, k: int, samples: int,
                     seed: int) -> InversionReport:
     """f from Monte Carlo estimates of a sine transform S_s f at the
     f.max_degree + 3 profile nodes of a meridian through the pole (node i with
-    seed + i), analyzed and scaled degree by degree.
-
-    The Laplacian identities scale by the eigenvalues of the weighted
-    Laplacian of order ell = (n-1+s)/2; 4.14 (s = 1, odd n) divides by the
-    cosine-at-1 and Funk multipliers of the factorization sine = cosine x Funk.
-    Each coefficient's sigma is propagated through the same linear map."""
+    seed + i), analyzed and scaled on the even degrees by the identity's
+    inverse of S_s; each coefficient's sigma is propagated through the same
+    linear map, and errors are compared against 3 sigma."""
+    _check_hyperplane_k(f.n, k)
     if f.kind != "zonal":
         raise InvalidArgumentError("reconstruction checks run on zonal test functions")
     n, J = f.n, f.max_degree
     mode, pipeline = _RECONSTRUCTIONS[identity]
-    if identity == "4.14":
-        s, ell = 1, None
-        even = np.arange(0, J + 1, 2)
-        factor = np.zeros(J + 1, dtype=complex)
-        factor[even] = 1.0 / (funk_scale(n) * cosine_multiplier(even, n, 1.0)
-                              * funk_multiplier(even, n))
-    else:
-        s, ell = _laplacian_identity(identity, n, k)
-        factor = delta_op_eigenvalue(np.arange(J + 1), n, 1 - n, ell)
+    even = np.arange(0, J + 1, 2)
+    s, ell, num, den = _sine_inverse(identity, n, k, even)
+    inverse = _quotient(num, den)
     t, w, dirs = _meridian_points(f, J + 3)
     M = zonal_analysis_matrix(t, w, J, n)
     estimates = [pipeline(f, k, v, s, samples, seed + i) for i, v in enumerate(dirs)]
     g_vals = np.array([e.value for e in estimates])
     g_sig = np.array([e.sigma for e in estimates])
-    recon = factor * (M @ g_vals)
-    recon_sig = np.abs(factor) * np.sqrt((M**2) @ g_sig**2)
-    return _mc_report(f, recon, recon_sig, identity, mode, k, samples, seed, ell)
+    errors = np.abs(inverse * (M @ g_vals)[even] - f.coeffs[even])
+    sigmas = np.abs(inverse) * np.sqrt((M**2) @ g_sig**2)[even]
+    worst = int(np.argmax(errors))
+    degrees = even.tolist()
+    return InversionReport(
+        method="outside" if mode != "product-inverse" else "log-branch",
+        params={"n": n, "k": k, "ell": ell, "samples": samples, "seed": seed, "band_limit": J},
+        degree_condition=dict(zip(degrees, np.abs(inverse).tolist())),
+        max_error=float(errors[worst]),
+        per_degree_errors=dict(zip(degrees, errors.tolist())),
+        extras={
+            "identity": identity,
+            "mode": mode,
+            "mc_error": float(errors[worst]),
+            "mc_sigma": float(sigmas[worst]),
+            "within_3sigma": bool(np.all(errors <= 3.0 * sigmas + 1e-13)),
+            "spectral_error": spectral_identity_error(identity, n, k, J),
+            "per_degree_sigma": dict(zip(degrees, sigmas.tolist())),
+        },
+    )
 
 
 def invert_funk_k(
@@ -508,7 +519,6 @@ def invert_funk_k(
     at k = 1 (a pole).  Monte Carlo at the profile nodes of a zonal f, errors
     against the propagated 3-sigma band.
     """
-    _check_hyperplane_k(f.n, k)
     return _reconstruction(f, "thm4.1-i" if (f.n - k) % 2 else "thm4.1-ii", k, samples, seed)
 
 
@@ -531,44 +541,6 @@ def invert_cosine1_k(
     return _reconstruction(f, "4.13" if f.n % 2 == 0 else "4.14", k, samples, seed)
 
 
-def _mc_report(
-    f: HarmonicSpectrum,
-    recon: np.ndarray,
-    recon_sig: np.ndarray,
-    identity: str,
-    mode: str,
-    k: int,
-    samples: int,
-    seed: int,
-    ell,
-) -> InversionReport:
-    even = np.arange(0, f.max_degree + 1, 2)
-    errors = np.abs(recon[even] - f.coeffs[even])
-    sigmas = recon_sig[even]
-    worst = int(np.argmax(errors))
-    within = bool(np.all(errors <= 3.0 * sigmas + 1e-13))
-    spectral = spectral_identity_error(identity, f.n, k, f.max_degree, lam=1.0)
-    return InversionReport(
-        method="outside" if mode != "product-inverse" else "log-branch",
-        params={"n": f.n, "k": k, "ell": ell, "samples": samples, "seed": seed,
-                "band_limit": f.max_degree},
-        degree_condition=dict(
-            zip(even.tolist(), np.abs(delta_op_eigenvalue(even, f.n, 1 - f.n, ell or 0)).tolist())
-        ),
-        max_error=float(errors[worst]),
-        per_degree_errors=dict(zip(even.tolist(), errors.tolist())),
-        extras={
-            "identity": identity,
-            "mode": mode,
-            "mc_error": float(errors[worst]),
-            "mc_sigma": float(sigmas[worst]),
-            "within_3sigma": within,
-            "spectral_error": float(spectral),
-            "per_degree_sigma": dict(zip(even.tolist(), sigmas.tolist())),
-        },
-    )
-
-
 def check_identity(
     identity: str,
     n: int,
@@ -583,7 +555,8 @@ def check_identity(
 
     Returns {identity, params, spectral_error, mc_error, mc_sigma,
     within_3sigma}: the reduced multiplier chain evaluated exactly, and the
-    end-to-end Monte-Carlo realization against its 3-sigma band.
+    end-to-end Monte-Carlo realization against its 3-sigma band (for 4.9,
+    that of its thm4.1 stand-in).
     """
     if identity not in IDENTITY_TAGS:
         raise InvalidArgumentError(f"unknown identity tag {identity!r}")
@@ -599,8 +572,9 @@ def check_identity(
         mc_error, mc_sigma = (err_a, est_a.sigma) if err_a / max(est_a.sigma, 1e-300) >= err_b / max(est_b.sigma, 1e-300) else (err_b, est_b.sigma)
         within = err_a <= 3 * est_a.sigma and err_b <= 3 * est_b.sigma
     else:
-        invert = invert_cosine1_k if identity in ("4.13", "4.14") else invert_funk_k
-        report = invert(f, k, samples=samples, seed=seed)
+        # 4.9's stand-in: the thm4.1 reconstruction at the parity of n-k
+        tag = ("thm4.1-i" if (n - k) % 2 else "thm4.1-ii") if identity == "4.9" else identity
+        report = _reconstruction(f, tag, k, samples, seed)
         mc_error, mc_sigma = report.extras["mc_error"], report.extras["mc_sigma"]
         within = report.extras["within_3sigma"]
     return {

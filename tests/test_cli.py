@@ -12,8 +12,8 @@ import funkinv
 from funkinv.cli import build_parser, main, parse_function_spec
 from funkinv.diffops import beltrami_fd_values, beltrami_spectrum
 from funkinv.errors import InvalidArgumentError
-from funkinv.grids import build_grid
-from funkinv.spectral import random_even_spectrum
+from funkinv.grids import build_grid, grid_function, integrate
+from funkinv.spectral import random_even_spectrum, zonal_eval
 from funkinv.stiefel import dual_funk_k, funk_k_function
 
 # The directory holding the imported package, absolute so that a child started
@@ -260,6 +260,22 @@ def test_parse_function_spec():
         parse_function_spec("spline:k=3", 3, 8)
 
 
+@pytest.mark.parametrize("spec, field, text", [
+    ("zonal:j=x", "'j'", "'x'"),
+    ("const:abc", "constant", "'abc'"),
+    ("random-even:J=4,seed=q", "'seed'", "'q'"),
+    ("zonal:j=2,pole=1,a,0", "'pole'", "'a'"),
+])
+def test_malformed_number_in_function_spec(spec, field, text, tmp_path, capsys):
+    # a number that does not parse is an InvalidArgumentError naming the field
+    # and the text, which the CLI reports as its JSON error object
+    with pytest.raises(InvalidArgumentError, match=f"{field}.*{text}"):
+        parse_function_spec(spec, 3, 8)
+    assert main(["forward", "--input", spec, "--out", str(tmp_path / "f.csv")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidArgumentError" and text in err["message"]
+
+
 # every subcommand's options: dest -> option strings, and the choices of the
 # options that have them
 CLI_SURFACE = {
@@ -350,4 +366,15 @@ def test_fd_study_runs_at_the_given_n(tmp_path):
     ref = beltrami_spectrum(f).evaluate(probes)
     want = [float(np.max(np.abs(beltrami_fd_values(f.evaluate, probes, h=h) - ref)))
             for h in (1e-2, 7e-3, 5e-3)]
+    assert [float(row[1]) for row in rows] == want
+
+
+def test_quadrature_study_runs_at_the_given_n(tmp_path):
+    out = tmp_path / "q.csv"
+    assert main(["convergence", "--study", "quadrature", "--n", "5", "--resolutions", "4,6,8",
+                 "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    pole = np.array([0.6, 0.0, 0.8, 0.0, 0.0])
+    want = [abs(integrate(grid_function(build_grid(5, res), lambda v: zonal_eval(6, 5, v @ pole))))
+            for res in (4, 6, 8)]
     assert [float(row[1]) for row in rows] == want

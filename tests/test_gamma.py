@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funkinv.errors import PoleError
-from funkinv.gammafn import POLE_TOLERANCE, gamma, rgamma, sinpi
+from funkinv.gammafn import POLE_TOLERANCE, gamma, rgamma
 
 mpmath.mp.dps = 40
 
@@ -65,13 +65,6 @@ def test_reflection_consistency():
     for z in (-1.3 + 0.7j, -7.6, -0.25 - 3j):
         want = _ref(complex(z))
         assert abs(gamma(z) - want) <= 1e-12 * abs(want)
-
-
-def test_sinpi_reduction_accuracy():
-    # naive sin(pi*z) loses relative accuracy here; the reduced form must not
-    z = -17.0 + 1e-8
-    want = complex(mpmath.sinpi(mpmath.mpf(z)))
-    assert abs(sinpi(z) - want) <= 1e-13 * abs(want)
 
 
 def test_functional_equation():

@@ -1,6 +1,7 @@
 """Every module-level import in the funkinv package is used, imports inside
-functions are kept for import cycles, and every name a module lists in
-``__all__`` exists.
+functions are kept for import cycles, every name a module lists in
+``__all__`` exists, and every module-level private name is read somewhere in
+the package.
 
 A name counts as used when the module reads it or exports it through
 ``__all__``; an import kept only so that other code can reach it through the
@@ -122,3 +123,55 @@ def test_function_level_import_is_found(tmp_path):
         "class K:\n    def m(self):\n        import os\n        from ..p import q\n"
     )
     assert function_level_relative_imports(path) == ["probe.py:3", "probe.py:6", "probe.py:10"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each module-level def, class or assignment whose name
+    has one leading underscore (dunders such as ``__all__`` are not private)."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [(stmt.name, stmt.lineno)]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            nodes = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            targets = [(node.id, node.lineno) for node in nodes if isinstance(node, ast.Name)]
+        else:
+            continue
+        for name, lineno in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, lineno
+
+
+def unloaded_private_names(paths) -> list:
+    """Module-level private names that no file in ``paths`` reads: as a name,
+    as an attribute, or in a ``from`` import."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    return [f"{path.name}:{lineno}: {name}" for path, tree in trees.items()
+            for name, lineno in _private_definitions(tree) if name not in loaded]
+
+
+def test_no_unloaded_private_names():
+    assert unloaded_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_unloaded_private_name_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_USED = 1\n_GONE: int = 2\n__all__ = []\n"
+        "def _called():\n    return _USED\n"
+        "def _dead():\n    pass\n"
+        "class _Old:\n    pass\n"
+        "_imported = _attr = 0\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _imported\nfrom . import a\na._attr\na._called()\n"
+    )
+    found = unloaded_private_names([tmp_path / "a.py", tmp_path / "b.py"])
+    assert found == ["a.py:2: _GONE", "a.py:6: _dead", "a.py:8: _Old"]

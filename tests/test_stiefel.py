@@ -484,6 +484,33 @@ def test_reconstruction_of_exact_sine_values_is_f(monkeypatch, identity, n, k):
     assert report.extras["mc_sigma"] == 0.0
 
 
+@pytest.mark.parametrize("k, stand_in", [(1, "thm4.1-i"), (2, "thm4.1-ii")])
+def test_identity_4_9_runs_the_thm41_reconstruction_of_its_parity(k, stand_in):
+    # S_{1-n} is not sampled: 4.9's end-to-end check is thm4.1 at the parity of n-k
+    got, ref = (check_identity(tag, 4, k, samples=400, seed=2) for tag in ("4.9", stand_in))
+    for key in ("mc_error", "mc_sigma", "within_3sigma"):
+        assert got[key] == ref[key]
+
+
+def test_cosine1_k_degree_condition_at_odd_n(zonal_f5):
+    # at odd n (4.14) the degree-wise map divides by funk_scale * C_1 * F
+    report = invert_cosine1_k(zonal_f5, 2, samples=200, seed=0)
+    want = {j: abs(1 / (funk_scale(5) * complex(cosine_multiplier(j, 5, 1.0))
+                        * float(funk_multiplier(j, 5))))
+            for j in range(0, zonal_f5.max_degree + 1, 2)}
+    assert report.degree_condition == pytest.approx(want, rel=1e-14)
+
+
+def test_product_inverse_reconstruction_needs_odd_n(monkeypatch, zonal_f4):
+    # the guard runs before any sampling
+    def no_sampling(*args):
+        raise AssertionError("sampled at even n")
+
+    monkeypatch.setitem(stiefel._RECONSTRUCTIONS, "4.14", ("product-inverse", no_sampling))
+    with pytest.raises(InvalidArgumentError, match="odd n"):
+        stiefel._reconstruction(zonal_f4, "4.14", 2, 200, 0)
+
+
 def test_subsphere_rule_is_built_once(monkeypatch):
     # every fiber of a reconstruction reuses one product grid per (d, J)
     calls = []
