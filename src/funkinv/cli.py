@@ -132,6 +132,14 @@ def _spec_field(fields: dict, key: str, default):
     return _coerce(f"function spec field {key!r}", fields[key], default)
 
 
+def _degree_field(fields: dict, key: str, default: int) -> int:
+    """A function-spec degree field, which must be nonnegative."""
+    degree = _spec_field(fields, key, default)
+    if degree < 0:
+        raise InvalidArgumentError(f"function spec field {key!r} must be >= 0, got {degree}")
+    return degree
+
+
 def parse_function_spec(text: str, n: int, max_degree: int) -> HarmonicSpectrum:
     kind, _, rest = text.partition(":")
     if kind == "const":
@@ -158,7 +166,7 @@ def parse_function_spec(text: str, n: int, max_degree: int) -> HarmonicSpectrum:
                 fields[key] = val
             i += 1
     if kind == "zonal":
-        j = _spec_field(fields, "j", 2)
+        j = _degree_field(fields, "j", 2)
         pole = fields.get("pole")
         if pole is None:
             pole = np.eye(n)[0]
@@ -166,7 +174,7 @@ def parse_function_spec(text: str, n: int, max_degree: int) -> HarmonicSpectrum:
         coeffs[j] = 1.0
         return HarmonicSpectrum(n, j, coeffs, pole)
     if kind == "random-even":
-        J = _spec_field(fields, "J", max_degree)
+        J = _degree_field(fields, "J", max_degree)
         seed = _spec_field(fields, "seed", 0)
         return random_even_spectrum(n, J, seed, zonal=(n != 3))
     raise InvalidArgumentError(f"unknown function spec kind {kind!r}")
@@ -279,6 +287,16 @@ def _cmd_invert(cfg: dict) -> int:
     return 0 if report["passed"] else 2
 
 
+def _option_list(cfg: dict, key: str, kind, what: str) -> list:
+    """The comma-separated option ``key`` as a list of at least 3 values of
+    the type of ``kind``."""
+    values = [_coerce(f"option --{key.replace('_', '-')}", text, kind)
+              for text in cfg[key].split(",")]
+    if len(values) < 3:
+        raise InvalidArgumentError(f"need at least 3 {what}")
+    return values
+
+
 def _cmd_convergence(cfg: dict) -> int:
     h = _config_hash(cfg)
     study, n = cfg["study"], cfg["n"]
@@ -286,9 +304,7 @@ def _cmd_convergence(cfg: dict) -> int:
     passed = True
     slope = None
     if study in ("fd-beltrami", "fd-weighted"):
-        steps = [float(s) for s in cfg["h_values"].split(",")]
-        if len(steps) < 3:
-            raise InvalidArgumentError("need at least 3 step sizes")
+        steps = _option_list(cfg, "h_values", 0.0, "step sizes")
         f = random_even_spectrum(n, cfg["J"], cfg["seed"], decay=2.0)
         probes = build_grid(n, 6).nodes[::5]
         errors = []
@@ -307,9 +323,7 @@ def _cmd_convergence(cfg: dict) -> int:
         passed = abs(slope - 2.0) <= 0.2
         columns = ["h", "max_error"]
     elif study == "quadrature":
-        resolutions = [int(s) for s in cfg["resolutions"].split(",")]
-        if len(resolutions) < 3:
-            raise InvalidArgumentError("need at least 3 resolutions")
+        resolutions = _option_list(cfg, "resolutions", 0, "resolutions")
         pole = np.array([0.6, 0.0, 0.8] + [0.0] * (n - 3))
         for res in resolutions:
             grid = build_grid(n, res)
@@ -320,9 +334,7 @@ def _cmd_convergence(cfg: dict) -> int:
                 passed = False
         columns = ["resolution", "error"]
     elif study == "mc-dual":
-        sample_counts = [int(s) for s in cfg["samples_list"].split(",")]
-        if len(sample_counts) < 3:
-            raise InvalidArgumentError("need at least 3 sample counts")
+        sample_counts = _option_list(cfg, "samples_list", 0, "sample counts")
         f = random_even_spectrum(n, 4, cfg["seed"], zonal=True)
         psi = funk_k_function(f.evaluate, n, cfg["k"], profile_degree=f.max_degree)
         v = np.eye(n)[1]

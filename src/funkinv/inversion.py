@@ -13,9 +13,12 @@ n runs ``between`` at (1-n, ell) and ``outside`` at (mu, ell) and reports
 their agreement, itself an identity worth testing; odd n runs ``outside`` at
 (mu, ell), where the log branch applies.
 
-Every operation returns the reconstruction(s) with an :class:`InversionReport`
-of the per-degree condition numbers and, given a reference, the errors.
-``THEOREMS`` holds the four inversions as ``funkinv invert`` runs them.
+``THEOREMS`` is the one statement of each of the four inversions: the
+transform it undoes, its chains with their methods and report params, the
+public inverse that ``funkinv invert`` calls, and its tolerance.  One body,
+``_invert``, runs every row: it returns the reconstruction(s) with an
+:class:`InversionReport` of the per-degree condition numbers and, given a
+reference, the errors.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .grids import GridFunction
 from .spectral import (
     HarmonicSpectrum,
     as_spectrum,
-    cosine_multiplier,
-    funk_multiplier,
     zonal_profile_rule,
 )
 from .transforms import (
@@ -122,14 +123,6 @@ class InversionResult:
         return self.reconstructions[0]
 
 
-def _as_spectrum(phi, band_limit, pole):
-    # grid data without band_limit= is analyzed to at most DEFAULT_BAND_CEILING
-    if band_limit is None and isinstance(phi, GridFunction):
-        band_limit = min(int(phi.meta.get("band_limit", DEFAULT_BAND_CEILING)),
-                         DEFAULT_BAND_CEILING)
-    return as_spectrum(phi, band_limit, pole)[0]
-
-
 def _probe_points(spec: HarmonicSpectrum) -> np.ndarray:
     """Deterministic evaluation points for pointwise error reports."""
     if spec.kind == "full":
@@ -159,63 +152,14 @@ def _zero_padded(spec: HarmonicSpectrum, max_degree: int) -> HarmonicSpectrum:
     return HarmonicSpectrum(spec.n, max_degree, coeffs, spec.pole)
 
 
-def _finish(
-    outputs,
-    methods,
-    phi,
-    phi_spec,
-    params,
-    condition,
-    reference,
-    band_limit,
-    extras=None,
-):
-    grid = phi.grid if isinstance(phi, GridFunction) else None
-    if grid is not None and band_limit is None:
-        # the band actually analyzed is recorded as band_limit; keep the
-        # input's own band beside it when the ceiling cut it down
-        input_band = int(phi.meta.get("band_limit", DEFAULT_BAND_CEILING))
-        if input_band > phi_spec.max_degree:
-            params = {**params, "input_band_limit": input_band}
-    pts = _probe_points(outputs[0])
-    agreement = None
-    if len(outputs) == 2:
-        agreement = float(np.max(np.abs(outputs[0].evaluate(pts) - outputs[1].evaluate(pts))))
-    max_err = None
-    per_degree = None
-    if reference is not None:
-        ref_spec = as_spectrum(reference, band_limit, phi_spec.pole)[0]
-        out = outputs[0]
-        if ref_spec.max_degree > out.max_degree:
-            # degrees above the output's band count in full as errors
-            out = _zero_padded(out, ref_spec.max_degree)
-        diff = out - ref_spec
-        per_degree = dict(enumerate(diff.degree_l2(np.arange(diff.max_degree + 1)).tolist()))
-        max_err = float(np.max(np.abs(outputs[0].evaluate(pts) - ref_spec.evaluate(pts))))
-    odd_norm = phi_spec.odd_part_norm()
-    report = InversionReport(
-        method="both" if len(outputs) == 2 else methods[0],
-        params=params,
-        degree_condition=condition,
-        max_error=max_err,
-        per_degree_errors=per_degree,
-        branch_agreement=agreement,
-        odd_part_norm=odd_norm,
-        odd_part_warning=odd_norm > ODD_PART_TOL,
-        extras=extras or {},
-    )
-    if grid is not None:
-        outputs = tuple(o.to_grid(grid) for o in outputs)
-    return InversionResult(tuple(outputs), tuple(methods), report)
-
-
-def _between(spec: HarmonicSpectrum, lam: complex, ell: int) -> HarmonicSpectrum:
-    """C_{-lam-n} Delta_{lam,ell} spec, which undoes C_{lam+2 ell}."""
+def _between(spec: HarmonicSpectrum, lam: complex, ell: int):
+    """C_{-lam-n} Delta_{lam,ell} spec, which undoes C_{lam+2 ell}, and the
+    method, ``between``."""
     n = spec.n
     _guard(-lam - n, "-lambda-n")
     _guard(lam + 2 * ell, "lambda+2*ell")
     op = WeightedOpSpec(lam=lam, ell=ell, n=n)
-    return cosine_spectrum(weighted_laplacian_spectrum(spec, op), -lam - n)
+    return cosine_spectrum(weighted_laplacian_spectrum(spec, op), -lam - n), "between"
 
 
 def _outside(spec: HarmonicSpectrum, lam: complex, ell: int):
@@ -244,28 +188,85 @@ def _mean_factor(n: int, ell: int) -> float:
     return math.gamma(ell) / gammafn.gamma(n / 2.0 - ell).real
 
 
-def _undo_cosine(spec: HarmonicSpectrum, mu: int):
-    """The reconstructions that undo C_mu, mu = +-1, their methods and their
-    order ell, by the parameter rule of the module docstring."""
+def _undo_cosine(spec: HarmonicSpectrum, mu: int, **params):
+    """The (reconstruction, method) runs that undo C_mu, mu = +-1, by the
+    parameter rule of the module docstring, and their params: ell and
+    ``params``."""
     n = spec.n
     ell = (n + mu) // 2
     if n % 2:
-        out, method = _outside(spec, mu, ell)
-        return [out], [method], ell
-    return [_between(spec, 1 - n, ell), _outside(spec, mu, ell)[0]], ["between", "outside"], ell
+        return [_outside(spec, mu, ell)], {"ell": ell, **params}
+    return [_between(spec, 1 - n, ell), _outside(spec, mu, ell)], {"ell": ell, **params}
+
+
+def _undo_cosine1(spec: HarmonicSpectrum):
+    """The runs that undo C_1; odd n also reports the log branch's mean
+    factor c = 1/C_1(0)."""
+    runs, params = _undo_cosine(spec, 1)
+    if spec.n % 2:
+        params["c"] = _mean_factor(spec.n, params["ell"])
+    return runs, params
+
+
+def _invert(name, phi, lam, ell, band_limit, pole, reference) -> InversionResult:
+    """Run the theorem ``THEOREMS[name]`` on phi, a spectrum or grid samples.
+
+    Grid samples without band_limit= are analyzed to at most
+    DEFAULT_BAND_CEILING, and the report keeps a higher input band as
+    ``input_band_limit``; the reconstructions go back onto phi's grid.  The
+    condition number of degree j is 1/|multiplier|, read off the forward
+    map's image of the all-ones spectrum.
+    """
+    theorem = THEOREMS[name]
+    analyzed, params = band_limit, {}
+    if band_limit is None and isinstance(phi, GridFunction):
+        given = int(phi.meta.get("band_limit", DEFAULT_BAND_CEILING))
+        analyzed = min(given, DEFAULT_BAND_CEILING)
+        if given > analyzed:
+            params["input_band_limit"] = given
+    spec, grid = as_spectrum(phi, analyzed, pole)
+    runs, chain_params = theorem.chains(spec, lam, ell)
+    outputs, methods = zip(*runs)
+    params.update(chain_params, n=spec.n, band_limit=spec.max_degree)
+    ones = HarmonicSpectrum(spec.n, spec.max_degree, np.ones_like(spec.coeffs), spec.pole)
+    image = theorem.forward(ones, lam, ell)
+    degrees = np.arange(0, spec.max_degree + 1, 2)
+    with np.errstate(divide="ignore"):
+        condition = 1.0 / np.abs(image.coeffs[np.searchsorted(image.degrees, degrees)])
+    pts = _probe_points(outputs[0])
+    agreement = max_err = per_degree = None
+    if len(outputs) == 2:
+        agreement = float(np.max(np.abs(outputs[0].evaluate(pts) - outputs[1].evaluate(pts))))
+    if reference is not None:
+        ref_spec = as_spectrum(reference, band_limit, spec.pole)[0]
+        out = outputs[0]
+        if ref_spec.max_degree > out.max_degree:
+            # degrees above the output's band count in full as errors
+            out = _zero_padded(out, ref_spec.max_degree)
+        diff = out - ref_spec
+        per_degree = dict(enumerate(diff.degree_l2(np.arange(diff.max_degree + 1)).tolist()))
+        max_err = float(np.max(np.abs(outputs[0].evaluate(pts) - ref_spec.evaluate(pts))))
+    odd_norm = spec.odd_part_norm()
+    report = InversionReport(
+        method="both" if len(outputs) == 2 else methods[0],
+        params=params,
+        degree_condition=dict(zip(degrees.tolist(), condition.tolist())),
+        max_error=max_err,
+        per_degree_errors=per_degree,
+        branch_agreement=agreement,
+        odd_part_norm=odd_norm,
+        odd_part_warning=odd_norm > ODD_PART_TOL,
+    )
+    if grid is not None:
+        outputs = tuple(o.to_grid(grid) for o in outputs)
+    return InversionResult(outputs, methods, report)
 
 
 def invert_general_between(phi, lam: complex, ell: int, *, band_limit: int | None = None,
                            pole=None, reference=None) -> InversionResult:
     """Undo the (lam+2*ell)-cosine transform: weighted Laplacian of order ell
     sandwiched between the data and a (-lam-n)-cosine transform."""
-    lam = complex(lam)
-    phi_spec = _as_spectrum(phi, band_limit, pole)
-    n = phi_spec.n
-    out = _between(phi_spec, lam, ell)
-    condition = _condition(lambda j: cosine_multiplier(j, n, lam + 2 * ell), phi_spec)
-    params = {"lam": lam, "ell": ell, "n": n, "band_limit": phi_spec.max_degree}
-    return _finish([out], ["between"], phi, phi_spec, params, condition, reference, band_limit)
+    return _invert("general-between", phi, complex(lam), ell, band_limit, pole, reference)
 
 
 def invert_general_outside(phi, lam: complex, ell: int, *, band_limit: int | None = None,
@@ -273,13 +274,7 @@ def invert_general_outside(phi, lam: complex, ell: int, *, band_limit: int | Non
     """Undo the lam-cosine transform: (-lam-n+2*ell)-cosine transform of the
     data followed by the weighted Laplacian outside.  At lam = 2*ell - n the
     inner exponent is 0 and the log branch runs; it needs ell >= 1."""
-    lam = complex(lam)
-    phi_spec = _as_spectrum(phi, band_limit, pole)
-    n = phi_spec.n
-    out, method = _outside(phi_spec, lam, ell)
-    condition = _condition(lambda j: cosine_multiplier(j, n, lam), phi_spec)
-    params = {"lam": lam, "ell": ell, "n": n, "band_limit": phi_spec.max_degree}
-    return _finish([out], [method], phi, phi_spec, params, condition, reference, band_limit)
+    return _invert("general-outside", phi, complex(lam), ell, band_limit, pole, reference)
 
 
 def invert_funk(phi, *, band_limit: int | None = None, pole=None,
@@ -291,12 +286,7 @@ def invert_funk(phi, *, band_limit: int | None = None, pole=None,
     at (-1, ell) are both returned and their agreement reported.  Odd n: the
     log branch of ``outside`` at (-1, ell), with the mean restored additively.
     """
-    phi_spec = _as_spectrum(phi, band_limit, pole)
-    n = phi_spec.n
-    outputs, methods, ell = _undo_cosine(funk_scale(n) * phi_spec, -1)
-    condition = _condition(lambda j: funk_multiplier(j, n), phi_spec)
-    params = {"n": n, "ell": ell, "lam": complex(1 - n), "band_limit": phi_spec.max_degree}
-    return _finish(outputs, methods, phi, phi_spec, params, condition, reference, band_limit)
+    return _invert("funk", phi, None, None, band_limit, pole, reference)
 
 
 def invert_cosine1(phi, *, band_limit: int | None = None, pole=None,
@@ -308,41 +298,40 @@ def invert_cosine1(phi, *, band_limit: int | None = None, pole=None,
     branch of ``outside`` at (1, ell), which restores the mean with
     c = 1/C_1(0) = Gamma((n+1)/2) / Gamma(-1/2), reported as ``c``.
     """
-    phi_spec = _as_spectrum(phi, band_limit, pole)
-    n = phi_spec.n
-    outputs, methods, ell = _undo_cosine(phi_spec, 1)
-    condition = _condition(lambda j: cosine_multiplier(j, n, 1.0), phi_spec)
-    params = {"n": n, "ell": ell, "band_limit": phi_spec.max_degree}
-    if "log-branch" in methods:
-        params["c"] = _mean_factor(n, ell)
-    return _finish(outputs, methods, phi, phi_spec, params, condition, reference, band_limit)
+    return _invert("cosine1", phi, None, None, band_limit, pole, reference)
 
 
 @dataclass(frozen=True)
 class _Theorem:
     forward: Callable  # (f, lam, ell) -> phi, the transform the theorem undoes
-    inverse: Callable  # (phi, lam, ell, reference) -> InversionResult
+    chains: Callable  # (spec, lam, ell) -> ([(reconstruction, method), ...], params)
+    inverse: Callable  # (phi, lam, ell, reference) -> InversionResult, the public inverse
     tolerance: tuple  # the default bound on max_error at even n and at odd n
 
 
-# keyed and ordered by the names ``funkinv invert --theorem`` takes; the
-# entries look their functions up in this module at call time, so a tracer
-# that replaces those attributes sees every call
+# keyed and ordered by the names ``funkinv invert --theorem`` takes; each row
+# is the one statement of its theorem, which ``_invert`` runs.  The entries
+# look their functions up in this module at call time, so a tracer that
+# replaces those attributes sees every call
 THEOREMS = {
     "funk": _Theorem(
         lambda f, lam, ell: funk_spectrum(f),
+        lambda spec, lam, ell: _undo_cosine(funk_scale(spec.n) * spec, -1, lam=complex(1 - spec.n)),
         lambda phi, lam, ell, ref: invert_funk(phi, reference=ref),
         (1e-9, 1e-6)),
     "cosine1": _Theorem(
         lambda f, lam, ell: cosine_spectrum(f, 1.0),
+        lambda spec, lam, ell: _undo_cosine1(spec),
         lambda phi, lam, ell, ref: invert_cosine1(phi, reference=ref),
         (1e-8, 1e-6)),
     "general-between": _Theorem(
         lambda f, lam, ell: cosine_spectrum(f, lam + 2 * ell),
+        lambda spec, lam, ell: ([_between(spec, lam, ell)], {"lam": lam, "ell": ell}),
         lambda phi, lam, ell, ref: invert_general_between(phi, lam, ell, reference=ref),
         (1e-8, 1e-8)),
     "general-outside": _Theorem(
         lambda f, lam, ell: cosine_spectrum(f, lam),
+        lambda spec, lam, ell: ([_outside(spec, lam, ell)], {"lam": lam, "ell": ell}),
         lambda phi, lam, ell, ref: invert_general_outside(phi, lam, ell, reference=ref),
         (1e-8, 1e-8)),
 }
@@ -359,12 +348,3 @@ def _guard(lam: complex, name: str) -> None:
         check_off_even_poles(lam)
     except PoleError as exc:
         raise PoleError(f"inversion constraint violated: {name} = {lam} is a pole", pole=exc.pole)
-
-
-def _condition(multiplier, spec: HarmonicSpectrum) -> dict:
-    """Per even degree of spec, the reciprocal modulus of the forward
-    multiplier (inf where it vanishes), from one evaluation on all degrees."""
-    degrees = np.arange(0, spec.max_degree + 1, 2)
-    with np.errstate(divide="ignore"):
-        inverse = 1.0 / np.abs(multiplier(degrees))
-    return dict(zip(degrees.tolist(), inverse.tolist()))

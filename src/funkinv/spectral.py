@@ -475,6 +475,8 @@ class HarmonicSpectrum:
     pole: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.max_degree < 0:
+            raise InvalidArgumentError(f"max_degree must be >= 0, got {self.max_degree}")
         coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
         if self.pole is None:
             if self.n != 3:

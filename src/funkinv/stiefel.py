@@ -572,9 +572,9 @@ def check_identity(
         mc_error, mc_sigma = (err_a, est_a.sigma) if err_a / max(est_a.sigma, 1e-300) >= err_b / max(est_b.sigma, 1e-300) else (err_b, est_b.sigma)
         within = err_a <= 3 * est_a.sigma and err_b <= 3 * est_b.sigma
     else:
-        # 4.9's stand-in: the thm4.1 reconstruction at the parity of n-k
-        tag = ("thm4.1-i" if (n - k) % 2 else "thm4.1-ii") if identity == "4.9" else identity
-        report = _reconstruction(f, tag, k, samples, seed)
+        # 4.9's stand-in: the thm4.1 reconstruction of invert_funk_k
+        report = (invert_funk_k(f, k, samples=samples, seed=seed) if identity == "4.9"
+                  else _reconstruction(f, identity, k, samples, seed))
         mc_error, mc_sigma = report.extras["mc_error"], report.extras["mc_sigma"]
         within = report.extras["within_3sigma"]
     return {

@@ -265,15 +265,35 @@ def test_parse_function_spec():
     ("const:abc", "constant", "'abc'"),
     ("random-even:J=4,seed=q", "'seed'", "'q'"),
     ("zonal:j=2,pole=1,a,0", "'pole'", "'a'"),
+    ("zonal:j=-1", "'j'", "-1"),
+    ("random-even:J=-1", "'J'", "-1"),
+    ("random-even:J=-2", "'J'", "-2"),
 ])
 def test_malformed_number_in_function_spec(spec, field, text, tmp_path, capsys):
-    # a number that does not parse is an InvalidArgumentError naming the field
-    # and the text, which the CLI reports as its JSON error object
+    # a number that does not parse, or a negative degree, is an
+    # InvalidArgumentError naming the field and the text, which the CLI
+    # reports as its JSON error object
     with pytest.raises(InvalidArgumentError, match=f"{field}.*{text}"):
         parse_function_spec(spec, 3, 8)
     assert main(["forward", "--input", spec, "--out", str(tmp_path / "f.csv")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidArgumentError" and text in err["message"]
+
+
+@pytest.mark.parametrize("study, option, values, bad", [
+    ("fd-beltrami", "--h-values", ["1e-2", "7e-3", "5e-3"], "x"),
+    ("quadrature", "--resolutions", ["4", "6", "8"], "a"),
+    ("mc-dual", "--samples-list", ["1000", "2000", "4000"], "2e3"),
+])
+def test_malformed_convergence_list(study, option, values, bad, tmp_path, capsys):
+    # an entry that does not parse is an InvalidArgumentError naming the option
+    # and the entry; fewer than 3 entries still raise
+    out = str(tmp_path / "c.csv")
+    for text, want in ((",".join([values[0], bad, values[2]]), f"{option}: cannot read {bad!r}"),
+                       (",".join(values[:2]), "need at least 3")):
+        assert main(["convergence", "--study", study, option, text, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArgumentError" and want in err["message"]
 
 
 # every subcommand's options: dest -> option strings, and the choices of the

@@ -12,7 +12,12 @@ from funkinv.inversion import (
     invert_general_between,
     invert_general_outside,
 )
-from funkinv.spectral import HarmonicSpectrum, random_even_spectrum
+from funkinv.spectral import (
+    HarmonicSpectrum,
+    cosine_multiplier,
+    funk_multiplier,
+    random_even_spectrum,
+)
 from funkinv.transforms import cosine_spectrum, funk_scale, funk_spectrum, funk_transform
 
 
@@ -281,3 +286,64 @@ def test_theorem_table_maps_and_tolerances():
         assert result.report.max_error <= theorem.tolerance[0]
     assert THEOREMS["funk"].tolerance == (1e-9, 1e-6)
     assert THEOREMS["cosine1"].tolerance == (1e-8, 1e-6)
+
+
+# each theorem's public inverse, called as (phi, lam, ell, **keywords)
+PUBLIC = {
+    "funk": lambda phi, lam, ell, **kw: invert_funk(phi, **kw),
+    "cosine1": lambda phi, lam, ell, **kw: invert_cosine1(phi, **kw),
+    "general-between": invert_general_between,
+    "general-outside": invert_general_outside,
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_degree_condition_is_the_reciprocal_forward_multiplier(n):
+    # degree_condition[j] = 1/|multiplier of the transform undone| from the
+    # closed forms: C at lam+2 ell, C at lam (also at its log point
+    # lam = 2 ell - n), C at 1, and F
+    f = random_even_spectrum(n, 10, 0, zonal=(n != 3))
+    degrees = np.arange(0, 11, 2)
+    odd = "log-branch" if n % 2 else "outside"
+    cases = [  # theorem, lam, ell, multiplier, the method of the last chain
+        ("funk", -0.5, 1, funk_multiplier(degrees, n), odd),
+        ("cosine1", -0.5, 1, cosine_multiplier(degrees, n, 1.0), odd),
+        ("general-between", -0.5, 1, cosine_multiplier(degrees, n, 1.5), "between"),
+        ("general-outside", -0.5, 1, cosine_multiplier(degrees, n, -0.5), "outside"),
+        ("general-outside", 2 - n, 1, cosine_multiplier(degrees, n, 2 - n), "log-branch"),
+    ]
+    for name, lam, ell, multiplier, method in cases:
+        phi = THEOREMS[name].forward(f, complex(lam), ell)
+        result = PUBLIC[name](phi, lam, ell)
+        assert result.methods[-1] == method
+        want = dict(zip(degrees.tolist(), (1.0 / np.abs(multiplier)).tolist()))
+        assert result.report.degree_condition == want, (name, lam)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_report_params_keys(n):
+    # lam is reported by funk (as 1-n) and the general theorems; c only by
+    # cosine1's log branch (odd n); input_band_limit only under the clamp
+    keys = {
+        "funk": {"n", "ell", "lam", "band_limit"},
+        "cosine1": {"n", "ell", "band_limit"} | ({"c"} if n % 2 else set()),
+        "general-between": {"n", "ell", "lam", "band_limit"},
+        "general-outside": {"n", "ell", "lam", "band_limit"},
+    }
+    f = random_even_spectrum(n, 16, 1, zonal=(n != 3))
+    for name, theorem in THEOREMS.items():
+        phi = theorem.forward(f, -0.5 + 0j, 1)
+        params = PUBLIC[name](phi, -0.5, 1).report.params
+        assert set(params) == keys[name], name
+        assert params["band_limit"] == 16
+        if name == "funk":
+            assert params["lam"] == 1 - n
+        if n > 4:
+            continue
+        # band-16 grid data without band_limit= is analyzed to band 12
+        grid = phi.to_grid(build_grid(n, 13))
+        params = PUBLIC[name](grid, -0.5, 1, pole=f.pole).report.params
+        assert set(params) == keys[name] | {"input_band_limit"}, name
+        assert (params["band_limit"], params["input_band_limit"]) == (12, 16)
+        params = PUBLIC[name](grid, -0.5, 1, pole=f.pole, band_limit=12).report.params
+        assert set(params) == keys[name] and params["band_limit"] == 12, name

@@ -171,6 +171,17 @@ def test_zonal_domain_error():
         zonal_eval(-1, 3, 0.0)
 
 
+@pytest.mark.parametrize("zonal", [False, True])
+def test_negative_max_degree_is_invalid(zonal):
+    # a negative band would build an empty table that fails later with a raw
+    # IndexError; the spectrum and random_even_spectrum name the argument
+    pole = np.eye(3)[0] if zonal else None
+    with pytest.raises(InvalidArgumentError, match="max_degree must be >= 0, got -1"):
+        HarmonicSpectrum(3, -1, np.zeros(0, dtype=complex), pole)
+    with pytest.raises(InvalidArgumentError, match="max_degree"):
+        random_even_spectrum(3, -1, seed=0, zonal=zonal)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_arguments_raise_domain_error(bad):
     with pytest.raises(DomainError):
