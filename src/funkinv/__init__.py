@@ -4,6 +4,8 @@ quadrature, spectral multipliers, and finite differences / Monte Carlo."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DivergenceError,
     DomainError,
@@ -21,11 +23,8 @@ from .grids import (
     QuadratureGrid,
     build_grid,
     even_project,
-    homogeneous_extension_eval,
     integrate,
-    load_grid,
     remove_mean,
-    save_grid,
 )
 from .spectral import (
     HarmonicSpectrum,
@@ -39,16 +38,13 @@ from .spectral import (
     multiplier_table,
     random_even_spectrum,
     sine_multiplier,
-    synthesize,
     zonal_eval,
 )
 from .transforms import (
     cosine_transform,
-    delta_norm,
     frame_scale,
     funk_scale,
     funk_transform,
-    gamma_norm,
     gamma_norm_k,
     log_cosine_transform,
     log_sine_transform,
@@ -70,17 +66,16 @@ from .inversion import (
     invert_general_outside,
 )
 from .stiefel import (
-    Frame,
     MCEstimate,
     StiefelFunction,
-    cosine_k,
     dual_cosine_k,
     dual_funk_k,
-    funk_k,
-    haar_frame,
     haar_frames,
     invert_cosine1_k,
     invert_funk_k,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names bound above; the submodules, which importing them binds here
+# too, are reached as attributes and are not exported
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

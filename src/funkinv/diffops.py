@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError
 from .grids import GridFunction, QuadratureGrid
 from .spectral import HarmonicSpectrum, as_spectrum, delta_op_eigenvalue
 
@@ -150,9 +150,17 @@ def _apply_stencil(g_eval: Callable, points: np.ndarray, ell: int, h: float) -> 
 
 
 def _extension_eval(f_eval: Callable, a: complex) -> Callable:
+    """The homogeneous extension x -> |x|^a f(x/|x|) of f on R^n, as a
+    function of points x with shape (N, n).
+
+    The power is the principal branch exp(a log|x|), single-valued since
+    |x| > 0; a point with |x| = 0 or a non-finite norm raises DomainError.
+    """
     def g(x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
+        if not np.all(np.isfinite(r) & (r > 0.0)):
+            raise DomainError("homogeneous extension is undefined at x = 0 and at non-finite x")
         vals = np.asarray(f_eval(x / r[..., None]), dtype=complex)
         return np.exp(complex(a) * np.log(r)) * vals
 

@@ -33,12 +33,9 @@ __all__ = [
     "integrate",
     "even_project",
     "remove_mean",
-    "homogeneous_extension_eval",
     "grid_function",
     "constant_function",
     "as_direction",
-    "save_grid",
-    "load_grid",
 ]
 
 UNIT_NORM_TOL = 1e-14
@@ -288,84 +285,3 @@ def even_project(f: GridFunction) -> GridFunction:
 def remove_mean(f: GridFunction) -> GridFunction:
     """Subtract the integral, leaving a mean-zero function."""
     return f.with_values(f.values - integrate(f))
-
-
-def homogeneous_extension_eval(f, a: complex, x) -> complex:
-    """Evaluate |x|^a * f(x/|x|) at a point x != 0 in R^n.
-
-    ``f`` may be a callable on unit vectors, an object with an ``evaluate``
-    method (band-limited synthesis), or a GridFunction -- in the last case x
-    must point at one of the grid nodes, since raw grids are not interpolated.
-    The power uses the principal branch; |x| > 0 makes it single-valued.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    r = float(np.linalg.norm(x))
-    if r == 0.0 or not np.isfinite(r):
-        raise DomainError("homogeneous extension is undefined at x = 0")
-    u = x / r
-    if isinstance(f, GridFunction):
-        d2 = np.sum((f.grid.nodes - u) ** 2, axis=1)
-        i = int(np.argmin(d2))
-        if d2[i] > 1e-24:
-            raise UnsupportedGridError(
-                "direction is off the grid nodes; raw grids are not interpolated "
-                "(use band-limited synthesis instead)"
-            )
-        fu = complex(f.values[i])
-    elif hasattr(f, "evaluate"):
-        fu = complex(np.asarray(f.evaluate(u[None, :])).reshape(()))
-    elif callable(f):
-        out = np.asarray(f(u[None, :]))
-        fu = complex(out.reshape(()) if out.size == 1 else out[0])
-    else:
-        raise InvalidArgumentError("f must be a GridFunction, a callable, or have .evaluate")
-    power = np.exp(complex(a) * math.log(r))
-    return complex(power * fu)
-
-
-def save_grid(grid: QuadratureGrid, path) -> None:
-    """Write the grid as plain text: per node, n coordinates then the weight."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# sphere-grid n={grid.n} nodes={grid.num_nodes}\n")
-        for row, w in zip(grid.nodes, grid.weights):
-            cols = [format(c, ".17g") for c in row] + [format(w, ".17g")]
-            fh.write(" ".join(cols) + "\n")
-
-
-def load_grid(path, exactness_degree: int = 0, resolution: int = 0) -> QuadratureGrid:
-    """Read a grid written by :func:`save_grid`; antipodal pairing is re-derived.
-
-    The file format does not carry the exactness degree; pass it explicitly if
-    the grid is to be used for spectral analysis.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = dict(tok.split("=") for tok in header.lstrip("# ").split() if "=" in tok)
-        if "n" not in parts or "nodes" not in parts:
-            raise InvalidArgumentError("missing or malformed sphere-grid header")
-        n = int(parts["n"])
-        count = int(parts["nodes"])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (count, n + 1):
-        raise InvalidArgumentError("grid file row count or width mismatch")
-    nodes = data[:, :n]
-    weights = data[:, n]
-    canon = nodes + 0.0  # clears negative zeros so byte keys match
-    neg = -canon + 0.0
-    lookup = {neg[i].tobytes(): i for i in range(count)}
-    antipode = np.empty(count, dtype=np.intp)
-    paired = True
-    for i in range(count):
-        j = lookup.get(canon[i].tobytes())
-        if j is None:
-            paired = False
-            break
-        antipode[i] = j
-    return QuadratureGrid(
-        n=n,
-        nodes=nodes,
-        weights=weights,
-        antipode=antipode if paired else None,
-        exactness_degree=exactness_degree,
-        resolution=resolution,
-    )

@@ -53,7 +53,6 @@ __all__ = [
     "MultiplierTable",
     "multiplier_table",
     "analyze",
-    "synthesize",
     "random_even_spectrum",
     "zonal_profile_rule",
     "zonal_analysis_matrix",
@@ -710,13 +709,6 @@ def as_spectrum(f, band_limit: int | None = None, pole=None):
     return analyze(f, int(band_limit), pole=pole), f.grid
 
 
-def synthesize(spectrum: HarmonicSpectrum, grid: QuadratureGrid) -> GridFunction:
-    """Evaluate a spectrum on a grid: ``spectrum.to_grid(grid)``, which sums
-    the spectrum once per ring for a zonal table about the grid's polar axis
-    and once per node otherwise."""
-    return spectrum.to_grid(grid)
-
-
 def random_even_spectrum(
     n: int,
     max_degree: int,
@@ -732,6 +724,8 @@ def random_even_spectrum(
     a full table with the conjugate symmetry that makes the function real;
     for n > 3 (or ``zonal=True``) a zonal table about ``pole`` (default e_1).
     """
+    if max_degree < 0:
+        raise InvalidArgumentError(f"max_degree must be >= 0, got {max_degree}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     if zonal is None:
         zonal = n != 3
@@ -794,12 +788,6 @@ class MultiplierTable:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "degrees", tuple(int(j) for j in self.degrees))
-
-    def value(self, j: int) -> complex:
-        try:
-            return complex(self.values[self.degrees.index(j)])
-        except ValueError:
-            raise InvalidArgumentError(f"degree {j} not stored in table") from None
 
 
 def multiplier_table(

@@ -62,15 +62,11 @@ from .transforms import (
 )
 
 __all__ = [
-    "Frame",
     "StiefelFunction",
     "MCEstimate",
-    "haar_frame",
     "haar_frames",
     "null_space_basis",
-    "funk_k",
     "funk_k_function",
-    "cosine_k",
     "cosine_k_function",
     "dual_funk_k",
     "dual_cosine_k",
@@ -83,34 +79,8 @@ __all__ = [
     "IDENTITY_TAGS",
 ]
 
-FRAME_TOL = 1e-12
 MIN_SAMPLES = 100
 MC_CHUNK = 20_000  # samples drawn and evaluated per batch
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A point of the manifold of orthonormal k-frames in R^n."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=float)
-        if m.ndim != 2 or not (1 <= m.shape[1] <= m.shape[0] - 1):
-            raise InvalidArgumentError("frame must be n x k with 1 <= k <= n-1")
-        gram = m.T @ m
-        if np.max(np.abs(gram - np.eye(m.shape[1]))) > FRAME_TOL:
-            raise InvalidArgumentError("frame columns must be orthonormal")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -192,39 +162,27 @@ def haar_frames(n: int, k: int, count: int, seed: int | None = None, rng=None) -
     return frames
 
 
-def haar_frame(n: int, k: int, seed: int) -> Frame:
-    """One Haar-distributed frame; same seed, same frame, bit for bit."""
-    return Frame(haar_frames(n, k, 1, seed=seed)[0])
-
-
 # ---------------------------------------------------------------------------
 # forward transforms (exact product quadrature)
 
 
-def funk_k(f_eval: Callable, frame: Frame, *, profile_degree: int) -> complex:
-    """Average of f over {v : u^T v = 0}, the unit sphere of the frame's
-    null space, with its invariant probability measure, exact for f of band
-    limit ``profile_degree``."""
-    return complex(_frame_funk_values(f_eval, frame.matrix[None], profile_degree)[0])
-
-
 def funk_k_function(f_eval: Callable, n: int, k: int, *, profile_degree: int) -> StiefelFunction:
+    """Codimension-k Funk transform on stacks of frames u: the average of f
+    over {v : u^T v = 0}, the unit sphere of u's null space, with its
+    invariant probability measure, exact for f of band limit
+    ``profile_degree``."""
     def fn(frames):
         return _frame_funk_values(f_eval, frames, profile_degree)
 
     return StiefelFunction(fn, n, k, tag="funk_k")
 
 
-def cosine_k(f_eval: Callable, frame: Frame, lam: complex, *, profile_degree: int) -> complex:
-    """Codimension-k cosine transform at one frame: the normalized integral of
-    f(v) |u^T v|^lam, |.| the Euclidean length of the k-vector u^T v, exact
-    for f of band limit ``profile_degree``."""
-    return complex(_frame_cosine_values(f_eval, frame.matrix[None], lam, profile_degree)[0])
-
-
 def cosine_k_function(
     f_eval: Callable, n: int, k: int, lam: complex, *, profile_degree: int
 ) -> StiefelFunction:
+    """Codimension-k cosine transform on stacks of frames u: the normalized
+    integral of f(v) |u^T v|^lam, |.| the Euclidean length of the k-vector
+    u^T v, exact for f of band limit ``profile_degree``."""
     def fn(frames):
         return _frame_cosine_values(f_eval, frames, lam, profile_degree)
 

@@ -59,8 +59,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "gamma_norm",
-    "delta_norm",
     "funk_scale",
     "frame_scale",
     "null_sphere_scale",
@@ -89,16 +87,6 @@ MEAN_ZERO_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # normalization coefficients
-
-
-def gamma_norm(lam: complex, n: int) -> complex:
-    """Normalizing coefficient of the lam-cosine transform."""
-    return gamma_norm_k(lam, n, 1)
-
-
-def delta_norm(lam: complex, n: int) -> complex:
-    """Normalizing coefficient of the lam-sine transform."""
-    return gamma_norm_k(lam, n, n - 1)
 
 
 def funk_scale(n: int) -> float:
@@ -389,7 +377,7 @@ def sine_quadrature_values(
     check_off_even_poles(lam)
     raw = _frame_kernel_values(f_eval, _point_frames(points), (lam + n - 3.0) / 2.0, -0.5,
                                profile_degree)
-    return delta_norm(lam, n) * raw
+    return gamma_norm_k(lam, n, n - 1) * raw
 
 
 def log_cosine_quadrature_values(

@@ -7,7 +7,7 @@ from funkinv.spectral import (
     funk_hecke_multiplier_quadrature,
     random_even_spectrum,
 )
-from funkinv.transforms import gamma_norm
+from funkinv.transforms import gamma_norm_k
 
 GATE_TRIPLES = [
     (j, n, lam)
@@ -28,7 +28,7 @@ def oracle_gate():
     worst = 0.0
     for j, n, lam in GATE_TRIPLES:
         quad = funk_hecke_multiplier_quadrature(
-            lambda t, lam=lam, n=n: gamma_norm(lam, n) * np.abs(t) ** lam,
+            lambda t, lam=lam, n=n: gamma_norm_k(lam, n, 1) * np.abs(t) ** lam,
             j,
             n,
             power=lam,

@@ -16,12 +16,10 @@ from funkinv.grids import (
     constant_function,
     even_project,
     grid_function,
-    homogeneous_extension_eval,
     integrate,
-    load_grid,
     remove_mean,
-    save_grid,
 )
+from funkinv.diffops import _extension_eval
 from funkinv.spectral import analyze, random_even_spectrum
 
 
@@ -112,46 +110,30 @@ def test_remove_mean(grid3):
 
 
 def test_homogeneous_extension():
-    assert homogeneous_extension_eval(lambda p: np.ones(len(p)), 2.0, [2.0, 0.0, 0.0]) == 4.0
+    def extend(f, a, x):
+        return _extension_eval(f, a)(np.array([x], dtype=float))[0]
+
+    assert extend(lambda p: np.ones(len(p)), 2.0, [2.0, 0.0, 0.0]) == 4.0
     f = lambda p: p[:, 0] ** 2
     # a = 0 on the sphere is the identity
-    val = homogeneous_extension_eval(f, 0.0, [0.0, 1.0, 0.0])
+    val = extend(f, 0.0, [0.0, 1.0, 0.0])
     assert abs(val - 0.0) <= 1e-15
     # (1/3) scaling example: |x|^-1 at |x| = 3 with f = (x/|x| . e1)^2
-    val = homogeneous_extension_eval(f, -1.0, [0.0, 3.0, 0.0])
+    val = extend(f, -1.0, [0.0, 3.0, 0.0])
     assert abs(val) <= 1e-15
-    val = homogeneous_extension_eval(f, -1.0, [3.0, 0.0, 0.0])
+    val = extend(f, -1.0, [3.0, 0.0, 0.0])
     assert abs(val - 1.0 / 3.0) <= 1e-15
     # complex exponent, principal branch of the positive-real power
-    val = homogeneous_extension_eval(lambda p: np.ones(len(p)), 1j, [np.e, 0.0, 0.0])
+    val = extend(lambda p: np.ones(len(p)), 1j, [np.e, 0.0, 0.0])
     assert abs(val - np.exp(1j)) <= 1e-15
 
 
-def test_homogeneous_extension_errors(grid3):
-    with pytest.raises(DomainError):
-        homogeneous_extension_eval(lambda p: np.ones(len(p)), 1.0, [0.0, 0.0, 0.0])
-    f = constant_function(grid3, 1.0)
-    # off-node direction on a raw grid: no interpolation
-    with pytest.raises(UnsupportedGridError):
-        homogeneous_extension_eval(f, 1.0, [0.123, 0.456, 0.7])
-    # exactly on a node works
-    node = grid3.nodes[17]
-    assert abs(homogeneous_extension_eval(f, 3.0, 2.0 * node) - 8.0) <= 1e-12
-
-
-def test_grid_serialization_round_trip(tmp_path):
-    g = build_grid(4, 5)
-    path = tmp_path / "grid.txt"
-    save_grid(g, path)
-    text = path.read_text().splitlines()
-    assert text[0] == f"# sphere-grid n=4 nodes={g.num_nodes}"
-    assert len(text) == 1 + g.num_nodes
-    loaded = load_grid(path, exactness_degree=g.exactness_degree)
-    assert loaded.n == g.n
-    assert_allclose(loaded.nodes, g.nodes, rtol=0, atol=0)
-    assert_allclose(loaded.weights, g.weights, rtol=0, atol=0)
-    # antipodal pairing survives the 17-significant-digit round trip
-    assert np.max(np.abs(loaded.nodes[loaded.antipode] + loaded.nodes)) == 0.0
+def test_homogeneous_extension_errors():
+    g = _extension_eval(lambda p: np.ones(len(p)), 1.0)
+    for bad in ([0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0]):
+        # one bad point among good ones is enough
+        with pytest.raises(DomainError):
+            g(np.array([[1.0, 0.0, 0.0], bad]))
 
 
 @pytest.mark.parametrize("n,res", [(3, 16), (4, 6), (5, 5)])
@@ -175,24 +157,6 @@ def test_permuted_grid_has_no_rings_and_the_same_spectrum():
     assert np.max(np.abs(scattered.values - on_rings.values[perm])) <= 1e-13
     diff = analyze(scattered, 6, pole=f.pole).coeffs - analyze(on_rings, 6, pole=f.pole).coeffs
     assert np.max(np.abs(diff)) <= 1e-13
-
-
-def test_grid_file_round_trip_keeps_the_spectrum(tmp_path):
-    g = build_grid(5, 7)
-    path = tmp_path / "grid.txt"
-    save_grid(g, path)
-    with_rings = load_grid(path, exactness_degree=g.exactness_degree, resolution=g.resolution)
-    without = load_grid(path, exactness_degree=g.exactness_degree)
-    assert np.array_equal(with_rings.ring_heights, g.ring_heights)
-    assert without.ring_heights is None
-    f = random_even_spectrum(5, 6, seed=6)
-    x = f.to_grid(g)
-    want = analyze(x, 6, pole=f.pole).coeffs
-    assert np.array_equal(f.to_grid(with_rings).values, x.values)
-    assert np.max(np.abs(f.to_grid(without).values - x.values)) <= 1e-13
-    for loaded in (with_rings, without):
-        got = analyze(GridFunction(loaded, x.values), 6, pole=f.pole).coeffs
-        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_direction_validation():

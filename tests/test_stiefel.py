@@ -21,18 +21,14 @@ from funkinv.spectral import (
 )
 from funkinv import stiefel, transforms
 from funkinv.stiefel import (
-    Frame,
     MCEstimate,
     _frames_orthogonal_to,
     _rng,
     check_identity,
-    cosine_k,
     cosine_k_function,
     dual_cosine_k,
     dual_funk_k,
-    funk_k,
     funk_k_function,
-    haar_frame,
     haar_frames,
     invert_cosine1_k,
     invert_funk_k,
@@ -68,22 +64,12 @@ def zonal_f5():
 # frames and Haar sampling
 
 
-def test_frame_validation():
-    q = np.linalg.qr(np.arange(12.0).reshape(4, 3) + np.eye(4, 3))[0][:, :2]
-    fr = Frame(q)
-    assert fr.n == 4 and fr.k == 2
-    with pytest.raises(InvalidArgumentError):
-        Frame(np.ones((4, 2)))
-    with pytest.raises(InvalidArgumentError):
-        Frame(np.eye(4))  # k must stay below n
-
-
 def test_haar_orthonormy_and_reproducibility():
-    fr = haar_frame(5, 2, seed=7)
-    assert np.max(np.abs(fr.matrix.T @ fr.matrix - np.eye(2))) <= 1e-12
-    fr2 = haar_frame(5, 2, seed=7)
-    assert np.array_equal(fr.matrix, fr2.matrix)
-    assert not np.array_equal(fr.matrix, haar_frame(5, 2, seed=8).matrix)
+    fr = haar_frames(5, 2, 1, seed=7)[0]
+    assert np.max(np.abs(fr.T @ fr - np.eye(2))) <= 1e-12
+    fr2 = haar_frames(5, 2, 1, seed=7)[0]
+    assert np.array_equal(fr, fr2)
+    assert not np.array_equal(fr, haar_frames(5, 2, 1, seed=8)[0])
 
 
 def test_haar_projection_moment():
@@ -120,7 +106,7 @@ def test_haar_frames_match_lapack_reference(n, k):
     assert np.max(np.abs(frames - want)) <= 1e-11
     gram = np.einsum("snk,snj->skj", frames, frames)
     assert np.max(np.abs(gram - np.eye(k))) <= 1e-14
-    assert np.array_equal(haar_frame(n, k, seed).matrix, haar_frame(n, k, seed).matrix)
+    assert np.array_equal(haar_frames(n, k, 1, seed=seed), haar_frames(n, k, 1, seed=seed))
 
 
 class _QueuedNormals:
@@ -154,13 +140,13 @@ def test_haar_frames_resample_rank_deficient_draws(n, k):
 
 
 def test_null_space_basis():
-    fr = haar_frame(5, 2, seed=3)
-    B = null_space_basis(fr.matrix)
+    fr = haar_frames(5, 2, 1, seed=3)[0]
+    B = null_space_basis(fr)
     assert B.shape == (5, 3)
     assert np.max(np.abs(B.T @ B - np.eye(3))) <= 1e-12
-    assert np.max(np.abs(fr.matrix.T @ B)) <= 1e-12
+    assert np.max(np.abs(fr.T @ B)) <= 1e-12
     # deterministic completion
-    assert np.array_equal(B, null_space_basis(fr.matrix))
+    assert np.array_equal(B, null_space_basis(fr))
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +167,23 @@ def test_frame_products_match_einsum_references(n, k):
 
 
 def test_funk_k_constant():
-    fr = haar_frame(5, 2, seed=4)
-    val = funk_k(lambda p: np.ones(len(p)), fr, profile_degree=0)
+    fr = haar_frames(5, 2, 1, seed=4)
+    val = funk_k_function(lambda p: np.ones(len(p)), 5, 2, profile_degree=0)(fr)[0]
     assert abs(val - 1.0) <= 1e-14
 
 
 def test_funk_k_codimension_full(zonal_f4):
     # k = n-1: the null sphere is a two-point set; even input gives f at the basis vector
-    fr = haar_frame(4, 3, seed=5)
-    b = null_space_basis(fr.matrix)[:, 0]
-    val = funk_k(zonal_f4.evaluate, fr, profile_degree=zonal_f4.max_degree)
+    fr = haar_frames(4, 3, 1, seed=5)
+    b = null_space_basis(fr[0])[:, 0]
+    val = funk_k_function(zonal_f4.evaluate, 4, 3, profile_degree=zonal_f4.max_degree)(fr)[0]
     assert abs(val - complex(zonal_f4.evaluate(b[None, :])[0])) <= 1e-13
 
 
 def test_funk_k_matches_great_circles_at_k1(even_f3):
     u = np.array([0.48, -0.6, 0.64])
     J = even_f3.max_degree
-    val = funk_k(even_f3.evaluate, Frame(u[:, None]), profile_degree=J)
+    val = funk_k_function(even_f3.evaluate, 3, 1, profile_degree=J)(u[None, :, None])[0]
     want = funk_geodesic_values(even_f3.evaluate, u[None, :], profile_degree=J)[0]
     assert abs(val - want) <= 1e-13
 
@@ -216,16 +202,16 @@ def test_funk_k_is_exact_at_band_16():
 
 def test_right_invariance(zonal_f4):
     # functions of the frame through |u^T v| only depend on the span
-    fr = haar_frame(4, 2, seed=6)
+    fr = haar_frames(4, 2, 1, seed=6)
     ang = 0.83
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
-    rotated = Frame(fr.matrix @ rot)
+    rotated = fr @ rot
     J = zonal_f4.max_degree
-    a = funk_k(zonal_f4.evaluate, fr, profile_degree=J)
-    b = funk_k(zonal_f4.evaluate, rotated, profile_degree=J)
+    funk = funk_k_function(zonal_f4.evaluate, 4, 2, profile_degree=J)
+    a, b = funk(fr)[0], funk(rotated)[0]
     assert abs(a - b) <= 1e-12
-    c = cosine_k(zonal_f4.evaluate, fr, 1.0, profile_degree=J)
-    d = cosine_k(zonal_f4.evaluate, rotated, 1.0, profile_degree=J)
+    cosine = cosine_k_function(zonal_f4.evaluate, 4, 2, 1.0, profile_degree=J)
+    c, d = cosine(fr)[0], cosine(rotated)[0]
     assert abs(c - d) <= 1e-12
 
 
@@ -247,18 +233,19 @@ def test_cosine_k_reduces_to_sphere_transform_at_k1():
 
 def test_cosine_k_limit_to_funk_k(zonal_f4):
     # analytic continuation limit at the edge of the convergence domain
-    fr = haar_frame(4, 2, seed=9)
+    fr = haar_frames(4, 2, 1, seed=9)
     eps = 1e-4
     J = zonal_f4.max_degree
-    lim = cosine_k(zonal_f4.evaluate, fr, -2.0 + eps, profile_degree=J)
-    want = null_sphere_scale(4, 2) * funk_k(zonal_f4.evaluate, fr, profile_degree=J)
+    lim = cosine_k_function(zonal_f4.evaluate, 4, 2, -2.0 + eps, profile_degree=J)(fr)[0]
+    want = null_sphere_scale(4, 2) * funk_k_function(zonal_f4.evaluate, 4, 2,
+                                                     profile_degree=J)(fr)[0]
     assert abs(lim - want) <= 1e-3
 
 
 def test_cosine_k_domain_guard(zonal_f4):
-    fr = haar_frame(4, 2, seed=9)
+    fr = haar_frames(4, 2, 1, seed=9)
     with pytest.raises(DomainError):
-        cosine_k(zonal_f4.evaluate, fr, -2.5, profile_degree=zonal_f4.max_degree)
+        cosine_k_function(zonal_f4.evaluate, 4, 2, -2.5, profile_degree=zonal_f4.max_degree)(fr)
 
 
 # ---------------------------------------------------------------------------

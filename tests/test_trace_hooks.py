@@ -18,9 +18,7 @@ import funkinv as fk
 from funkinv.cli import main
 from funkinv.stiefel import (
     check_identity,
-    cosine_k,
     cosine_k_function,
-    funk_k,
     funk_k_function,
     haar_frames,
 )
@@ -86,12 +84,9 @@ def test_frame_transform_spans_stay_in_stiefel(spans, kind):
         with tracer.recording():
             if kind == "funk":
                 phi = funk_k_function(f.evaluate, 4, k, profile_degree=4)
-                one = funk_k(f.evaluate, fk.Frame(frames[0]), profile_degree=4)
             else:
                 phi = cosine_k_function(f.evaluate, 4, k, 0.5, profile_degree=4)
-                one = cosine_k(f.evaluate, fk.Frame(frames[0]), 0.5, profile_degree=4)
-            values = phi(frames)
-        assert abs(one - values[0]) <= 1e-14 * abs(values[0])
+            phi(frames)
         recorded = {s.name for s in tracer.spans}
         assert {"stiefel.frame_fn", "spectral.evaluate"} <= recorded
         assert "transforms.quadrature" not in recorded

@@ -31,13 +31,11 @@ from funkinv.transforms import (
     cosine_quadrature_values,
     cosine_spectrum,
     cosine_transform,
-    delta_norm,
     frame_scale,
     funk_geodesic_values,
     funk_scale,
     funk_spectrum,
     funk_transform,
-    gamma_norm,
     gamma_norm_k,
     log_cosine_quadrature_values,
     log_cosine_spectrum,
@@ -66,7 +64,7 @@ def probes(grid3):
 
 def test_normalization_constants():
     # oracle values computed from the gamma factors by hand
-    assert abs(gamma_norm(-1.0, 3) - 0.0) <= 1e-13  # zero of 1/Gamma((lam+1)/2)
+    assert abs(gamma_norm_k(-1.0, 3, 1) - 0.0) <= 1e-13  # zero of 1/Gamma((lam+1)/2)
     assert abs(funk_scale(3) - SQPI) <= 1e-14
     assert abs(funk_scale(4) - 2.0) <= 1e-13  # sqrt(pi)/Gamma(3/2)
     assert abs(frame_scale(4, 2) - 1.0 / math.gamma(1.5) * math.gamma(1.0)) <= 1e-13
@@ -79,7 +77,7 @@ def test_normalization_constants():
                        / (mpmath.gamma(mpmath.mpf(n) / 2) * mpmath.gamma((lam_mp + k) / 2)))
         assert abs(gamma_norm_k(lam, n, k) - want) <= 1e-12 * abs(want)
     with pytest.raises(PoleError):
-        gamma_norm(2.0, 3)
+        gamma_norm_k(2.0, 3, 1)
 
 
 @pytest.mark.parametrize("transform, kw", [
