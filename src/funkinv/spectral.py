@@ -61,6 +61,7 @@ __all__ = [
 POLE_TOL = 1e-12
 # every spectrum normalizes its pole again, which moves some unit vectors by an ulp
 AXIS_TOL = 1e-14
+UNIT_TOL = 1e-9  # shell points, x/|x| and grid nodes are unit vectors only to rounding
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +597,19 @@ class HarmonicSpectrum:
         by block of :func:`_zonal_blocks`, with the real and imaginary parts
         accumulated point by point in degree order, so the values do not
         depend on the block size.  Points of another shape raise
-        InvalidArgumentError; a non-finite point raises DomainError.
+        InvalidArgumentError; a point whose squared norm is not within
+        ``UNIT_TOL`` of 1 (a non-finite one included) raises DomainError.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise InvalidArgumentError(
                 f"points must have shape (N, {self.n}), got {pts.shape}"
             )
+        if not np.all(np.abs(np.square(pts) @ np.ones(self.n) - 1.0) <= UNIT_TOL):
+            raise DomainError("points must be unit vectors")
         if self.pole is None:
-            if not np.all(np.isfinite(pts)):
-                raise DomainError("points must be finite")
             return _synthesize_full(pts, self.max_degree, self.coeffs)
-        # inf * 0 in a non-finite point gives NaN, which the domain check rejects
-        with np.errstate(invalid="ignore"):
-            t = pts @ self.pole
+        t = pts @ self.pole
         out = np.empty(pts.shape[0], dtype=complex)
         # a zero part adds +-0 to a sum that is never -0, so skipping it
         # changes no bit; a real spectrum sums no imaginary part at all

@@ -8,8 +8,9 @@ frame's column span and omega on S^{n-k-1} in its null space.  The Funk
 transform is the r = 0 shell.  The cosine transform is the frame kernel
 r^lam of ``_frame_kernel_values``: with the radial density
 r^{k-1} (1-r^2)^{(n-k-2)/2} it is a Jacobi weight in y = 2r^2-1, integrated
-exactly against the shell averages by Chebyshev moments, for real and
-complex lam alike.  Every rule is sized from the band limit of the input.
+exactly against the shell averages by regularized Chebyshev moments, for
+every lam off {0, 2, 4, ...} (at lam = -k the point mass at r = 0, Funk).
+Every rule is sized from the band limit of the input.
 
 The dual transforms integrate over frames and are computed by Monte Carlo
 with Haar sampling (Gram-Schmidt orthonormalization of Gaussian matrices,
@@ -182,7 +183,8 @@ def cosine_k_function(
 ) -> StiefelFunction:
     """Codimension-k cosine transform on stacks of frames u: the normalized
     integral of f(v) |u^T v|^lam, |.| the Euclidean length of the k-vector
-    u^T v, exact for f of band limit ``profile_degree``."""
+    u^T v, exact for f of band limit ``profile_degree``, for every lam off
+    {0, 2, 4, ...}; at lam = -k, ``null_sphere_scale(n, k)`` times Funk."""
     def fn(frames):
         return _frame_cosine_values(f_eval, frames, lam, profile_degree)
 

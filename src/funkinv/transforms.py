@@ -15,19 +15,26 @@ each other:
   shells {v : |U^T v| = r}.  For input of band limit J the shell profile is
   a polynomial of degree J//2 in y = 2r^2 - 1, and every kernel times the
   density of r becomes a Jacobi weight (1-y)^a (1+y)^b in y, or for the
-  logarithmic kernels its derivative in a or b; the kernel is integrable
-  exactly when Re a, Re b > -1, the one domain check of the quadrature
-  path.  The weight is integrated exactly: the profile is fitted at J//2 + 1
-  Chebyshev nodes and its coefficients are contracted with the Chebyshev
-  moments of the weight from the Piessens-Branders recurrence, real and
-  complex lam alike.  The shell averages come from one product rule over
-  frames, :func:`_frame_shell_values`, sized from J; the Funk transform is
-  its r = 0 shell, for every n.  Shell averages evaluate the input off-grid,
+  logarithmic kernels its derivative in a or b.  The weight is integrated
+  exactly: the profile is fitted at J//2 + 1 Chebyshev nodes and its
+  coefficients are contracted with the Piessens-Branders Chebyshev moments
+  of the weight divided by Gamma(a+1) Gamma(b+1).  Those are entire in
+  (a, b) and the 1/Gamma factors cancel in the normalizers, so one rule
+  serves every lam off {0, 2, 4, ...}, real or complex: b = -1 is the point
+  mass at r = 0 (the cosine at lam = -1 is the Funk transform) and a = -1
+  the point mass at r = 1 (the sine at lam = 1-n is the identity).  Against
+  the spectral path at n = 3..6, J <= 32, it agrees to 1e-13 relative for
+  the cosine at Re lam in [-3, -1] and to 1.5e-13 for the sine at Re lam in
+  [-n-1, 1-n]; further out digits fall (cosine at lam = -5: 1.2e-12 at
+  n = 6, J = 16; at lam = -7.5: 7e-11 at n = 5, J = 32).  The shell
+  averages come from one product rule over frames,
+  :func:`_frame_shell_values`, sized from J; the Funk transform is its
+  r = 0 shell, for every n.  Shell averages evaluate the input off-grid,
   which goes through band-limited synthesis (raw grids are never
   interpolated), and never touch the multipliers.
 
 The five public transforms, and ``funkinv forward``, run through one function
-that reads each operator's paths and quadrature domain from ``OPERATORS``.
+that reads each operator's paths from ``OPERATORS``.
 """
 
 from __future__ import annotations
@@ -38,11 +45,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import loggamma, psi
+from scipy.special import poch, psi
 
 from . import gammafn
 from .errors import (
-    DomainError,
     InvalidArgumentError,
     PoleError,
     PreconditionError,
@@ -50,6 +56,7 @@ from .errors import (
 from .grids import GridFunction, build_grid, integrate
 from .spectral import (
     HarmonicSpectrum,
+    _gamma_ratio,
     analyze,  # noqa: F401  (re-exported: callers reach it as transforms.analyze)
     as_spectrum,
     cosine_multiplier,
@@ -257,52 +264,61 @@ def _frame_shell_values(f_eval: Callable, frames: np.ndarray, r: np.ndarray, J: 
 
 
 def _chebyshev_moments(a: complex, b: complex, num: int, wrt: str | None = None) -> np.ndarray:
-    """Modified moments M_k = int_{-1}^{1} T_k(y) (1-y)^a (1+y)^b dy for
-    k < num, or with ``wrt="a"`` / ``"b"`` their derivatives in that exponent
-    (the moments of log(1-y) and log(1+y) times the weight); Re a, Re b > -1.
+    """Regularized moments M_k / (Gamma(a+1) Gamma(b+1)), k < num, of
+    M_k = int_{-1}^{1} T_k(y) (1-y)^a (1+y)^b dy, or with ``wrt="a"`` / ``"b"``
+    the moments of log(1-y) and log(1+y) times the weight, divided alike.
 
-    Forward Piessens-Branders recurrence (BIT 13, 1973; QUADPACK's QAWS),
-    (a+b+k+2) M_{k+1} + 2(a-b) M_k + (a+b-k+2) M_{k-1} = 0, from
-    M_0 = 2^(a+b+1) B(a+1, b+1) and M_1 = M_0 (b-a)/(a+b+2).  The derivative
-    in a runs the recurrence differentiated in a, whose right-hand side is
-    -(M_{k+1} + 2 M_k + M_{k-1}), from digamma starting values.
+    They are entire in (a, b): b = -1 gives a point mass at y = -1 and a = -1
+    one at y = 1.  The Piessens-Branders recurrence (BIT 13, 1973; QUADPACK's
+    QAWS) runs on R_k = M_k Gamma(s+k+2) / (k! Gamma(a+1) Gamma(b+1)), s = a+b:
+    (k+1) R_{k+1} = -2(a-b) R_k - (s-k+2)(s+k+1)/k R_{k-1} from R_0 = 2^(s+1),
+    R_1 = R_0 (b-a), with no division that can vanish; moment k is
+    R_k k!/Gamma(s+k+2), in real arithmetic for real s.  The log moment in a
+    takes dR_k/da from the same recurrence differentiated in a and adds
+    (psi(a+1) - psi(s+k+2)) R_k, so it needs a off {-1, -2, ...} and s off
+    {-2, -3, ...}.
     """
     if wrt == "b":  # y -> -y swaps the exponents and the sign of odd T_k
         return _chebyshev_moments(b, a, num, "a") * (-1.0) ** np.arange(num)
     a, b = complex(a), complex(b)
     s = a + b
-    m = np.empty(num, dtype=complex)
-    m[0] = np.exp((s + 1.0) * math.log(2.0) + loggamma(a + 1.0) + loggamma(b + 1.0)
-                  - loggamma(s + 2.0))
+    k = np.arange(num)
+    ratio = (poch(s.real + k + 2.0, -(s.real + 1.0)) if s.imag == 0.0
+             else _gamma_ratio(k + 1.0, s + k + 2.0))
+    r, d = np.empty((2, num), dtype=complex)  # R_k and dR_k/da
+    r[0] = 2.0 ** (s + 1.0)
+    d[0] = math.log(2.0) * r[0]
     if num > 1:
-        m[1] = m[0] * (b - a) / (s + 2.0)
-    for k in range(1, num - 1):
-        m[k + 1] = -(2.0 * (a - b) * m[k] + (s - k + 2.0) * m[k - 1]) / (s + k + 2.0)
+        r[1], d[1] = r[0] * (b - a), d[0] * (b - a) - r[0]
+    for j in range(1, num - 1):
+        c = (s - j + 2.0) * (s + j + 1.0) / j
+        r[j + 1] = -(2.0 * (a - b) * r[j] + c * r[j - 1]) / (j + 1)
+        d[j + 1] = -(2.0 * (a - b) * d[j] + c * d[j - 1] + 2.0 * r[j]
+                     + (2.0 * s + 3.0) / j * r[j - 1]) / (j + 1)
     if wrt is None:
-        return m
-    d = np.empty(num, dtype=complex)
-    d[0] = m[0] * (math.log(2.0) + psi(a + 1.0) - psi(s + 2.0))
-    if num > 1:
-        d[1] = d[0] * (b - a) / (s + 2.0) - m[0] * 2.0 * (b + 1.0) / (s + 2.0) ** 2
-    for k in range(1, num - 1):
-        rhs = m[k + 1] + 2.0 * m[k] + m[k - 1]
-        d[k + 1] = -(2.0 * (a - b) * d[k] + (s - k + 2.0) * d[k - 1] + rhs) / (s + k + 2.0)
-    return d
+        return r * ratio
+    return (d + (psi(a + 1.0) - psi(s + k + 2.0)) * r) * ratio
 
 
-def _kernel_rule(profile_degree: int, a: complex, b: complex, wrt: str | None = None):
-    """Nodes r on (0, 1) and weights w with sum w g(r) = int_0^1 g(r) K(r) dr
-    for every even polynomial g of degree <= profile_degree, where
-    K(r) = r W(2r^2-1), W(y) = ((1-y)/2)^a ((1+y)/2)^b is a Jacobi weight,
-    and ``wrt`` replaces W by its derivative in a or b.
+def _frame_kernel_values(f_eval: Callable, frames: np.ndarray, a: complex, b: complex, J: int,
+                         wrt: str | None = None) -> np.ndarray:
+    """int_0^1 F(r) K(r) dr about every frame U of a stack (S, n, k), exact
+    for f of band limit J, where F(r) is the average of f over the shell
+    {v : |U^T v| = r}, K(r) = r W(2r^2-1) / (Gamma(a+1) Gamma(b+1)) and
+    W(y) = ((1-y)/2)^a ((1+y)/2)^b is a Jacobi weight (``wrt`` replaces W by
+    its derivative in a or b).  r has density c r^(k-1) (1-r^2)^((n-k-2)/2),
+    c = 2 Gamma(n/2) / (Gamma(k/2) Gamma((n-k)/2)), and a kernel times it is
+    c Gamma(a+1) Gamma(b+1) K(r); callers fold that constant into their
+    normalizer.  K is finite for every (a, b): b = -1 is the point mass at
+    r = 0 (Funk), a = -1 the point mass at r = 1 (S_{1-n} = I).
 
-    With y = 2r^2-1 the integral is 1/4 int Q(y) W(y) dy, where Q(y) = g(r)
-    is a polynomial of degree num-1, num = profile_degree//2 + 1.  Q is
-    fitted at the num Chebyshev nodes y_i = cos(theta_i), which are
-    r = cos(theta_i/2), and its coefficients are contracted with the moments
-    of W from :func:`_chebyshev_moments`.
+    With y = 2r^2-1 the integral is 1/4 int Q(y) W(y) dy, where Q(y) = F(r)
+    is a polynomial of degree num-1, num = J//2 + 1.  Q is fitted at the num
+    Chebyshev nodes y_i = cos(theta_i), which are r = cos(theta_i/2), and its
+    coefficients are contracted with the moments of W from
+    :func:`_chebyshev_moments`.
     """
-    num = profile_degree // 2 + 1
+    num = J // 2 + 1
     theta = math.pi * (2.0 * np.arange(num) + 1.0) / (2.0 * num)
     moments = _chebyshev_moments(a, b, num, wrt)
     if wrt is not None:  # W carries 2^-(a+b), whose derivative adds -log(2) W
@@ -311,29 +327,7 @@ def _kernel_rule(profile_degree: int, a: complex, b: complex, wrt: str | None = 
     moments[0] /= 2.0
     # Q = sum_k c_k T_k with c_k = (2/num) sum_i Q(y_i) cos(k theta_i), c_0 halved
     w = np.cos(np.outer(theta, np.arange(num))) @ moments / (2.0 * num)
-    return np.cos(theta / 2.0), w
-
-
-def _frame_kernel_values(f_eval: Callable, frames: np.ndarray, a: complex, b: complex, J: int,
-                         wrt: str | None = None) -> np.ndarray:
-    """Kernel integral of f about every frame U of a stack (S, n, k), exact
-    for f of band limit J.  r = |U^T v| has density c r^(k-1) (1-r^2)^((n-k-2)/2)
-    on (0, 1), c = 2 Gamma(n/2) / (Gamma(k/2) Gamma((n-k)/2)) (2 A_n at k = 1,
-    both halves t = +-r at once); the kernel times that density, as r W(2r^2-1),
-    is the Jacobi weight W of :func:`_kernel_rule` with exponents a, b (or its
-    derivative in ``wrt``), summed against the frame-shell averages.
-
-    This is the one integrability guard of the kernel quadratures: the
-    integral converges exactly when Re a > -1 and Re b > -1.
-    """
-    a, b = complex(a), complex(b)
-    if a.real <= -1.0 or b.real <= -1.0:
-        raise DomainError(f"kernel not integrable: Jacobi exponents a = {a}, b = {b} "
-                          "need real parts > -1")
-    _, n, k = frames.shape
-    c = 2.0 * math.gamma(n / 2.0) / (math.gamma(k / 2.0) * math.gamma((n - k) / 2.0))
-    r, w = _kernel_rule(J, a, b, wrt)
-    return c * (_frame_shell_values(f_eval, frames, r, J) @ w)
+    return _frame_shell_values(f_eval, frames, np.cos(theta / 2.0), J) @ w
 
 
 def _point_frames(points: np.ndarray) -> np.ndarray:
@@ -349,13 +343,14 @@ def _frame_funk_values(f_eval: Callable, frames: np.ndarray, J: int) -> np.ndarr
 
 def _frame_cosine_values(f_eval: Callable, frames: np.ndarray, lam: complex, J: int) -> np.ndarray:
     """The normalized frame kernel r^lam, r = |U^T v|, about every frame of a
-    stack (S, n, k), exact for f of band limit J: the Jacobi exponents
-    a = (n-k-2)/2, b = (k-2+lam)/2 of :func:`_frame_kernel_values`."""
+    stack (S, n, k), exact for f of band limit J, lam off {0, 2, 4, ...}: the
+    exponents a = (n-k-2)/2, b = (k-2+lam)/2 of :func:`_frame_kernel_values`,
+    scaled by gamma_norm_k c Gamma(a+1) Gamma(b+1) = 2 sqrt(pi) Gamma(-lam/2)/Gamma(k/2)."""
     _, n, k = frames.shape
     lam = complex(lam)
     check_off_even_poles(lam)
     raw = _frame_kernel_values(f_eval, frames, (n - k - 2) / 2.0, (k - 2.0 + lam) / 2.0, J)
-    return gamma_norm_k(lam, n, k) * raw
+    return 2.0 * math.sqrt(math.pi) * gammafn.gamma(-lam / 2.0) / math.gamma(k / 2.0) * raw
 
 
 def cosine_quadrature_values(
@@ -377,7 +372,7 @@ def sine_quadrature_values(
     check_off_even_poles(lam)
     raw = _frame_kernel_values(f_eval, _point_frames(points), (lam + n - 3.0) / 2.0, -0.5,
                                profile_degree)
-    return gamma_norm_k(lam, n, n - 1) * raw
+    return 2.0 * math.sqrt(math.pi) * gammafn.gamma(-lam / 2.0) / math.gamma((n - 1) / 2.0) * raw
 
 
 def log_cosine_quadrature_values(
@@ -388,7 +383,7 @@ def log_cosine_quadrature_values(
     -1/2 times the derivative of ((1+y)/2)^b = |t|^(2b) in b at b = -1/2."""
     raw = _frame_kernel_values(f_eval, _point_frames(points), (n - 3) / 2.0, -0.5,
                                profile_degree, wrt="b")
-    return (-1.0 / math.gamma(n / 2.0)) * raw
+    return -2.0 * raw
 
 
 def log_sine_quadrature_values(
@@ -402,7 +397,7 @@ def log_sine_quadrature_values(
                                profile_degree, wrt="a")
     # prefactor fixed by the limit of the lam-sine family at lam = 0, equal to
     # the factorization through the Funk transform (see tests)
-    return (-math.sqrt(math.pi) / (math.gamma(n / 2.0) * math.gamma((n - 1) / 2.0))) * raw
+    return (-2.0 * math.sqrt(math.pi) / math.gamma((n - 1) / 2.0)) * raw
 
 
 def funk_geodesic_values(f_eval: Callable, points: np.ndarray, *, profile_degree: int) -> np.ndarray:
@@ -423,17 +418,15 @@ class _Operator:
 
     ``spectral(spec, lam)`` is the spectral path and ``quadrature(f_eval,
     points, n, lam, J)`` the quadrature path for input of band limit J, which
-    sizes every rule; ``auto`` takes quadrature where ``quadrature_domain(lam,
-    n)`` holds (everywhere by default), which is where the kernel passes the
-    integrability guard of :func:`_frame_kernel_values`.  The paths look their
-    functions up in this module at call time, so a tracer that replaces those
-    attributes sees every call.
+    sizes every rule.  Both paths take every lam off {0, 2, 4, ...}, so
+    ``auto`` is quadrature for grid samples and spectral for a spectrum.  The
+    paths look their functions up in this module at call time, so a tracer
+    that replaces those attributes sees every call.
     """
 
     name: str
     spectral: Callable
     quadrature: Callable
-    quadrature_domain: Callable = lambda lam, n: True
     mean_zero: bool = False
 
 
@@ -443,7 +436,6 @@ OPERATORS = {
         "cosine",
         lambda spec, lam: cosine_spectrum(spec, lam),
         lambda ev, x, n, lam, J: cosine_quadrature_values(ev, x, n, lam, profile_degree=J),
-        lambda lam, n: lam.real > -1.0,
     ),
     "funk": _Operator(
         "funk",
@@ -460,7 +452,6 @@ OPERATORS = {
         "sine",
         lambda spec, lam: sine_spectrum(spec, lam),
         lambda ev, x, n, lam, J: sine_quadrature_values(ev, x, n, lam, profile_degree=J),
-        lambda lam, n: lam.real > 1.0 - n,
     ),
     "logsine": _Operator(
         "log-sine",
@@ -490,7 +481,7 @@ def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None):
     if op.mean_zero and abs(integrate(f)) > MEAN_ZERO_TOL:
         raise PreconditionError(f"{op.name} transform requires a mean-zero input")
     if path == "auto":
-        path = "quadrature" if op.quadrature_domain(lam, f.grid.n) else "spectral"
+        path = "quadrature"
     meta = {"operator": op.name, "path": path, "lam": lam}
     meta = {k: v for k, v in meta.items() if v is not None}
     spec, grid = as_spectrum(f, band_limit, pole)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from funkinv.grids import build_grid
 from funkinv.spectral import (
@@ -8,6 +9,11 @@ from funkinv.spectral import (
     random_even_spectrum,
 )
 from funkinv.transforms import gamma_norm_k
+
+# the property tests draw the same examples every run and keep no example
+# database, so the suite is deterministic; each test keeps its max_examples
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 GATE_TRIPLES = [
     (j, n, lam)

@@ -212,6 +212,24 @@ def test_evaluate_checks_the_shape_of_its_points(n, zonal):
     assert spec.evaluate(u[None, :]).shape == (1,)
 
 
+@pytest.mark.parametrize("n, zonal", [(3, False), (3, True), (5, True)])
+def test_evaluate_rejects_points_off_the_sphere(n, zonal):
+    # a full table once returned the north-pole value at (0, 0, 5) and a
+    # zonal one the value at height 0.5 for the point 0.5 e_1
+    spec = random_even_spectrum(n, 4, seed=3, zonal=zonal)
+    pole = np.eye(n)[0]
+    for scale in (5.0, 0.5, 1.0 + 1e-6, 0.0):
+        with pytest.raises(DomainError, match="unit vectors"):
+            spec.evaluate(np.stack([pole, scale * pole]))
+    # points built as unit vectors are unit only to rounding, and pass
+    rng = np.random.default_rng(n)
+    points = rng.standard_normal((50, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    assert np.all(np.isfinite(spec.evaluate(points * (1.0 + 1e-12))))
+    grid = build_grid(n, 4)
+    assert np.all(np.isfinite(spec.evaluate(grid.nodes)))
+
+
 def test_zonal_norms_match_quadrature_oracle():
     # oracle: direct adaptive quadrature of the profile squared
     for j, n in [(2, 3), (4, 3), (2, 4), (3, 5)]:

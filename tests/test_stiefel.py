@@ -9,6 +9,7 @@ from funkinv.errors import (
     DomainError,
     InsufficientSamplesError,
     InvalidArgumentError,
+    PoleError,
 )
 from funkinv.spectral import (
     HarmonicSpectrum,
@@ -242,10 +243,20 @@ def test_cosine_k_limit_to_funk_k(zonal_f4):
     assert abs(lim - want) <= 1e-3
 
 
-def test_cosine_k_domain_guard(zonal_f4):
-    fr = haar_frames(4, 2, 1, seed=9)
-    with pytest.raises(DomainError):
-        cosine_k_function(zonal_f4.evaluate, 4, 2, -2.5, profile_degree=zonal_f4.max_degree)(fr)
+def test_cosine_k_domain_guard():
+    # the one guard left is the pole set {0, 2, 4, ...}; at lam = -k, past the
+    # old integrability edge, the frame kernel is the point mass at r = 0, so
+    # the transform is null_sphere_scale(n, k) times the Funk transform
+    J = 6
+    for n, k in ((5, 2), (6, 2), (6, 3)):
+        f = random_even_spectrum(n, J, seed=50 + n + k, zonal=True)
+        fr = haar_frames(n, k, 4, seed=9)
+        for pole in (0.0, 2.0):
+            with pytest.raises(PoleError):
+                cosine_k_function(f.evaluate, n, k, pole, profile_degree=J)(fr)
+        got = cosine_k_function(f.evaluate, n, k, -float(k), profile_degree=J)(fr)
+        want = null_sphere_scale(n, k) * funk_k_function(f.evaluate, n, k, profile_degree=J)(fr)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, k)
 
 
 # ---------------------------------------------------------------------------

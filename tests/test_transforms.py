@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from scipy.special import eval_chebyt
 
 from funkinv.errors import (
-    DomainError,
     InvalidArgumentError,
     PoleError,
     PreconditionError,
@@ -161,10 +160,12 @@ def test_cosine_grid_paths_and_metadata(grid3, even_f3):
     assert out_q.meta["path"] == "quadrature"
     assert out_s.meta["path"] == "spectral"
     assert np.max(np.abs(out_q.values - out_s.values)) <= 1e-12
-    # auto: quadrature domain holds here
+    # auto takes quadrature for grid input at every lam, past Re lam = -1 too
     assert cosine_transform(f_grid, lam=-0.5, path="auto").meta["path"] == "quadrature"
-    # auto: out-of-domain parameter falls back to the spectral path
-    assert cosine_transform(f_grid, lam=-1.5, path="auto").meta["path"] == "spectral"
+    out_a = cosine_transform(f_grid, lam=-1.5, path="auto")
+    assert out_a.meta["path"] == "quadrature"
+    out_s = cosine_transform(f_grid, lam=-1.5, path="spectral")
+    assert np.max(np.abs(out_a.values - out_s.values)) <= 1e-12 * np.max(np.abs(out_s.values))
 
 
 def test_cosine_guards(grid3, even_f3):
@@ -172,8 +173,10 @@ def test_cosine_guards(grid3, even_f3):
         cosine_spectrum(even_f3, 2.0)
     with pytest.raises(PoleError):
         cosine_spectrum(even_f3, 4.0 + 1e-11)
-    with pytest.raises(DomainError):
-        cosine_quadrature_values(even_f3.evaluate, grid3.nodes[:2], 3, -1.2, profile_degree=8)
+    # Re lam <= -1 is no longer out of the quadrature's domain
+    got = cosine_quadrature_values(even_f3.evaluate, grid3.nodes[:2], 3, -1.2, profile_degree=8)
+    want = cosine_spectrum(even_f3, -1.2).evaluate(grid3.nodes[:2])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(InvalidArgumentError):
         cosine_transform(even_f3, lam=0.5, path="quadrature")
     f_plain = grid_function(grid3, lambda v: v[:, 0] ** 2)
@@ -378,8 +381,10 @@ def test_sine_factorization(even_f3, probes):
 def test_sine_guards(even_f3, probes):
     with pytest.raises(PoleError):
         sine_spectrum(even_f3, 0.0)
-    with pytest.raises(DomainError):
-        sine_quadrature_values(even_f3.evaluate, probes, 3, -2.5, profile_degree=8)
+    # Re lam <= 1-n is no longer out of the quadrature's domain
+    got = sine_quadrature_values(even_f3.evaluate, probes, 3, -2.5, profile_degree=8)
+    want = sine_spectrum(even_f3, -2.5).evaluate(probes)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +419,24 @@ def test_chebyshev_moments_against_quad(a, b):
     # scipy's "alg" weight is (1+y)^alpha (1-y)^beta for wvar = (alpha, beta);
     # "alg-loga" multiplies it by log(1+y) and "alg-logb" by log(1-y)
     num = 25
+    scale = math.gamma(a + 1.0) * math.gamma(b + 1.0)
     for wrt, weight in ((None, "alg"), ("a", "alg-logb"), ("b", "alg-loga")):
         got = _chebyshev_moments(a, b, num, wrt)
         for k in range(num):
             want = quad(lambda y: eval_chebyt(k, y), -1.0, 1.0, weight=weight, wvar=(b, a),
                         limit=200)[0]
-            assert abs(got[k] - want) <= 1e-12, (wrt, k)
+            assert abs(got[k] - want / scale) <= 1e-12, (wrt, k)
 
 
 def _beta_sum_moments(a, b, num):
-    """int T_k(y) (1-y)^a (1+y)^b dy for k < num at 40 digits: T_k expanded
-    in powers of 1+y, each power a beta integral."""
-    with mpmath.workdps(40):
+    """int T_k(y) (1-y)^a (1+y)^b dy / (Gamma(a+1) Gamma(b+1)) for k < num
+    at 50 digits: T_k expanded in powers of 1+y, each power a beta integral
+    over the same Gamma factors, which is entire in (a, b)."""
+    with mpmath.workdps(50):
         a, b = mpmath.mpc(a), mpmath.mpc(b)
-        # beta[m] = int (1-y)^a (1+y)^(b+m) dy = 2^(a+b+m+1) B(a+1, b+m+1)
-        beta = [mpmath.power(2, a + b + 1) * mpmath.beta(a + 1, b + 1)]
-        for m in range(1, num):
-            beta.append(beta[-1] * 2 * (b + m) / (a + b + m + 1))
+        # beta[m] = int (1-y)^a (1+y)^(b+m) dy / (Gamma(a+1) Gamma(b+1))
+        beta = [mpmath.power(2, a + b + m + 1) * mpmath.rf(b + 1, m) * mpmath.rgamma(a + b + m + 2)
+                for m in range(num)]
         out = []
         for k in range(num):
             mono = np.polynomial.chebyshev.cheb2poly(np.eye(k + 1)[k])  # small integers
@@ -450,6 +456,17 @@ def test_chebyshev_moments_complex_exponent(a, b):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("a, b", [(0.0, -1.0), (-1.0, -0.5), (0.0, -3.0), (0.5, -1.75),
+                                  (1.0, -4.0 + 0.3j), (-2.5, -0.5)])
+def test_chebyshev_moments_past_the_integrable_range(a, b):
+    # the regularized moments are entire: b = -1 and a = -1 are point masses,
+    # and (0, -3) is n = 3, lam = -5, where the unregularized recurrence is 0/0
+    got = _chebyshev_moments(a, b, 25)
+    want = _beta_sum_moments(a, b, 25)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(np.isfinite(_chebyshev_moments(a, b, 201)))
+
+
 def _random_spectrum(n, J, seed):
     """Mean-zero complex input with odd degrees, full for n = 3 and zonal
     otherwise."""
@@ -460,13 +477,21 @@ def _random_spectrum(n, J, seed):
     return HarmonicSpectrum(n, J, coeffs / (1.0 + degrees) ** 2, pole).with_zero_mean()
 
 
-@pytest.mark.parametrize("n, J", [(3, 6), (3, 20), (3, 32), (4, 8), (5, 8)])
+@pytest.mark.parametrize("n, J", [(3, 6), (3, 20), (3, 32), (4, 8), (5, 8), (6, 8)])
 @pytest.mark.parametrize("key, lam", [
     ("cosine", 0.5), ("cosine", 0.5 + 1.0j), ("cosine", -0.7 - 0.4j),
     ("sine", -0.5), ("sine", 0.3 - 0.8j),
     ("logcos", None), ("logsine", None), ("funk", None),
+    # below the old integrability edges Re lam > -1 (cosine), > 1-n (sine)
+    ("cosine", -1.0), ("cosine", -1.5), ("cosine", -1.5 + 0.7j), ("cosine", -2.5 - 0.4j),
+    ("cosine", -3.0),
+    pytest.param("sine", lambda n: 1.0 - n, id="sine-1-n"),
+    pytest.param("sine", lambda n: 1.0 - n + 0.3j, id="sine-1-n+0.3j"),
+    pytest.param("sine", lambda n: 0.5 - n, id="sine-0.5-n"),
+    pytest.param("sine", lambda n: -1.0 - n, id="sine--1-n"),
 ])
 def test_quadrature_matches_spectral_for_every_kernel(key, lam, n, J):
+    lam = lam(n) if callable(lam) else lam
     spec = _random_spectrum(n, J, seed=10 * n + J)
     points = np.random.default_rng(J).standard_normal((12, n))
     points /= np.linalg.norm(points, axis=1)[:, None]
@@ -479,21 +504,38 @@ def test_quadrature_matches_spectral_for_every_kernel(key, lam, n, J):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("transform, edge", [(cosine_transform, lambda n: -1.0),
                                              (sine_transform, lambda n: 1.0 - n)])
-def test_auto_path_agrees_with_the_integrability_guard(transform, edge, n):
-    # auto takes the quadrature path exactly where the kernel quadrature does
-    # not raise DomainError, on both sides of the edge of integrability
+def test_auto_path_takes_quadrature_across_the_old_edge(transform, edge, n):
+    # the kernel quadrature once stopped at Re lam = edge(n), and auto fell
+    # back to the spectral path below it; now auto takes quadrature on both
+    # sides, matching the spectral path, and both paths raise PoleError alike
     spec = random_even_spectrum(n, 4, seed=n)
     x = spec.to_grid(build_grid(n, 5))
-    chosen = set()
     for lam in (edge(n) + d + 1j * im for d in (-1e-3, 1e-3) for im in (0.0, 0.7, -1.3)):
-        try:
-            transform(x, lam=lam, path="quadrature", pole=spec.pole)
-            want = "quadrature"
-        except DomainError:
-            want = "spectral"
-        assert transform(x, lam=lam, path="auto", pole=spec.pole).meta["path"] == want, lam
-        chosen.add(want)
-    assert chosen == {"quadrature", "spectral"}
+        got = transform(x, lam=lam, path="auto", pole=spec.pole)
+        assert got.meta["path"] == "quadrature", lam
+        want = transform(x, lam=lam, path="spectral", pole=spec.pole).values
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want)), lam
+    for lam in (0.0, 2.0, 4.0 + 1e-11):
+        for path in ("auto", "quadrature", "spectral"):
+            with pytest.raises(PoleError):
+                transform(x, lam=lam, path=path, pole=spec.pole)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_quadrature_end_points(n):
+    # b = -1 is the point mass at r = 0: the cosine at lam = -1 is the Funk
+    # transform times funk_scale(n); a = -1 is the point mass at r = 1: the
+    # sine at lam = 1-n is the identity on even input
+    J = 8
+    spec = random_even_spectrum(n, J, seed=40 + n, zonal=n > 3)
+    points = np.random.default_rng(n).standard_normal((12, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    f = spec.evaluate(points)
+    funk = funk_geodesic_values(spec.evaluate, points, profile_degree=J)
+    cosine = cosine_quadrature_values(spec.evaluate, points, n, -1.0, profile_degree=J)
+    assert np.max(np.abs(cosine - funk_scale(n) * funk)) <= 1e-13 * np.max(np.abs(funk))
+    sine = sine_quadrature_values(spec.evaluate, points, n, 1.0 - n, profile_degree=J)
+    assert np.max(np.abs(sine - f)) <= 1e-13 * np.max(np.abs(f))
 
 
 @pytest.mark.parametrize("transform, lam", [(cosine_transform, 0.5 + 1j),
