@@ -336,7 +336,7 @@ def _cmd_convergence(cfg: dict) -> int:
     elif study == "mc-dual":
         sample_counts = _option_list(cfg, "samples_list", 0, "sample counts")
         f = random_even_spectrum(n, 4, cfg["seed"], zonal=True)
-        psi = funk_k_function(f.evaluate, n, cfg["k"], profile_degree=f.max_degree)
+        psi = funk_k_function(f, n, cfg["k"], profile_degree=f.max_degree)
         v = np.eye(n)[1]
         sigmas = []
         for count in sample_counts:

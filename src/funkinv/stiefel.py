@@ -1,10 +1,14 @@
 """Transforms attached to orthonormal k-frames (codimension-k subspheres).
 
-The forward transforms integrate over the sphere by the exact product
+The forward transforms integrate over the sphere by the exact shell
 quadrature of :mod:`funkinv.transforms`, whose sphere kernel quadratures are
 their k = 1 case: the sphere splits into the shells
 v = r * (u theta) + sqrt(1-r^2) * (B omega) with theta on S^{k-1} in the
-frame's column span and omega on S^{n-k-1} in its null space.  The Funk
+frame's column span and omega on S^{n-k-1} in its null space.  A zonal
+spectrum is averaged over each shell by one Gauss-Gegenbauer rule per
+sphere in the height of theta and of omega along the pole's projections
+(J//2 + 1 points per frame for the Funk transform, at every n); a callable
+or a full n = 3 table by the product of the two spheres' rules.  The Funk
 transform is the r = 0 shell.  The cosine transform is the frame kernel
 r^lam of ``_frame_kernel_values``: with the radial density
 r^{k-1} (1-r^2)^{(n-k-2)/2} it is a Jacobi weight in y = 2r^2-1, integrated
@@ -164,29 +168,32 @@ def haar_frames(n: int, k: int, count: int, seed: int | None = None, rng=None) -
 
 
 # ---------------------------------------------------------------------------
-# forward transforms (exact product quadrature)
+# forward transforms (exact shell quadrature)
 
 
-def funk_k_function(f_eval: Callable, n: int, k: int, *, profile_degree: int) -> StiefelFunction:
+def funk_k_function(f, n: int, k: int, *, profile_degree: int) -> StiefelFunction:
     """Codimension-k Funk transform on stacks of frames u: the average of f
     over {v : u^T v = 0}, the unit sphere of u's null space, with its
     invariant probability measure, exact for f of band limit
-    ``profile_degree``."""
+    ``profile_degree``.  ``f`` is a HarmonicSpectrum (a zonal one takes the
+    pole-adapted rule) or a callable on unit points (N, n)."""
     def fn(frames):
-        return _frame_funk_values(f_eval, frames, profile_degree)
+        return _frame_funk_values(f, frames, profile_degree)
 
     return StiefelFunction(fn, n, k, tag="funk_k")
 
 
 def cosine_k_function(
-    f_eval: Callable, n: int, k: int, lam: complex, *, profile_degree: int
+    f, n: int, k: int, lam: complex, *, profile_degree: int
 ) -> StiefelFunction:
     """Codimension-k cosine transform on stacks of frames u: the normalized
     integral of f(v) |u^T v|^lam, |.| the Euclidean length of the k-vector
     u^T v, exact for f of band limit ``profile_degree``, for every lam off
-    {0, 2, 4, ...}; at lam = -k, ``null_sphere_scale(n, k)`` times Funk."""
+    {0, 2, 4, ...}; at lam = -k, ``null_sphere_scale(n, k)`` times Funk.
+    ``f`` is a HarmonicSpectrum (a zonal one takes the pole-adapted rule) or
+    a callable on unit points (N, n)."""
     def fn(frames):
-        return _frame_cosine_values(f_eval, frames, lam, profile_degree)
+        return _frame_cosine_values(f, frames, lam, profile_degree)
 
     return StiefelFunction(fn, n, k, tag="cosine_k")
 
@@ -295,11 +302,12 @@ def sine_mc_via_dual_cosine(
 ) -> MCEstimate:
     """Sine-transform value at v through the pipeline dual-cosine after
     codimension-k Funk: Monte Carlo over all Haar frames, the inner subsphere
-    average done by exact fiber quadrature per sampled frame.
+    average of the spectrum done exactly per sampled frame (for zonal f, at
+    J//2 + 1 heights along the pole, with J = f.max_degree).
 
     At the end point lam = -k the dual cosine transform is the dual Funk
     transform (over the frames of v-perp) times null_sphere_scale(n, k)."""
-    psi = funk_k_function(f.evaluate, f.n, k, profile_degree=f.max_degree)
+    psi = funk_k_function(f, f.n, k, profile_degree=f.max_degree)
     if complex(lam) == -k:
         est = dual_funk_k(psi, v, samples, seed)
         return _scale_mc(est, frame_scale(f.n, k) * null_sphere_scale(f.n, k))

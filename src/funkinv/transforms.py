@@ -27,11 +27,16 @@ each other:
   the cosine at Re lam in [-3, -1] and to 1.5e-13 for the sine at Re lam in
   [-n-1, 1-n]; further out digits fall (cosine at lam = -5: 1.2e-12 at
   n = 6, J = 16; at lam = -7.5: 7e-11 at n = 5, J = 32).  The shell
-  averages come from one product rule over frames,
-  :func:`_frame_shell_values`, sized from J; the Funk transform is its
-  r = 0 shell, for every n.  Shell averages evaluate the input off-grid,
-  which goes through band-limited synthesis (raw grids are never
-  interpolated), and never touch the multipliers.
+  averages come from one engine over frames, :func:`_frame_shell_values`,
+  sized from J; the Funk transform is its r = 0 shell, for every n.  A
+  zonal spectrum depends on a shell point only through its height along
+  the pole, so the engine averages it with one Gauss-Gegenbauer rule per
+  sphere of the shell, at J//2 + 1 heights on a meridian: O(J) points per
+  Funk output and O(J^2) per kernel output, at every n.  Callables and
+  full n = 3 tables take the product of the two spheres' rules.  Shell
+  averages evaluate the input off-grid, which goes through band-limited
+  synthesis (raw grids are never interpolated), and never touch the
+  multipliers.
 
 The five public transforms, and ``funkinv forward``, run through one function
 that reads each operator's paths from ``OPERATORS``.
@@ -63,6 +68,7 @@ from .spectral import (
     funk_multiplier,
     log_cosine_multiplier,
     sine_multiplier,
+    zonal_profile_rule,
 )
 
 __all__ = [
@@ -232,33 +238,79 @@ def _subsphere_rule(d: int, J: int):
     return nodes, weights
 
 
-def _frame_shell_values(f_eval: Callable, frames: np.ndarray, r: np.ndarray, J: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _height_rule(d: int, J: int):
+    """Probability rule for the height x = a.omega of omega uniform on
+    S^{d-1} along a unit axis a, exact for polynomials in x of degree <= J:
+    the two points +-1 when d = 1, otherwise the J//2 + 1 node Gauss rule of
+    the pushforward density (1-x^2)^((d-3)/2).  Nodes come as a column
+    (m, 1); cached, so its arrays are read-only."""
+    if d == 1:
+        return _subsphere_rule(1, J)
+    x, w = zonal_profile_rule(d, J // 2 + 1)  # x is cached read-only, w new
+    w.setflags(write=False)
+    return x[:, None], w
+
+
+def _frame_shell_values(f, frames: np.ndarray, r: np.ndarray, J: int) -> np.ndarray:
     """avg over {v : |U^T v| = r} of f, for every frame U of a stack (S, n, k)
-    and every radius r in [0, 1], exact for input of band limit J.
+    and every radius r in [0, 1], exact for input of band limit J.  ``f`` is
+    a HarmonicSpectrum or a callable on unit points (N, n).
 
     The shell is the product of spheres v = r U theta + sqrt(1-r^2) B omega,
     theta on S^{k-1} and omega on S^{n-k-1}, B the null-space basis of U; a
     unit vector u is the frame u[:, None], whose shells are {v : u.v = +-r}.
-    At r = 0 the span sphere is one point.  Returns an array of shape (S, len(r)).
+    At r = 0 the span sphere is one point.  Callables and full tables take
+    the product of the two spheres' rules, at every point of the shell.
+
+    A zonal spectrum, f(v) = g(v.p), takes a pole-adapted rule: on the
+    shell, v.p = r sigma x + sqrt(1-r^2) rho s, with c = U^T p, sigma = |c|
+    and rho = |p - U c| = sqrt(1 - sigma^2), where x = theta.c/sigma and
+    s = (B omega).(p - U c)/rho are the heights of the two sphere points
+    along the projections of p.  x and s are independent, with the
+    pushforward densities of :func:`_height_rule` (Funk-Hecke; Dai and Xu
+    2013, section 1.2), so the same loop runs on the 1 x 1 "frames" sigma
+    and rho with those rules, and f is evaluated at each height t on one
+    meridian, t p + sqrt(1-t^2) e with e a unit vector orthogonal to p.  No
+    null-space basis of a frame is formed.  Returns an array of shape
+    (S, len(r)).
     """
     count, n, k = frames.shape
-    if np.any(r):
-        theta, tw = _subsphere_rule(k, J)
+    if isinstance(f, HarmonicSpectrum) and f.kind == "zonal":
+        if n != f.n:
+            raise InvalidArgumentError(f"frames of R^{n} for a spectrum on S^{f.n - 1}")
+        pole, rule = f.pole, _height_rule
+        c = np.einsum("n,snk->sk", pole, frames)  # U^T p per frame; a batched matvec is 4x slower
+        rest = pole - np.einsum("snk,sk->sn", frames, c)
+        # sigma and rho as 1 x 1 frames and bases; rho from the residual keeps
+        # its digits when p is (nearly) in the span, where 1 - sigma^2 cancels
+        bases = np.sqrt(np.einsum("sn,sn->s", rest, rest))[:, None, None]
+        frames = np.sqrt(np.einsum("sk,sk->s", c, c))[:, None, None]
+        meridian = np.stack([pole, null_space_basis(pole[:, None])[:, 0]])  # (2, n)
+
+        def f_eval(height):  # (N, 1) heights t -> f at t p + sqrt(1-t^2) e
+            t = np.clip(height, -1.0, 1.0)
+            return f.evaluate(np.concatenate([t, np.sqrt(1.0 - t * t)], axis=1) @ meridian)
     else:
-        theta, tw = np.zeros((1, k)), np.ones(1)
-    omega, ow = _subsphere_rule(n - k, J)
+        rule = _subsphere_rule
+        f_eval = f.evaluate if isinstance(f, HarmonicSpectrum) else f
+        bases = null_space_basis(frames)
+    if np.any(r):
+        theta, tw = rule(k, J)
+    else:
+        theta, tw = np.zeros((1, frames.shape[2])), np.ones(1)
+    omega, ow = rule(n - k, J)
     cos_r = np.asarray(r, dtype=float)[None, :, None, None, None]
     sin_r = np.sqrt(1.0 - cos_r * cos_r)
-    bases = null_space_basis(frames)
     out = np.empty((count, cos_r.shape[1]), dtype=complex)
     # frames per f_eval call, at most 2^14 points each, bound the point arrays
     chunk = max(1, 2**14 // (cos_r.size * len(theta) * len(omega)))
     for lo in range(0, count, chunk):
-        span = theta @ frames[lo : lo + chunk].transpose(0, 2, 1)  # (B, T, n)
-        fiber = omega @ bases[lo : lo + chunk].transpose(0, 2, 1)  # (B, W, n)
+        span = theta @ frames[lo : lo + chunk].transpose(0, 2, 1)  # (B, T, dim)
+        fiber = omega @ bases[lo : lo + chunk].transpose(0, 2, 1)  # (B, W, dim)
         # pts[b, i, t, w, :] = r_i U_b theta_t + sqrt(1 - r_i^2) B_b omega_w
         pts = cos_r * span[:, None, :, None, :] + sin_r * fiber[:, None, None, :, :]
-        vals = np.asarray(f_eval(pts.reshape(-1, n)), dtype=complex)
+        vals = np.asarray(f_eval(pts.reshape(-1, pts.shape[-1])), dtype=complex)
         out[lo : lo + chunk] = (vals.reshape(pts.shape[:-1]) @ ow) @ tw
     return out
 
@@ -300,7 +352,7 @@ def _chebyshev_moments(a: complex, b: complex, num: int, wrt: str | None = None)
     return (d + (psi(a + 1.0) - psi(s + k + 2.0)) * r) * ratio
 
 
-def _frame_kernel_values(f_eval: Callable, frames: np.ndarray, a: complex, b: complex, J: int,
+def _frame_kernel_values(f, frames: np.ndarray, a: complex, b: complex, J: int,
                          wrt: str | None = None) -> np.ndarray:
     """int_0^1 F(r) K(r) dr about every frame U of a stack (S, n, k), exact
     for f of band limit J, where F(r) is the average of f over the shell
@@ -327,7 +379,7 @@ def _frame_kernel_values(f_eval: Callable, frames: np.ndarray, a: complex, b: co
     moments[0] /= 2.0
     # Q = sum_k c_k T_k with c_k = (2/num) sum_i Q(y_i) cos(k theta_i), c_0 halved
     w = np.cos(np.outer(theta, np.arange(num))) @ moments / (2.0 * num)
-    return _frame_shell_values(f_eval, frames, np.cos(theta / 2.0), J) @ w
+    return _frame_shell_values(f, frames, np.cos(theta / 2.0), J) @ w
 
 
 def _point_frames(points: np.ndarray) -> np.ndarray:
@@ -335,13 +387,13 @@ def _point_frames(points: np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=float)[:, :, None]
 
 
-def _frame_funk_values(f_eval: Callable, frames: np.ndarray, J: int) -> np.ndarray:
+def _frame_funk_values(f, frames: np.ndarray, J: int) -> np.ndarray:
     """Averages of f over the null-space spheres {v : U^T v = 0} of a stack
     of frames (S, n, k), exact for f of band limit J: the r = 0 shell."""
-    return _frame_shell_values(f_eval, frames, np.zeros(1), J)[:, 0]
+    return _frame_shell_values(f, frames, np.zeros(1), J)[:, 0]
 
 
-def _frame_cosine_values(f_eval: Callable, frames: np.ndarray, lam: complex, J: int) -> np.ndarray:
+def _frame_cosine_values(f, frames: np.ndarray, lam: complex, J: int) -> np.ndarray:
     """The normalized frame kernel r^lam, r = |U^T v|, about every frame of a
     stack (S, n, k), exact for f of band limit J, lam off {0, 2, 4, ...}: the
     exponents a = (n-k-2)/2, b = (k-2+lam)/2 of :func:`_frame_kernel_values`,
@@ -349,63 +401,66 @@ def _frame_cosine_values(f_eval: Callable, frames: np.ndarray, lam: complex, J: 
     _, n, k = frames.shape
     lam = complex(lam)
     check_off_even_poles(lam)
-    raw = _frame_kernel_values(f_eval, frames, (n - k - 2) / 2.0, (k - 2.0 + lam) / 2.0, J)
+    raw = _frame_kernel_values(f, frames, (n - k - 2) / 2.0, (k - 2.0 + lam) / 2.0, J)
     return 2.0 * math.sqrt(math.pi) * gammafn.gamma(-lam / 2.0) / math.gamma(k / 2.0) * raw
 
 
 def cosine_quadrature_values(
-    f_eval: Callable, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
+    f, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
 ) -> np.ndarray:
     """lam-cosine transform values at unit points, by exact kernel quadrature
-    of an input of band limit ``profile_degree``: the k = 1 frame kernel, for
+    of an input of band limit ``profile_degree`` (a spectrum or a callable on
+    unit points, as for every quadrature below): the k = 1 frame kernel, for
     real and complex lam alike."""
-    return _frame_cosine_values(f_eval, _point_frames(points), lam, profile_degree)
+    return _frame_cosine_values(f, _point_frames(points), lam, profile_degree)
 
 
 def sine_quadrature_values(
-    f_eval: Callable, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
+    f, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
 ) -> np.ndarray:
     """lam-sine transform values at unit points, by exact kernel quadrature
     of an input of band limit ``profile_degree``: (1-t^2)^((lam+n-3)/2) is
     the k = 1 frame kernel with a = (lam+n-3)/2, b = -1/2."""
     lam = complex(lam)
     check_off_even_poles(lam)
-    raw = _frame_kernel_values(f_eval, _point_frames(points), (lam + n - 3.0) / 2.0, -0.5,
+    raw = _frame_kernel_values(f, _point_frames(points), (lam + n - 3.0) / 2.0, -0.5,
                                profile_degree)
     return 2.0 * math.sqrt(math.pi) * gammafn.gamma(-lam / 2.0) / math.gamma((n - 1) / 2.0) * raw
 
 
 def log_cosine_quadrature_values(
-    f_eval: Callable, points: np.ndarray, n: int, *, profile_degree: int
+    f, points: np.ndarray, n: int, *, profile_degree: int
 ) -> np.ndarray:
     """Logarithmic cosine transform values at unit points, by exact kernel
     quadrature of an input of band limit ``profile_degree``: log(1/|t|) is
     -1/2 times the derivative of ((1+y)/2)^b = |t|^(2b) in b at b = -1/2."""
-    raw = _frame_kernel_values(f_eval, _point_frames(points), (n - 3) / 2.0, -0.5,
+    raw = _frame_kernel_values(f, _point_frames(points), (n - 3) / 2.0, -0.5,
                                profile_degree, wrt="b")
     return -2.0 * raw
 
 
 def log_sine_quadrature_values(
-    f_eval: Callable, points: np.ndarray, n: int, *, profile_degree: int
+    f, points: np.ndarray, n: int, *, profile_degree: int
 ) -> np.ndarray:
     """Logarithmic sine transform values at unit points, by exact kernel
     quadrature of an input of band limit ``profile_degree``: log(1/(1-t^2))
     is minus the derivative of ((1-y)/2)^a = (1-t^2)^a in a, taken at
     a = (n-3)/2, the exponent of the shell measure."""
-    raw = _frame_kernel_values(f_eval, _point_frames(points), (n - 3) / 2.0, -0.5,
+    raw = _frame_kernel_values(f, _point_frames(points), (n - 3) / 2.0, -0.5,
                                profile_degree, wrt="a")
     # prefactor fixed by the limit of the lam-sine family at lam = 0, equal to
     # the factorization through the Funk transform (see tests)
     return (-2.0 * math.sqrt(math.pi) / math.gamma((n - 1) / 2.0)) * raw
 
 
-def funk_geodesic_values(f_eval: Callable, points: np.ndarray, *, profile_degree: int) -> np.ndarray:
+def funk_geodesic_values(f, points: np.ndarray, *, profile_degree: int) -> np.ndarray:
     """Averages over the great subspheres {v : u.v = 0} of S^{n-1}, for any
     n, of an input of band limit ``profile_degree``: the r = 0 shell of
-    :func:`_frame_shell_values`, whose S^{n-2} rule is exact to that degree
-    (at n = 3, the circle under the trapezoid rule on max(24, 2J+2) nodes)."""
-    return _frame_funk_values(f_eval, _point_frames(points), profile_degree)
+    :func:`_frame_shell_values`, whose rule is exact to that degree (J//2 + 1
+    heights for a zonal spectrum; for a callable or a full table the S^{n-2}
+    product rule, at n = 3 the circle under the trapezoid rule on
+    max(24, 2J+2) nodes)."""
+    return _frame_funk_values(f, _point_frames(points), profile_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +471,7 @@ def funk_geodesic_values(f_eval: Callable, points: np.ndarray, *, profile_degree
 class _Operator:
     """A forward transform as :func:`_transform` runs it.
 
-    ``spectral(spec, lam)`` is the spectral path and ``quadrature(f_eval,
+    ``spectral(spec, lam)`` is the spectral path and ``quadrature(spec,
     points, n, lam, J)`` the quadrature path for input of band limit J, which
     sizes every rule.  Both paths take every lam off {0, 2, 4, ...}, so
     ``auto`` is quadrature for grid samples and spectral for a spectrum.  The
@@ -488,7 +543,7 @@ def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None):
     if path == "spectral":
         out = op.spectral(spec, lam).to_grid(grid)
         return out.with_values(out.values, **meta)
-    values = op.quadrature(spec.evaluate, grid.nodes, grid.n, lam, spec.max_degree)
+    values = op.quadrature(spec, grid.nodes, grid.n, lam, spec.max_degree)
     return GridFunction(grid, values, meta)
 
 

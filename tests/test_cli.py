@@ -210,7 +210,7 @@ def test_mc_dual_study_runs_at_the_given_n(tmp_path):
                  ",".join(map(str, counts)), "--out", str(out)]) == 0
     rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     f = random_even_spectrum(3, 4, 0, zonal=True)
-    psi = funk_k_function(f.evaluate, 3, 1, profile_degree=f.max_degree)
+    psi = funk_k_function(f, 3, 1, profile_degree=f.max_degree)
     want = [dual_funk_k(psi, np.eye(3)[1], count, 0).sigma for count in counts]
     assert [float(row[1]) for row in rows] == want
 

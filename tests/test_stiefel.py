@@ -259,6 +259,25 @@ def test_cosine_k_domain_guard():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, k)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_frame_functions_take_the_pole_adapted_rule_for_a_zonal_spectrum(n):
+    # a spectrum and its evaluate callable give the same frame transforms: the
+    # pole-adapted rule against the product rule, at poles +-e_1 and oblique
+    J = 8
+    for k, pole in itertools.product(range(1, n), (np.eye(n)[0], -np.eye(n)[0],
+                                                   np.arange(1.0, n + 1))):
+        f = random_even_spectrum(n, J, seed=360 + n + k, pole=pole)
+        frames = haar_frames(n, k, 2, seed=k)
+        pairs = [(funk_k_function(f, n, k, profile_degree=J),
+                  funk_k_function(f.evaluate, n, k, profile_degree=J))]
+        pairs += [(cosine_k_function(f, n, k, lam, profile_degree=J),
+                   cosine_k_function(f.evaluate, n, k, lam, profile_degree=J))
+                  for lam in (0.5 + 0.3j, -float(k))]
+        for adapted, product in pairs:
+            got, want = adapted(frames), product(frames)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, k, pole)
+
+
 # ---------------------------------------------------------------------------
 # dual transforms
 
@@ -404,7 +423,7 @@ def test_dual_cosine_pipeline_at_its_funk_end_point(n, k):
     f = random_even_spectrum(n, 4, seed=340 + n, zonal=True)
     v = np.array([0.6, 0.0, 0.8] + [0.0] * (n - 3))
     est = sine_mc_via_dual_cosine(f, k, v, -k, samples=SAMPLES, seed=13)
-    psi = funk_k_function(f.evaluate, n, k, profile_degree=f.max_degree)
+    psi = funk_k_function(f, n, k, profile_degree=f.max_degree)
     ref = dual_funk_k(psi, v, samples=SAMPLES, seed=13)
     scale = frame_scale(n, k) * null_sphere_scale(n, k)
     assert est.value == ref.value * scale and est.sigma == ref.sigma * abs(scale)
@@ -510,13 +529,19 @@ def test_product_inverse_reconstruction_needs_odd_n(monkeypatch, zonal_f4):
 
 
 def test_subsphere_rule_is_built_once(monkeypatch):
-    # every fiber of a reconstruction reuses one product grid per (d, J)
+    # a zonal reconstruction takes the pole-adapted fiber rule and builds no
+    # product grid; a callable input reuses one product grid per (d, J)
     calls = []
     real = transforms.build_grid
     monkeypatch.setattr(transforms, "build_grid", lambda *a: calls.append(a) or real(*a))
     transforms._subsphere_rule.cache_clear()
     first = check_identity("thm4.1-i", 5, 2, samples=3600)
     assert check_identity("thm4.1-i", 5, 2, samples=3600) == first
+    assert calls == []
+    f = random_even_spectrum(5, 4, seed=2, zonal=True)
+    psi = funk_k_function(f.evaluate, 5, 2, profile_degree=4)
+    for seed in (3, 4):
+        psi(haar_frames(5, 2, 50, seed=seed))
     assert calls == [(3, 4)]
     for d in (1, 2, 3):
         nodes, weights = transforms._subsphere_rule(d, 4)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import funkinv as fk
+from funkinv import transforms
 from funkinv.cli import main
 from funkinv.stiefel import (
     check_identity,
@@ -149,6 +150,45 @@ def test_quadrature_point_counts(J):
         "cosine_quadrature_values": shells * fiber[2],
         "cosine_k": shells * fiber[4],
     }
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("J", [4, 12])
+def test_zonal_quadrature_point_counts(spans, monkeypatch, n, J):
+    # a zonal spectrum takes the pole-adapted rule: J//2 + 1 heights per Funk
+    # output at n-k >= 2 and 2 (J//2 + 1)^2 per k = 1 cosine output (two span
+    # heights per fiber height, at each of J//2 + 1 radii), whatever n is; no
+    # null-space basis of a frame stack is built, only that of the pole
+    f = fk.random_even_spectrum(n, J, seed=n, pole=np.arange(1.0, n + 1))
+    bases = []
+    real = transforms.null_space_basis
+    monkeypatch.setattr(transforms, "null_space_basis", lambda u: bases.append(u) or real(u))
+    frames = {k: haar_frames(n, k, 6, seed=k) for k in range(1, n - 1)}
+    points = frames[1][:, :, 0]
+
+    def evaluated(call):
+        tracer = spans.Tracer()
+        with tracer.recording():
+            call()
+        return sum(s.n for s in tracer.spans if s.name == "spectral.evaluate") / 6
+
+    counts = {
+        "funk_geodesic_values": evaluated(
+            lambda: funk_geodesic_values(f, points, profile_degree=J)),
+        "cosine_quadrature_values": evaluated(
+            lambda: cosine_quadrature_values(f, points, n, 0.5, profile_degree=J)),
+        "cosine_k": evaluated(lambda: cosine_k_function(f, n, 1, 0.5, profile_degree=J)(frames[1])),
+    }
+    for k, fr in frames.items():
+        counts[f"funk_k k={k}"] = evaluated(lambda: funk_k_function(f, n, k, profile_degree=J)(fr))
+    heights = J // 2 + 1
+    assert counts == {
+        "funk_geodesic_values": heights,
+        "cosine_quadrature_values": 2 * heights**2,
+        "cosine_k": 2 * heights**2,
+        **{f"funk_k k={k}": heights for k in frames},
+    }
+    assert bases and all(np.array_equal(u, f.pole[:, None]) for u in bases)
 
 
 def test_zonal_blocks_record_one_span_per_call(spans):

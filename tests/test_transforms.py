@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -24,9 +25,11 @@ from funkinv.spectral import (
     zonal_eval,
 )
 from funkinv.diffops import WeightedOpSpec, weighted_laplacian_spectrum
+from funkinv.stiefel import haar_frames
 from funkinv.transforms import (
     OPERATORS,
     _chebyshev_moments,
+    _frame_shell_values,
     cosine_quadrature_values,
     cosine_spectrum,
     cosine_transform,
@@ -547,3 +550,51 @@ def test_complex_lambda_quadrature_above_band_16(transform, lam):
     got = transform(x, lam=lam, path="quadrature").values
     want = transform(x, lam=lam, path="spectral").values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _poles(n):
+    """+e_1, -e_1 and an oblique pole."""
+    return np.eye(n)[0], -np.eye(n)[0], np.arange(1.0, n + 1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_pole_adapted_shell_rule_matches_the_product_rule(n):
+    # a zonal spectrum takes the pole-adapted rule, its evaluate callable the
+    # product rule over the span and fiber spheres; both are exact at band J
+    r = np.array([0.0, 0.55, 1.0])
+    for k, J in itertools.product(range(1, n - 1), (4, 8, 12)):
+        for i, pole in enumerate(_poles(n)):
+            rng = np.random.default_rng(100 * n + 10 * k + J + i)
+            coeffs = rng.standard_normal(J + 1) + 1j * rng.standard_normal(J + 1)
+            f = HarmonicSpectrum(n, J, coeffs / (1.0 + np.arange(J + 1)) ** 2, pole)
+            frames = haar_frames(n, k, 1, seed=J + k + i)
+            got = _frame_shell_values(f, frames, r, J)
+            want = _frame_shell_values(f.evaluate, frames, r, J)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, k, J, i)
+
+
+def test_pole_adapted_shell_rule_rejects_other_dimensions():
+    f = random_even_spectrum(5, 4, seed=1)
+    with pytest.raises(InvalidArgumentError):
+        _frame_shell_values(f, np.eye(4)[None, :, :1], np.zeros(1), 4)
+
+
+@pytest.mark.parametrize("n, res", [(4, 5), (5, 5), (6, 5)])
+@pytest.mark.parametrize("oblique", [False, True])
+def test_every_transform_quadrature_matches_spectral_on_a_full_grid(n, res, oblique):
+    # the grid samples of a zonal input are analyzed about its pole, so the
+    # quadrature path runs the pole-adapted rule at every node
+    pole = _poles(n)[2] if oblique else None
+    spec = random_even_spectrum(n, 4, seed=60 + n, pole=pole)
+    grid = build_grid(n, res)
+    x, x0 = spec.to_grid(grid), spec.with_zero_mean().to_grid(grid)
+    for transform, data, kw in ((cosine_transform, x, {"lam": 0.5}),
+                                (sine_transform, x, {"lam": -0.5}),
+                                (funk_transform, x, {}),
+                                (log_cosine_transform, x0, {}),
+                                (log_sine_transform, x0, {})):
+        got = transform(data, path="quadrature", pole=spec.pole, **kw)
+        want = transform(data, path="spectral", pole=spec.pole, **kw).values
+        assert got.meta["path"] == "quadrature"
+        err = np.max(np.abs(got.values - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), (transform.__name__, err)
