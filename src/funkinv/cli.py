@@ -305,7 +305,7 @@ def _cmd_convergence(cfg: dict) -> int:
     slope = None
     if study in ("fd-beltrami", "fd-weighted"):
         steps = _option_list(cfg, "h_values", 0.0, "step sizes")
-        f = random_even_spectrum(n, cfg["J"], cfg["seed"], decay=2.0)
+        f = random_even_spectrum(n, cfg["J"], cfg["seed"])
         probes = build_grid(n, 6).nodes[::5]
         errors = []
         for step in steps:

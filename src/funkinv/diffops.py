@@ -69,13 +69,12 @@ def weighted_laplacian_spectrum(
     spec: HarmonicSpectrum,
     op: WeightedOpSpec,
     method: str = "diagonal",
-    order: tuple | None = None,
 ) -> HarmonicSpectrum:
     """Apply the weighted Laplacian on the coefficient side.
 
     ``diagonal`` multiplies each degree by the closed-form eigenvalue;
     ``factored`` composes the ell commuting factors [Laplacian + scalar],
-    by default from m = ell down to 1 (``order`` overrides).
+    from m = ell down to 1.
     """
     if op.n != spec.n:
         raise InvalidArgumentError("operator and spectrum dimensions differ")
@@ -84,12 +83,8 @@ def weighted_laplacian_spectrum(
         return spec.scale_degrees(delta_op_eigenvalue(degrees, op.n, op.lam, op.ell))
     if method != "factored":
         raise InvalidArgumentError(f"unknown method {method!r}")
-    if order is None:
-        order = tuple(range(op.ell, 0, -1))
-    if sorted(order) != list(range(1, op.ell + 1)):
-        raise InvalidArgumentError("order must be a permutation of 1..ell")
     out = spec
-    for m in order:
+    for m in range(op.ell, 0, -1):
         shift = (op.lam + 2.0 * m) * (op.lam + 2.0 * m + op.n - 2.0)
         out = (-0.25) * (beltrami_spectrum(out) + shift * out)
     return out
@@ -107,11 +102,11 @@ def beltrami(f, *, band_limit: int | None = None, pole=None):
 
 
 def weighted_laplacian(f, op: WeightedOpSpec, *, method: str = "diagonal",
-                       order: tuple | None = None, band_limit: int | None = None, pole=None):
+                       band_limit: int | None = None, pole=None):
     """Weighted Laplacian of a band-limited function; see
     :func:`weighted_laplacian_spectrum` for the method choices."""
     spec, grid = as_spectrum(f, band_limit, pole)
-    out = weighted_laplacian_spectrum(spec, op, method=method, order=order)
+    out = weighted_laplacian_spectrum(spec, op, method=method)
     return out if grid is None else out.to_grid(grid)
 
 

@@ -19,6 +19,11 @@ public inverse that ``funkinv invert`` calls, and its tolerance.  One body,
 ``_invert``, runs every row: it returns the reconstruction(s) with an
 :class:`InversionReport` of the per-degree condition numbers and, given a
 reference, the errors.
+
+The chains are exact at every degree, so grid samples are inverted at the
+band they record, as every transform and Laplacian analyzes them; the growth
+of the per-degree factor is reported, not capped.  ``band_limit=`` picks a
+lower band, and samples that record none need it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import numpy as np
 from . import gammafn
 from .errors import PoleError
 from .diffops import WeightedOpSpec, weighted_laplacian_spectrum
-from .grids import GridFunction
 from .spectral import (
     HarmonicSpectrum,
     as_spectrum,
@@ -56,12 +60,7 @@ __all__ = [
     "invert_funk",
     "invert_cosine1",
     "THEOREMS",
-    "DEFAULT_BAND_CEILING",
 ]
-
-# The differential chains amplify degree j polynomially; past this band limit
-# double precision loses several digits.  Overridable via band_limit=.
-DEFAULT_BAND_CEILING = 12
 
 ODD_PART_TOL = 1e-10
 
@@ -211,23 +210,16 @@ def _undo_cosine1(spec: HarmonicSpectrum):
 def _invert(name, phi, lam, ell, band_limit, pole, reference) -> InversionResult:
     """Run the theorem ``THEOREMS[name]`` on phi, a spectrum or grid samples.
 
-    Grid samples without band_limit= are analyzed to at most
-    DEFAULT_BAND_CEILING, and the report keeps a higher input band as
-    ``input_band_limit``; the reconstructions go back onto phi's grid.  The
-    condition number of degree j is 1/|multiplier|, read off the forward
-    map's image of the all-ones spectrum.
+    Grid samples are analyzed by :func:`as_spectrum`, at ``band_limit`` or
+    else at the band they record, and the reconstructions go back onto phi's
+    grid.  The condition number of degree j is 1/|multiplier|, read off the
+    forward map's image of the all-ones spectrum.
     """
     theorem = THEOREMS[name]
-    analyzed, params = band_limit, {}
-    if band_limit is None and isinstance(phi, GridFunction):
-        given = int(phi.meta.get("band_limit", DEFAULT_BAND_CEILING))
-        analyzed = min(given, DEFAULT_BAND_CEILING)
-        if given > analyzed:
-            params["input_band_limit"] = given
-    spec, grid = as_spectrum(phi, analyzed, pole)
-    runs, chain_params = theorem.chains(spec, lam, ell)
+    spec, grid = as_spectrum(phi, band_limit, pole)
+    runs, params = theorem.chains(spec, lam, ell)
     outputs, methods = zip(*runs)
-    params.update(chain_params, n=spec.n, band_limit=spec.max_degree)
+    params.update(n=spec.n, band_limit=spec.max_degree)
     ones = HarmonicSpectrum(spec.n, spec.max_degree, np.ones_like(spec.coeffs), spec.pole)
     image = theorem.forward(ones, lam, ell)
     degrees = np.arange(0, spec.max_degree + 1, 2)

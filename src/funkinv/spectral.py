@@ -715,12 +715,11 @@ def random_even_spectrum(
     seed: int,
     *,
     pole=None,
-    decay: float = 2.0,
     zonal: bool | None = None,
 ) -> HarmonicSpectrum:
     """Random real-valued even band-limited function.
 
-    Degree-j amplitudes scale like (1+j)^(-decay).  For n = 3 the default is
+    Degree-j amplitudes scale like (1+j)^(-2).  For n = 3 the default is
     a full table with the conjugate symmetry that makes the function real;
     for n > 3 (or ``zonal=True``) a zonal table about ``pole`` (default e_1).
     """
@@ -734,14 +733,14 @@ def random_even_spectrum(
             pole = np.eye(n)[0]
         coeffs = np.zeros(max_degree + 1, dtype=complex)
         for j in range(0, max_degree + 1, 2):
-            coeffs[j] = rng.standard_normal() / (1.0 + j) ** decay
+            coeffs[j] = rng.standard_normal() / (1.0 + j) ** 2.0
         return HarmonicSpectrum(n, max_degree, coeffs, pole)
     if n != 3:
         raise InvalidArgumentError("full random spectra only for n = 3")
     coeffs = np.zeros((max_degree + 1) ** 2, dtype=complex)
     for j in range(0, max_degree + 1, 2):
         base = j * (j + 1)
-        scale = 1.0 / (1.0 + j) ** decay
+        scale = 1.0 / (1.0 + j) ** 2.0
         coeffs[base] = rng.standard_normal() * scale
         for m in range(1, j + 1):
             z = (rng.standard_normal() + 1j * rng.standard_normal()) * scale / math.sqrt(2.0)

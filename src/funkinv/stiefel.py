@@ -111,8 +111,9 @@ class MCEstimate:
     sigma: float
     samples: int
 
-    def within(self, truth: complex, nsigma: float = 3.0) -> bool:
-        return abs(self.value - truth) <= nsigma * self.sigma
+    def within(self, truth: complex) -> bool:
+        """Whether truth lies within 3 sigma of the estimate."""
+        return abs(self.value - truth) <= 3.0 * self.sigma
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -274,7 +275,7 @@ def dual_cosine_k(
 
     def draw(count, rng):
         frames = haar_frames(phi.n, phi.k, count, rng=rng)
-        return phi(frames) * np.linalg.norm(v @ frames, axis=1) ** lam
+        return phi(frames) * np.linalg.norm(np.einsum("n,snk->sk", v, frames), axis=1) ** lam
 
     return _scale_mc(_sample_mean(draw, samples, seed), gamma_norm_k(lam, phi.n, phi.k))
 
@@ -538,7 +539,7 @@ def check_identity(
         est_b = sine_mc_via_dual_funk(f, k, v, lam, samples, seed + 1)
         err_a, err_b = abs(est_a.value - truth), abs(est_b.value - truth)
         mc_error, mc_sigma = (err_a, est_a.sigma) if err_a / max(est_a.sigma, 1e-300) >= err_b / max(est_b.sigma, 1e-300) else (err_b, est_b.sigma)
-        within = err_a <= 3 * est_a.sigma and err_b <= 3 * est_b.sigma
+        within = est_a.within(truth) and est_b.within(truth)
     else:
         # 4.9's stand-in: the thm4.1 reconstruction of invert_funk_k
         report = (invert_funk_k(f, k, samples=samples, seed=seed) if identity == "4.9"

@@ -130,11 +130,11 @@ def gamma_norm_k(lam: complex, n: int, k: int) -> complex:
     )
 
 
-def check_off_even_poles(lam: complex, tol: float = EVEN_POLE_TOL) -> None:
-    """Raise PoleError when lam is within tol of {0, 2, 4, ...}."""
+def check_off_even_poles(lam: complex) -> None:
+    """Raise PoleError when lam is within EVEN_POLE_TOL of {0, 2, 4, ...}."""
     lam = complex(lam)
     k = 2 * round(lam.real / 2.0)
-    if k >= 0 and abs(lam - k) <= tol:
+    if k >= 0 and abs(lam - k) <= EVEN_POLE_TOL:
         raise PoleError(f"lambda = {lam} sits on the pole set {{0, 2, 4, ...}}", pole=k)
 
 

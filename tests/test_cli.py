@@ -381,7 +381,7 @@ def test_fd_study_runs_at_the_given_n(tmp_path):
     out = tmp_path / "fd.csv"
     assert main(["convergence", "--study", "fd-beltrami", "--n", "4", "--out", str(out)]) == 0
     rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
-    f = random_even_spectrum(4, 6, 0, decay=2.0)
+    f = random_even_spectrum(4, 6, 0)
     probes = build_grid(4, 6).nodes[::5]
     ref = beltrami_spectrum(f).evaluate(probes)
     want = [float(np.max(np.abs(beltrami_fd_values(f.evaluate, probes, h=h) - ref)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from funkinv.errors import InvalidArgumentError, PoleError
+from funkinv.errors import InvalidArgumentError, PoleError, ResolutionError
 from funkinv.grids import build_grid
 from funkinv.inversion import (
     THEOREMS,
@@ -174,36 +174,47 @@ def test_report_determinism(even_f3):
     assert a == b
 
 
-def test_band_ceiling_default(grid3_fine):
+def test_recorded_band_is_analyzed(grid3_fine):
     f = random_even_spectrum(3, 14, seed=40)
     phi_grid = funk_spectrum(f).to_grid(grid3_fine)
-    phi_grid = phi_grid.with_values(phi_grid.values, band_limit=14)
-    result = invert_funk(phi_grid)
-    # analysis is capped at the documented ceiling unless overridden
-    assert result.report.params["band_limit"] == 12
-    result = invert_funk(phi_grid, band_limit=14, reference=f)
+    assert phi_grid.meta["band_limit"] == 14
+    # grid samples are analyzed at the band they record
+    result = invert_funk(phi_grid, reference=f)
     assert result.report.params["band_limit"] == 14
-    assert result.report.max_error <= 1e-6
+    assert result.report.max_error <= 1e-9
 
 
-def test_band_ceiling_clamp_is_reported():
-    # band-16 grid input without band_limit= is analyzed to band 12; the report
-    # keeps the input's band, and degrees 14-16 of a band-16 reference count
-    # as errors instead of making the comparison fail
+def test_band16_grid_input_inverts_at_its_band():
+    # band-16 grid input without band_limit= is inverted at band 16
     f = random_even_spectrum(3, 16, seed=41)
     phi_grid = funk_spectrum(f).to_grid(build_grid(3, 17))
     rep = invert_funk(phi_grid, reference=f).report
+    assert rep.params["band_limit"] == 16
+    assert rep.max_error <= 1e-9
+    assert max(rep.per_degree_errors.values()) <= 1e-9
+    # an explicit lower band_limit is taken as given: degrees 14-16 of the
+    # band-16 reference count in full as errors
+    rep = invert_funk(phi_grid, band_limit=12, reference=f).report
     assert rep.params["band_limit"] == 12
-    assert rep.params["input_band_limit"] == 16
     errs = rep.per_degree_errors
     assert set(errs) == set(range(17))
     assert max(errs[j] for j in range(13)) <= 1e-8
     assert errs[14] == f.degree_l2(14) > 0.0 and errs[16] == f.degree_l2(16) > 0.0
     assert rep.max_error >= 0.1 * max(errs[14], errs[16])
-    assert rep.to_dict()["params"]["input_band_limit"] == 16
-    # an explicit band_limit is taken as given
-    rep = invert_funk(phi_grid, band_limit=16, reference=f).report
-    assert "input_band_limit" not in rep.params and rep.max_error <= 1e-6
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_theorems_invert_band16_grid_samples(n):
+    # the chains are exact at every degree: band-16 samples with no
+    # band_limit= invert within each theorem's tolerance
+    f = random_even_spectrum(n, 16, seed=44)
+    grid = build_grid(n, 17)
+    lam, ell = -0.5 + 0j, 1
+    for name, theorem in THEOREMS.items():
+        phi = theorem.forward(f, lam, ell).to_grid(grid)
+        rep = PUBLIC[name](phi, lam, ell, pole=f.pole, reference=f).report
+        assert rep.params["band_limit"] == 16, name
+        assert rep.max_error <= theorem.tolerance[n % 2], name
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -323,7 +334,7 @@ def test_degree_condition_is_the_reciprocal_forward_multiplier(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_report_params_keys(n):
     # lam is reported by funk (as 1-n) and the general theorems; c only by
-    # cosine1's log branch (odd n); input_band_limit only under the clamp
+    # cosine1's log branch (odd n)
     keys = {
         "funk": {"n", "ell", "lam", "band_limit"},
         "cosine1": {"n", "ell", "band_limit"} | ({"c"} if n % 2 else set()),
@@ -340,10 +351,10 @@ def test_report_params_keys(n):
             assert params["lam"] == 1 - n
         if n > 4:
             continue
-        # band-16 grid data without band_limit= is analyzed to band 12
+        # band-16 grid data is analyzed at band 16, which a grid exact to
+        # degree 25 cannot resolve; band_limit= picks a lower band
         grid = phi.to_grid(build_grid(n, 13))
-        params = PUBLIC[name](grid, -0.5, 1, pole=f.pole).report.params
-        assert set(params) == keys[name] | {"input_band_limit"}, name
-        assert (params["band_limit"], params["input_band_limit"]) == (12, 16)
+        with pytest.raises(ResolutionError):
+            PUBLIC[name](grid, -0.5, 1, pole=f.pole)
         params = PUBLIC[name](grid, -0.5, 1, pole=f.pole, band_limit=12).report.params
         assert set(params) == keys[name] and params["band_limit"] == 12, name
