@@ -16,6 +16,7 @@ Three independent realizations, used to cross-validate one another:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,8 +49,8 @@ class WeightedOpSpec:
     n: int
 
     def __post_init__(self):
-        if self.ell < 0:
-            raise InvalidArgumentError(f"need ell >= 0, got {self.ell}")
+        if not isinstance(self.ell, numbers.Integral) or self.ell < 0:
+            raise InvalidArgumentError(f"need an integer ell >= 0, got {self.ell!r}")
         if self.n < 3:
             raise InvalidArgumentError("need n >= 3")
         object.__setattr__(self, "lam", complex(self.lam))

@@ -14,6 +14,7 @@ supply a callable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -64,10 +65,8 @@ class QuadratureGrid:
     nodes : (N, n) unit vectors
     weights : (N,) positive weights summing to 1
     antipode : (N,) index permutation with nodes[antipode[i]] == -nodes[i],
-        or None for grids without antipodal pairing (e.g. loaded files that
-        fail to pair)
-    exactness_degree : largest polynomial degree integrated exactly
-        (0 when unknown, e.g. for loaded grids without metadata)
+        or None for grids without antipodal pairing
+    exactness_degree : largest polynomial degree integrated exactly (0 when unknown)
     resolution : number of 1D polar nodes used in construction (0 if unknown)
     ring_heights : (resolution,) read-only heights x_1 of the grid's rings,
         worked out from the nodes, not passed in.  Set when ``resolution``
@@ -194,9 +193,8 @@ def _symmetric_rule(num_nodes: int, alpha: float):
 
 
 def _azimuth_tables(num_nodes: int):
-    """cos/sin tables of num_nodes uniform angles with exact half-turn negation."""
-    if num_nodes % 2:
-        raise InvalidArgumentError("azimuth node count must be even")
+    """cos/sin tables of an even num_nodes uniform angles with exact
+    half-turn negation."""
     half = num_nodes // 2
     ang = 2.0 * math.pi * np.arange(half) / num_nodes
     c = np.empty(num_nodes)
@@ -216,11 +214,18 @@ def build_grid(n: int, resolution: int) -> QuadratureGrid:
     over the remaining hyperspherical angles.  Polynomial exactness degree is
     2*resolution - 1; nodes come in exact antipodal pairs.
     """
-    if n < 3:
-        raise InvalidArgumentError(f"need n >= 3, got {n}")
-    if resolution < 4:
-        raise InvalidArgumentError(f"need resolution >= 4, got {resolution}")
+    if not isinstance(n, numbers.Integral) or n < 3:
+        raise InvalidArgumentError(f"need an integer n >= 3, got {n!r}")
+    if not isinstance(resolution, numbers.Integral) or resolution < 4:
+        raise InvalidArgumentError(f"need an integer resolution >= 4, got {resolution!r}")
+    return QuadratureGrid(n, *_product_rule(n, resolution), exactness_degree=2 * resolution - 1,
+                          resolution=resolution)
 
+
+def _product_rule(n: int, resolution: int):
+    """Nodes (N, n), weights (N,) and antipode map of :func:`build_grid`'s
+    probability rule on S^{n-1}, exact to degree 2*resolution - 1, for any
+    n >= 2 (the circle: 2*resolution azimuth nodes) and resolution >= 1."""
     num_az = 2 * resolution
     polar = [_symmetric_rule(resolution, (n - 2 - i) / 2.0) for i in range(1, n - 1)]
     caz, saz = _azimuth_tables(num_az)
@@ -248,16 +253,7 @@ def build_grid(n: int, resolution: int) -> QuadratureGrid:
 
     flipped = [resolution - 1 - np.asarray(ix) for ix in flat_idx[: n - 2]]
     flipped.append((k_az + resolution) % num_az)
-    antipode = np.ravel_multi_index(tuple(flipped), shape)
-
-    return QuadratureGrid(
-        n=n,
-        nodes=nodes,
-        weights=weights,
-        antipode=antipode,
-        exactness_degree=2 * resolution - 1,
-        resolution=resolution,
-    )
+    return nodes, weights, np.ravel_multi_index(tuple(flipped), shape)
 
 
 def grid_function(grid: QuadratureGrid, fn: Callable, **meta) -> GridFunction:

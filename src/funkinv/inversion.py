@@ -210,10 +210,12 @@ def _undo_cosine1(spec: HarmonicSpectrum):
 def _invert(name, phi, lam, ell, band_limit, pole, reference) -> InversionResult:
     """Run the theorem ``THEOREMS[name]`` on phi, a spectrum or grid samples.
 
-    Grid samples are analyzed by :func:`as_spectrum`, at ``band_limit`` or
-    else at the band they record, and the reconstructions go back onto phi's
-    grid.  The condition number of degree j is 1/|multiplier|, read off the
-    forward map's image of the all-ones spectrum.
+    Grid samples of phi are analyzed by :func:`as_spectrum`, at
+    ``band_limit`` or else at the band they record, and the reconstructions
+    go back onto phi's grid.  A grid reference is analyzed at its own band,
+    and degrees above the output's or the reference's band count in full as
+    errors.  The condition number of degree j is 1/|multiplier|, read off
+    the forward map's image of the all-ones spectrum.
     """
     theorem = THEOREMS[name]
     spec, grid = as_spectrum(phi, band_limit, pole)
@@ -230,12 +232,10 @@ def _invert(name, phi, lam, ell, band_limit, pole, reference) -> InversionResult
     if len(outputs) == 2:
         agreement = float(np.max(np.abs(outputs[0].evaluate(pts) - outputs[1].evaluate(pts))))
     if reference is not None:
-        ref_spec = as_spectrum(reference, band_limit, spec.pole)[0]
-        out = outputs[0]
-        if ref_spec.max_degree > out.max_degree:
-            # degrees above the output's band count in full as errors
-            out = _zero_padded(out, ref_spec.max_degree)
-        diff = out - ref_spec
+        ref_band = getattr(reference, "meta", {}).get("band_limit", band_limit)
+        ref_spec = as_spectrum(reference, ref_band, spec.pole)[0]
+        top = max(outputs[0].max_degree, ref_spec.max_degree)
+        diff = _zero_padded(outputs[0], top) - _zero_padded(ref_spec, top)
         per_degree = dict(enumerate(diff.degree_l2(np.arange(diff.max_degree + 1)).tolist()))
         max_err = float(np.max(np.abs(outputs[0].evaluate(pts) - ref_spec.evaluate(pts))))
     odd_norm = spec.odd_part_norm()

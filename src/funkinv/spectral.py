@@ -21,6 +21,7 @@ full (j, m) tables for n = 3, zonal tables about a stored pole for n > 3.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -267,9 +268,11 @@ def _gamma_ratio(a, b):
     return np.where(zero, 0j, np.where(real, out.real + 0j, out))
 
 
-def _even_degrees(j) -> np.ndarray:
-    """Degree or degrees j as an array; InvalidArgumentError names the first
-    that is odd or negative."""
+def _even_degrees(j, n: int) -> np.ndarray:
+    """Degree or degrees j as an array; InvalidArgumentError when n < 3, or
+    naming the first degree that is odd or negative."""
+    if n < 3:
+        raise InvalidArgumentError(f"need n >= 3, got {n}")
     j = np.asarray(j)
     bad = np.flatnonzero((j < 0) | (j % 2 != 0))
     if len(bad):
@@ -284,7 +287,7 @@ def cosine_multiplier(j, n: int, lam: complex):
     Gamma-ratio form, meromorphic in lam with poles at lam in
     {j, j+2, j+4, ...}; arguments within 1e-12 of a pole raise PoleError.
     """
-    j = _even_degrees(j)
+    j = _even_degrees(j, n)
     lam = complex(lam)
     num = (j - lam) / 2.0
     k = np.round(num.real)
@@ -299,7 +302,7 @@ def funk_multiplier(j, n: int):
     """Eigenvalue of the great-subsphere average on an even degree j or an
     array of them (value of the zonal profile at 0; equals
     cosine_multiplier(j, n, -1) up to the constant relating the two transforms)."""
-    j = _even_degrees(j)
+    j = _even_degrees(j, n)
     ratio = _gamma_ratio((j + 1) / 2.0, (j + n - 1) / 2.0).real
     return ((-1.0) ** (j // 2) * ratio * math.gamma((n - 1) / 2.0) / math.sqrt(math.pi))[()]
 
@@ -320,7 +323,7 @@ def log_cosine_multiplier(j, n: int):
     """
     if np.any(np.asarray(j) == 0):
         raise ExcludedComponentError("degree 0 is excluded from the logarithmic transform")
-    j = _even_degrees(j)
+    j = _even_degrees(j, n)
     return ((-1.0) ** (j // 2) * _gamma_ratio(j / 2.0, (j + n) / 2.0).real)[()]
 
 
@@ -709,6 +712,13 @@ def as_spectrum(f, band_limit: int | None = None, pole=None):
     return analyze(f, int(band_limit), pole=pole), f.grid
 
 
+def _rng(seed) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, an integer in [0, 2^128)."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**128:
+        raise InvalidArgumentError(f"need an integer seed in [0, 2**128), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
 def random_even_spectrum(
     n: int,
     max_degree: int,
@@ -725,7 +735,7 @@ def random_even_spectrum(
     """
     if max_degree < 0:
         raise InvalidArgumentError(f"max_degree must be >= 0, got {max_degree}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _rng(seed)
     if zonal is None:
         zonal = n != 3
     if zonal:

@@ -8,7 +8,8 @@ frame's column span and omega on S^{n-k-1} in its null space.  A zonal
 spectrum is averaged over each shell by one Gauss-Gegenbauer rule per
 sphere in the height of theta and of omega along the pole's projections
 (J//2 + 1 points per frame for the Funk transform, at every n); a callable
-or a full n = 3 table by the product of the two spheres' rules.  The Funk
+or a full n = 3 table by the product of the two spheres' rules, each the
+product rule of ``build_grid`` at resolution J//2 + 1.  The Funk
 transform is the r = 0 shell.  The cosine transform is the frame kernel
 r^lam of ``_frame_kernel_values``: with the radial density
 r^{k-1} (1-r^2)^{(n-k-2)/2} it is a Jacobi weight in y = 2r^2-1, integrated
@@ -47,6 +48,7 @@ from .grids import as_direction
 from .inversion import InversionReport, _meridian_points
 from .spectral import (
     HarmonicSpectrum,
+    _rng,
     cosine_multiplier,
     delta_op_eigenvalue,
     funk_multiplier,
@@ -114,10 +116,6 @@ class MCEstimate:
     def within(self, truth: complex) -> bool:
         """Whether truth lies within 3 sigma of the estimate."""
         return abs(self.value - truth) <= 3.0 * self.sigma
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def _gram_schmidt(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,14 +201,6 @@ def cosine_k_function(
 # dual transforms (Monte Carlo over Haar frames)
 
 
-def _mc(values: np.ndarray) -> MCEstimate:
-    values = np.asarray(values, dtype=complex)
-    count = len(values)
-    mean = complex(values.mean())
-    sigma = float(np.std(values, ddof=1) / math.sqrt(count))
-    return MCEstimate(mean, sigma, count)
-
-
 def _sample_mean(draw: Callable, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo mean of ``draw(count, rng)``, which returns ``count``
     sample values, over ``samples`` draws in batches of at most MC_CHUNK from
@@ -222,7 +212,8 @@ def _sample_mean(draw: Callable, samples: int, seed: int) -> MCEstimate:
     for lo in range(0, samples, MC_CHUNK):
         hi = min(lo + MC_CHUNK, samples)
         vals[lo:hi] = draw(hi - lo, rng)
-    return _mc(vals)
+    return MCEstimate(complex(vals.mean()), float(np.std(vals, ddof=1) / math.sqrt(samples)),
+                      samples)
 
 
 def _check_hyperplane_k(n: int, k: int) -> None:
@@ -288,11 +279,6 @@ def _scale_mc(est: MCEstimate, scale: complex) -> MCEstimate:
 # composite Monte-Carlo pipelines for the factorization checks
 
 
-def _uniform_sphere(n: int, count: int, rng) -> np.ndarray:
-    g = rng.standard_normal((count, n))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
 def sine_mc_via_dual_cosine(
     f: HarmonicSpectrum,
     k: int,
@@ -337,7 +323,8 @@ def sine_mc_via_dual_funk(
 
     def draw(count, rng):
         frames = _frames_orthogonal_to(v, k, count, rng)
-        w_pts = _uniform_sphere(n, count, rng)
+        g = rng.standard_normal((count, n))
+        w_pts = g / np.linalg.norm(g, axis=1, keepdims=True)  # uniform on the sphere
         dots = np.linalg.norm(np.einsum("sn,snk->sk", w_pts, frames), axis=1)
         return np.asarray(f.evaluate(w_pts), dtype=complex) * dots**lam
 

@@ -33,10 +33,10 @@ each other:
   the pole, so the engine averages it with one Gauss-Gegenbauer rule per
   sphere of the shell, at J//2 + 1 heights on a meridian: O(J) points per
   Funk output and O(J^2) per kernel output, at every n.  Callables and
-  full n = 3 tables take the product of the two spheres' rules.  Shell
-  averages evaluate the input off-grid, which goes through band-limited
-  synthesis (raw grids are never interpolated), and never touch the
-  multipliers.
+  full n = 3 tables take the product of the two spheres' product rules of
+  :func:`~funkinv.grids.build_grid` at resolution J//2 + 1.  Shell averages
+  evaluate the input off-grid, which goes through band-limited synthesis
+  (raw grids are never interpolated), and never touch the multipliers.
 
 The five public transforms, and ``funkinv forward``, run through one function
 that reads each operator's paths from ``OPERATORS``.
@@ -58,7 +58,7 @@ from .errors import (
     PoleError,
     PreconditionError,
 )
-from .grids import GridFunction, build_grid, integrate
+from .grids import GridFunction, _product_rule, integrate
 from .spectral import (
     HarmonicSpectrum,
     _gamma_ratio,
@@ -109,13 +109,21 @@ def funk_scale(n: int) -> float:
 
 def frame_scale(n: int, k: int) -> float:
     """Constant in the codimension-k factorization of the sine transform."""
+    _check_frame_shape(n, k)
     return math.gamma(k / 2.0) / math.gamma((n - 1) / 2.0)
 
 
 def null_sphere_scale(n: int, k: int) -> float:
     """Constant relating the codimension-k cosine transform at its limit
     parameter to the codimension-k Funk transform."""
+    _check_frame_shape(n, k)
     return math.sqrt(math.pi) / math.gamma((n - k) / 2.0)
+
+
+def _check_frame_shape(n: int, k: int) -> None:
+    """k-frames of R^n, n >= 3, have 1 <= k <= n-1 columns."""
+    if n < 3 or not 1 <= k <= n - 1:
+        raise InvalidArgumentError(f"need n >= 3 and 1 <= k <= n-1, got n = {n}, k = {k}")
 
 
 def gamma_norm_k(lam: complex, n: int, k: int) -> complex:
@@ -222,17 +230,14 @@ def null_space_basis(u: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _subsphere_rule(d: int, J: int):
-    """Probability rule on S^{d-1}, exact for polynomials of degree <= J;
-    cached, so its arrays are read-only."""
-    if d >= 3:
-        g = build_grid(d, max(4, J // 2 + 2))
-        return g.nodes, g.weights
+    """Probability rule on S^{d-1}, exact for polynomials of degree <= J: the
+    two points +-1 when d = 1, otherwise the product rule of
+    :func:`~funkinv.grids.build_grid` at resolution J//2 + 1, exact to degree
+    2(J//2) + 1.  Cached, so its arrays are read-only."""
     if d == 1:
         nodes, weights = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     else:
-        num = max(24, 2 * J + 2)
-        ang = 2.0 * math.pi * np.arange(num) / num
-        nodes, weights = np.stack([np.cos(ang), np.sin(ang)], axis=1), np.full(num, 1.0 / num)
+        nodes, weights, _ = _product_rule(d, J // 2 + 1)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -457,9 +462,9 @@ def funk_geodesic_values(f, points: np.ndarray, *, profile_degree: int) -> np.nd
     """Averages over the great subspheres {v : u.v = 0} of S^{n-1}, for any
     n, of an input of band limit ``profile_degree``: the r = 0 shell of
     :func:`_frame_shell_values`, whose rule is exact to that degree (J//2 + 1
-    heights for a zonal spectrum; for a callable or a full table the S^{n-2}
-    product rule, at n = 3 the circle under the trapezoid rule on
-    max(24, 2J+2) nodes)."""
+    heights for a zonal spectrum; for a callable or a full table the
+    :func:`~funkinv.grids.build_grid` product rule on S^{n-2} at resolution
+    J//2 + 1, at n = 3 the circle's 2(J//2 + 1) azimuth nodes)."""
     return _frame_funk_values(f, _point_frames(points), profile_degree)
 
 

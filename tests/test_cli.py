@@ -296,6 +296,30 @@ def test_malformed_convergence_list(study, option, values, bad, tmp_path, capsys
         assert err["error"] == "InvalidArgumentError" and want in err["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["multipliers", "--operator", "funk", "--n", "1"],
+    ["multipliers", "--operator", "cosine", "--n", "1"],
+    ["forward", "--n", "2"],
+    ["forward", "--input", "random-even:J=4,seed=-2"],
+    ["diffop", "--n", "2"],
+    ["invert", "--seed", "-1"],
+    ["invert", "--n", "1"],
+    ["convergence", "--study", "mc-dual", "--seed", "-1"],
+    ["convergence", "--study", "mc-dual", "--k", "0"],
+    ["stiefel-check", "--seed", "-1"],
+    ["stiefel-check", "--seed", str(2**128)],
+    ["stiefel-check", "--k", "0"],
+], ids=" ".join)
+def test_out_of_range_arguments_exit_1_with_a_json_error(args, tmp_path, capsys):
+    # every failure is a FunkinvError: the CLI exits 1 with one JSON error
+    # object on stderr and writes no output file
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error", "message"} and err["error"] == "InvalidArgumentError"
+    assert not out.exists()
+
+
 # every subcommand's options: dest -> option strings, and the choices of the
 # options that have them
 CLI_SURFACE = {

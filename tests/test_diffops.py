@@ -167,8 +167,9 @@ def test_fd_guards(smooth_f3, probes):
         weighted_laplacian_fd(smooth_f3.evaluate, WeightedOpSpec(0.5, 1, 4), probes)
     with pytest.raises(InvalidArgumentError):
         weighted_laplacian_fd(smooth_f3.evaluate, WeightedOpSpec(0.5, 1, 3), probes, h=1e-5)
-    with pytest.raises(InvalidArgumentError):
-        WeightedOpSpec(lam=0.5, ell=-1, n=3)
+    for ell in (-1, 1.5, 2.0):
+        with pytest.raises(InvalidArgumentError, match="integer ell"):
+            WeightedOpSpec(lam=0.5, ell=ell, n=3)
 
 
 def test_fd_slope_needs_three_points():

@@ -46,6 +46,10 @@ def test_build_grid_rejects_bad_arguments():
         build_grid(2, 8)
     with pytest.raises(InvalidArgumentError):
         build_grid(3, 3)
+    # a non-integer size is named, not passed on to scipy's Gauss rules
+    for n, res in ((3, 4.5), (3.0, 8), (3, "8")):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            build_grid(n, res)
 
 
 def test_integrate_constant_and_odd(grid3):

@@ -203,6 +203,33 @@ def test_band16_grid_input_inverts_at_its_band():
     assert rep.max_error >= 0.1 * max(errs[14], errs[16])
 
 
+def test_grid_reference_is_analyzed_at_its_own_band():
+    # a lower band_limit= picks the band of phi, not of the reference: the
+    # same band-16 function as grid samples and as a spectrum gives one report
+    f = random_even_spectrum(3, 16, seed=41)
+    grid = build_grid(3, 17)
+    phi_grid = funk_spectrum(f).to_grid(grid)
+    as_spec = invert_funk(phi_grid, band_limit=12, reference=f).report
+    as_grid = invert_funk(phi_grid, band_limit=12, reference=f.to_grid(grid)).report
+    assert set(as_grid.per_degree_errors) == set(range(17))
+    assert as_grid.per_degree_errors[16] > 0.0
+    assert as_grid.max_error == pytest.approx(as_spec.max_error, rel=1e-12)
+    for j, err in as_spec.per_degree_errors.items():
+        assert as_grid.per_degree_errors[j] == pytest.approx(err, rel=1e-9, abs=1e-13)
+
+
+def test_reference_below_the_output_band_is_zero_padded():
+    # a band-8 reference against a band-16 reconstruction: compared at band
+    # 16, where both sides vanish above degree 8
+    f = random_even_spectrum(3, 8, seed=45)
+    phi_grid = funk_spectrum(f).to_grid(build_grid(3, 17))
+    rep = invert_funk(phi_grid, band_limit=16, reference=f).report
+    assert rep.params["band_limit"] == 16
+    assert set(rep.per_degree_errors) == set(range(17))
+    assert max(rep.per_degree_errors.values()) <= 1e-9
+    assert rep.max_error <= 1e-9
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_theorems_invert_band16_grid_samples(n):
     # the chains are exact at every degree: band-16 samples with no

@@ -23,6 +23,7 @@ from funkinv.grids import GridFunction, QuadratureGrid, as_direction, build_grid
 from funkinv.spectral import (
     ZONAL_BLOCK,
     HarmonicSpectrum,
+    _rng,
     analyze,
     cosine_multiplier,
     delta_op_eigenvalue,
@@ -168,6 +169,33 @@ def test_zonal_domain_error():
         zonal_eval(2, 3, 1.5)
     with pytest.raises(InvalidArgumentError):
         zonal_eval(-1, 3, 0.0)
+
+
+@pytest.mark.parametrize("multiplier", [
+    lambda n: cosine_multiplier(2, n, 0.5),
+    lambda n: funk_multiplier(2, n),
+    lambda n: sine_multiplier(2, n, 0.5),
+    lambda n: log_cosine_multiplier(2, n),
+    lambda n: delta_op_eigenvalue(2, n, 0.5, 1),
+])
+def test_every_multiplier_needs_n_at_least_3(multiplier):
+    # below n = 3 a Gamma factor can meet its pole (funk_multiplier(2, 1) did,
+    # in math.gamma); every multiplier names n instead
+    for n in (1, 2):
+        with pytest.raises(InvalidArgumentError, match="n >= 3"):
+            multiplier(n)
+
+
+def test_seeds_are_the_philox_keys():
+    # a seed in [0, 2^128) is the Philox key, bitwise; any other is named
+    for seed in (0, 7, np.int64(7), 2**128 - 1):
+        want = np.random.Generator(np.random.Philox(key=int(seed))).standard_normal(4)
+        assert _rng(seed).standard_normal(4).tobytes() == want.tobytes()
+    for seed in (-1, 2**128, 1.5, "3"):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            _rng(seed)
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            random_even_spectrum(3, 4, seed)
 
 
 @pytest.mark.parametrize("zonal", [False, True])

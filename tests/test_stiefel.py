@@ -530,10 +530,11 @@ def test_product_inverse_reconstruction_needs_odd_n(monkeypatch, zonal_f4):
 
 def test_subsphere_rule_is_built_once(monkeypatch):
     # a zonal reconstruction takes the pole-adapted fiber rule and builds no
-    # product grid; a callable input reuses one product grid per (d, J)
+    # product rule; a callable input reuses one product rule per (d, J), at
+    # resolution J//2 + 1
     calls = []
-    real = transforms.build_grid
-    monkeypatch.setattr(transforms, "build_grid", lambda *a: calls.append(a) or real(*a))
+    real = transforms._product_rule
+    monkeypatch.setattr(transforms, "_product_rule", lambda *a: calls.append(a) or real(*a))
     transforms._subsphere_rule.cache_clear()
     first = check_identity("thm4.1-i", 5, 2, samples=3600)
     assert check_identity("thm4.1-i", 5, 2, samples=3600) == first
@@ -542,7 +543,7 @@ def test_subsphere_rule_is_built_once(monkeypatch):
     psi = funk_k_function(f.evaluate, 5, 2, profile_degree=4)
     for seed in (3, 4):
         psi(haar_frames(5, 2, 50, seed=seed))
-    assert calls == [(3, 4)]
+    assert calls == [(3, 3)]
     for d in (1, 2, 3):
         nodes, weights = transforms._subsphere_rule(d, 4)
         fresh = transforms._subsphere_rule.__wrapped__(d, 4)

@@ -30,6 +30,7 @@ from funkinv.transforms import (
     OPERATORS,
     _chebyshev_moments,
     _frame_shell_values,
+    _subsphere_rule,
     cosine_quadrature_values,
     cosine_spectrum,
     cosine_transform,
@@ -80,6 +81,15 @@ def test_normalization_constants():
         assert abs(gamma_norm_k(lam, n, k) - want) <= 1e-12 * abs(want)
     with pytest.raises(PoleError):
         gamma_norm_k(2.0, 3, 1)
+
+
+@pytest.mark.parametrize("call", [lambda: funk_scale(1), lambda: funk_scale(2),
+                                  lambda: frame_scale(4, 0), lambda: frame_scale(2, 1),
+                                  lambda: null_sphere_scale(4, 4), lambda: null_sphere_scale(4, 0)])
+def test_normalization_constants_reject_bad_dimensions(call):
+    # n >= 3 and 1 <= k <= n-1, named before any Gamma factor meets a pole
+    with pytest.raises(InvalidArgumentError, match="1 <= k <= n-1"):
+        call()
 
 
 @pytest.mark.parametrize("transform, kw", [
@@ -571,6 +581,32 @@ def test_pole_adapted_shell_rule_matches_the_product_rule(n):
             got = _frame_shell_values(f, frames, r, J)
             want = _frame_shell_values(f.evaluate, frames, r, J)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, k, J, i)
+
+
+def _sphere_moment(alpha) -> float:
+    """Mean of the monomial x^alpha over S^{d-1}, d = len(alpha): zero unless
+    every exponent is even, else prod Gamma(b_i) / Gamma(sum b_i) times
+    Gamma(d/2) / pi^(d/2), b_i = (alpha_i + 1)/2."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    b = [(a + 1) / 2.0 for a in alpha]
+    log = sum(math.lgamma(x) for x in b) - math.lgamma(sum(b))
+    return math.exp(log + math.lgamma(len(alpha) / 2.0)) / math.pi ** (len(alpha) / 2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_subsphere_rule_integrates_every_monomial_up_to_its_degree(d):
+    # the shell engine's product rule on S^{d-1}, sized J//2 + 1, is exact
+    # for every monomial of degree <= J; its weights are a probability rule
+    for J in range(13):
+        nodes, weights = _subsphere_rule(d, J)
+        assert abs(weights.sum() - 1.0) <= 1e-14 and np.all(weights > 0)
+        powers = nodes[None, :, :] ** np.arange(J + 1)[:, None, None]  # (J+1, N, d)
+        for alpha in itertools.product(range(J + 1), repeat=d):
+            if sum(alpha) > J:
+                continue
+            monomial = np.prod(powers[list(alpha), :, range(d)], axis=0)
+            assert abs(monomial @ weights - _sphere_moment(alpha)) <= 1e-14, (d, J, alpha)
 
 
 def test_pole_adapted_shell_rule_rejects_other_dimensions():
