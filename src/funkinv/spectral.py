@@ -709,6 +709,8 @@ def as_spectrum(f, band_limit: int | None = None, pole=None):
                 "produced by synthesis"
             )
         band_limit = f.meta["band_limit"]  # type: ignore[assignment]
+    if not isinstance(band_limit, numbers.Integral):
+        raise InvalidArgumentError(f"need an integer band limit, got {band_limit!r}")
     return analyze(f, int(band_limit), pole=pole), f.grid
 
 
@@ -806,9 +808,12 @@ def multiplier_table(
     lam: complex | None = None,
     ell: int | None = None,
 ) -> MultiplierTable:
-    """Table of even-degree multipliers for one named operator."""
+    """Table of even-degree multipliers for one named operator, up to the
+    integer band ``max_degree`` >= 0."""
     if operator not in _TABLE_BUILDERS:
         raise InvalidArgumentError(f"unknown operator {operator!r}")
+    if not isinstance(max_degree, numbers.Integral) or max_degree < 0:
+        raise InvalidArgumentError(f"need an integer max_degree >= 0, got {max_degree!r}")
     builder = _TABLE_BUILDERS[operator]
     degrees = np.arange(builder.first, max_degree + 1, 2)
     values = builder.multiplier(degrees, n, lam, ell if ell is not None else 0)

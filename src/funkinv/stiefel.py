@@ -6,12 +6,18 @@ their k = 1 case: the sphere splits into the shells
 v = r * (u theta) + sqrt(1-r^2) * (B omega) with theta on S^{k-1} in the
 frame's column span and omega on S^{n-k-1} in its null space.  A zonal
 spectrum is averaged over each shell by one Gauss-Gegenbauer rule per
-sphere in the height of theta and of omega along the pole's projections
-(J//2 + 1 points per frame for the Funk transform, at every n); a callable
-or a full n = 3 table by the product of the two spheres' rules, each the
-product rule of ``build_grid`` at resolution J//2 + 1.  The Funk
-transform is the r = 0 shell.  The cosine transform is the frame kernel
-r^lam of ``_frame_kernel_values``: with the radial density
+sphere in the height of theta and of omega along the pole's projections;
+a callable or a full n = 3 table by the product of the two spheres' rules,
+each the product rule of ``build_grid`` at resolution J//2 + 1.  The
+shells are antipodally symmetric, so a spectrum is replaced by its even
+part and evaluated at one node of each antipodal pair of the product, at
+twice the weight, about half the points of the full product (J//4 + 1
+heights per frame for the Funk transform of a zonal spectrum, at every n);
+a callable, which cannot be projected, is evaluated at every node.  The
+kept nodes are cached with the rules, so the batches of the Monte Carlo
+loop do no index work.  The Funk transform is the r = 0 shell.  The
+cosine transform is the frame kernel r^lam of ``_frame_kernel_values``:
+with the radial density
 r^{k-1} (1-r^2)^{(n-k-2)/2} it is a Jacobi weight in y = 2r^2-1, integrated
 exactly against the shell averages by regularized Chebyshev moments, for
 every lam off {0, 2, 4, ...} (at lam = -k the point mass at r = 0, Funk).
@@ -290,7 +296,8 @@ def sine_mc_via_dual_cosine(
     """Sine-transform value at v through the pipeline dual-cosine after
     codimension-k Funk: Monte Carlo over all Haar frames, the inner subsphere
     average of the spectrum done exactly per sampled frame (for zonal f, at
-    J//2 + 1 heights along the pole, with J = f.max_degree).
+    J//4 + 1 heights along the pole, one of each antipodal pair of the
+    J//2 + 1 node rule, with J = f.max_degree).
 
     At the end point lam = -k the dual cosine transform is the dual Funk
     transform (over the frames of v-perp) times null_sphere_scale(n, k)."""

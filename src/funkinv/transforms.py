@@ -34,9 +34,15 @@ each other:
   sphere of the shell, at J//2 + 1 heights on a meridian: O(J) points per
   Funk output and O(J^2) per kernel output, at every n.  Callables and
   full n = 3 tables take the product of the two spheres' product rules of
-  :func:`~funkinv.grids.build_grid` at resolution J//2 + 1.  Shell averages
-  evaluate the input off-grid, which goes through band-limited synthesis
-  (raw grids are never interpolated), and never touch the multipliers.
+  :func:`~funkinv.grids.build_grid` at resolution J//2 + 1.  Every shell
+  is antipodally symmetric, so a spectrum's odd degrees average to zero on
+  it: a spectrum is replaced by its even part and evaluated at one point of
+  each antipodal pair of the rule, at twice the weight, which halves the
+  points (J//4 + 1 heights per zonal Funk output, (J//2 + 1)^2 points per
+  zonal k = 1 kernel output); callables cannot be projected and take every
+  point.  Shell averages evaluate the input off-grid, which goes through
+  band-limited synthesis (raw grids are never interpolated), and never
+  touch the multipliers.
 
 The five public transforms, and ``funkinv forward``, run through one function
 that reads each operator's paths from ``OPERATORS``.
@@ -58,7 +64,7 @@ from .errors import (
     PoleError,
     PreconditionError,
 )
-from .grids import GridFunction, _product_rule, integrate
+from .grids import GridFunction, _product_rule, _symmetric_rule, integrate
 from .spectral import (
     HarmonicSpectrum,
     _gamma_ratio,
@@ -67,8 +73,8 @@ from .spectral import (
     cosine_multiplier,
     funk_multiplier,
     log_cosine_multiplier,
+    pushforward_constant,
     sine_multiplier,
-    zonal_profile_rule,
 )
 
 __all__ = [
@@ -230,31 +236,72 @@ def null_space_basis(u: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _subsphere_rule(d: int, J: int):
-    """Probability rule on S^{d-1}, exact for polynomials of degree <= J: the
-    two points +-1 when d = 1, otherwise the product rule of
+    """Probability rule on S^{d-1}, exact for polynomials of degree <= J, with
+    its antipode map (``nodes[anti] == -nodes`` bitwise, equal weights): the
+    two points +-1, swapped, when d = 1, otherwise the product rule of
     :func:`~funkinv.grids.build_grid` at resolution J//2 + 1, exact to degree
-    2(J//2) + 1.  Cached, so its arrays are read-only."""
+    2(J//2) + 1, and that rule's own pairing.  Cached, so its arrays are
+    read-only."""
     if d == 1:
-        nodes, weights = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+        rule = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]), np.array([1, 0])
     else:
-        nodes, weights, _ = _product_rule(d, J // 2 + 1)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+        rule = _product_rule(d, J // 2 + 1)
+    return _frozen(*rule)
 
 
 @lru_cache(maxsize=None)
 def _height_rule(d: int, J: int):
     """Probability rule for the height x = a.omega of omega uniform on
-    S^{d-1} along a unit axis a, exact for polynomials in x of degree <= J:
-    the two points +-1 when d = 1, otherwise the J//2 + 1 node Gauss rule of
-    the pushforward density (1-x^2)^((d-3)/2).  Nodes come as a column
-    (m, 1); cached, so its arrays are read-only."""
+    S^{d-1} along a unit axis a, exact for polynomials in x of degree <= J,
+    with its antipode map: the two points +-1 when d = 1, otherwise the
+    J//2 + 1 node symmetric Gauss rule of the pushforward density
+    (1-x^2)^((d-3)/2), whose nodes are paired by index reversal (a middle
+    node x = 0 is its own antipode).  Nodes come as a column (m, 1); cached,
+    so its arrays are read-only."""
     if d == 1:
         return _subsphere_rule(1, J)
-    x, w = zonal_profile_rule(d, J // 2 + 1)  # x is cached read-only, w new
-    w.setflags(write=False)
-    return x[:, None], w
+    x, w = _symmetric_rule(J // 2 + 1, (d - 3) / 2.0)
+    return _frozen(x[:, None], pushforward_constant(d) * w, np.arange(len(x))[::-1])
+
+
+def _center_rule(cols: int, J: int):
+    """The span sphere of the r = 0 shell: the one point 0 of R^cols, weight
+    1, its own antipode."""
+    return np.zeros((1, cols)), np.ones(1), np.zeros(1, dtype=np.intp)
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only, as a tuple."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _shell_rule(span_rule, span_dim: int, fiber_rule, fiber_dim: int, J: int, half: bool):
+    """The span x fiber product rule of a shell, as gathered rows: span nodes
+    theta (K, .), fiber nodes omega (K, .) and weights (K,), from the rules
+    ``span_rule(span_dim, J)`` and ``fiber_rule(fiber_dim, J)``.
+
+    The full product (``half`` false) has every pair of nodes.  The shell
+    point of (-theta, -omega) is minus that of (theta, omega), and the two
+    weights are equal, so for even input the ``half`` rule keeps one pair of
+    each such antipodal couple, the one with the lower flat index, at twice
+    its weight; a pair that is its own antipode (theta and omega both their
+    own, as the r = 0 point with a middle height node) keeps its weight.  It
+    has about half the K of the full product.  Cached per key, so a call of
+    the engine does no index work; the arrays are read-only.
+    """
+    theta, tw, t_anti = span_rule(span_dim, J)
+    omega, ow, w_anti = fiber_rule(fiber_dim, J)
+    flat = np.arange(len(tw) * len(ow))
+    weights = np.outer(tw, ow).reshape(-1)
+    if half:
+        anti = (t_anti[:, None] * len(ow) + w_anti).reshape(-1)
+        flat = flat[flat <= anti]
+        weights = np.where(anti[flat] == flat, 1.0, 2.0) * weights[flat]
+    t, w = np.divmod(flat, len(ow))
+    return _frozen(theta[t], omega[w], weights)
 
 
 def _frame_shell_values(f, frames: np.ndarray, r: np.ndarray, J: int) -> np.ndarray:
@@ -265,8 +312,12 @@ def _frame_shell_values(f, frames: np.ndarray, r: np.ndarray, J: int) -> np.ndar
     The shell is the product of spheres v = r U theta + sqrt(1-r^2) B omega,
     theta on S^{k-1} and omega on S^{n-k-1}, B the null-space basis of U; a
     unit vector u is the frame u[:, None], whose shells are {v : u.v = +-r}.
-    At r = 0 the span sphere is one point.  Callables and full tables take
-    the product of the two spheres' rules, at every point of the shell.
+    At r = 0 the span sphere is one point.  Every shell is antipodally
+    symmetric, so odd harmonics average to zero on it: a spectrum is
+    replaced by its even part and integrated by the half rule of
+    :func:`_shell_rule`, one node of each antipodal pair (theta, omega),
+    (-theta, -omega) at twice the weight, about half the points of the full
+    product.  A callable cannot be projected and takes the full product.
 
     A zonal spectrum, f(v) = g(v.p), takes a pole-adapted rule: on the
     shell, v.p = r sigma x + sqrt(1-r^2) rho s, with c = U^T p, sigma = |c|
@@ -277,14 +328,16 @@ def _frame_shell_values(f, frames: np.ndarray, r: np.ndarray, J: int) -> np.ndar
     2013, section 1.2), so the same loop runs on the 1 x 1 "frames" sigma
     and rho with those rules, and f is evaluated at each height t on one
     meridian, t p + sqrt(1-t^2) e with e a unit vector orthogonal to p.  No
-    null-space basis of a frame is formed.  Returns an array of shape
+    null-space basis of a frame is formed.  (x, s) -> (-x, -s) maps t to -t,
+    so the half rule serves here too.  Returns an array of shape
     (S, len(r)).
     """
     count, n, k = frames.shape
-    if isinstance(f, HarmonicSpectrum) and f.kind == "zonal":
+    half = isinstance(f, HarmonicSpectrum)
+    if half and f.kind == "zonal":
         if n != f.n:
             raise InvalidArgumentError(f"frames of R^{n} for a spectrum on S^{f.n - 1}")
-        pole, rule = f.pole, _height_rule
+        pole, rule, even = f.pole, _height_rule, f.even_projected()
         c = np.einsum("n,snk->sk", pole, frames)  # U^T p per frame; a batched matvec is 4x slower
         rest = pole - np.einsum("snk,sk->sn", frames, c)
         # sigma and rho as 1 x 1 frames and bases; rho from the residual keeps
@@ -295,28 +348,24 @@ def _frame_shell_values(f, frames: np.ndarray, r: np.ndarray, J: int) -> np.ndar
 
         def f_eval(height):  # (N, 1) heights t -> f at t p + sqrt(1-t^2) e
             t = np.clip(height, -1.0, 1.0)
-            return f.evaluate(np.concatenate([t, np.sqrt(1.0 - t * t)], axis=1) @ meridian)
+            return even.evaluate(np.concatenate([t, np.sqrt(1.0 - t * t)], axis=1) @ meridian)
     else:
         rule = _subsphere_rule
-        f_eval = f.evaluate if isinstance(f, HarmonicSpectrum) else f
+        f_eval = f.even_projected().evaluate if half else f
         bases = null_space_basis(frames)
-    if np.any(r):
-        theta, tw = rule(k, J)
-    else:
-        theta, tw = np.zeros((1, frames.shape[2])), np.ones(1)
-    omega, ow = rule(n - k, J)
-    cos_r = np.asarray(r, dtype=float)[None, :, None, None, None]
+    span = (rule, k) if np.any(r) else (_center_rule, frames.shape[2])
+    theta, omega, weights = _shell_rule(*span, rule, n - k, J, half)
+    cos_r = np.asarray(r, dtype=float)[None, :, None, None]
     sin_r = np.sqrt(1.0 - cos_r * cos_r)
     out = np.empty((count, cos_r.shape[1]), dtype=complex)
     # frames per f_eval call, at most 2^14 points each, bound the point arrays
-    chunk = max(1, 2**14 // (cos_r.size * len(theta) * len(omega)))
+    chunk = max(1, 2**14 // (cos_r.size * len(weights)))
     for lo in range(0, count, chunk):
-        span = theta @ frames[lo : lo + chunk].transpose(0, 2, 1)  # (B, T, dim)
-        fiber = omega @ bases[lo : lo + chunk].transpose(0, 2, 1)  # (B, W, dim)
-        # pts[b, i, t, w, :] = r_i U_b theta_t + sqrt(1 - r_i^2) B_b omega_w
-        pts = cos_r * span[:, None, :, None, :] + sin_r * fiber[:, None, None, :, :]
+        # pts[b, i, q, :] = r_i U_b theta_q + sqrt(1 - r_i^2) B_b omega_q
+        pts = (cos_r * (theta @ frames[lo : lo + chunk].transpose(0, 2, 1))[:, None]
+               + sin_r * (omega @ bases[lo : lo + chunk].transpose(0, 2, 1))[:, None])
         vals = np.asarray(f_eval(pts.reshape(-1, pts.shape[-1])), dtype=complex)
-        out[lo : lo + chunk] = (vals.reshape(pts.shape[:-1]) @ ow) @ tw
+        out[lo : lo + chunk] = vals.reshape(pts.shape[:-1]) @ weights
     return out
 
 
@@ -464,7 +513,11 @@ def funk_geodesic_values(f, points: np.ndarray, *, profile_degree: int) -> np.nd
     :func:`_frame_shell_values`, whose rule is exact to that degree (J//2 + 1
     heights for a zonal spectrum; for a callable or a full table the
     :func:`~funkinv.grids.build_grid` product rule on S^{n-2} at resolution
-    J//2 + 1, at n = 3 the circle's 2(J//2 + 1) azimuth nodes)."""
+    J//2 + 1, at n = 3 the circle's 2(J//2 + 1) azimuth nodes).  The great
+    subsphere is antipodally symmetric, so a spectrum is evaluated at one
+    node of each antipodal pair only, its even part at twice the weight:
+    J//4 + 1 heights for a zonal spectrum, J//2 + 1 azimuths for a full
+    table at n = 3; a callable at every node."""
     return _frame_funk_values(f, _point_frames(points), profile_degree)
 
 

@@ -299,6 +299,7 @@ def test_malformed_convergence_list(study, option, values, bad, tmp_path, capsys
 @pytest.mark.parametrize("args", [
     ["multipliers", "--operator", "funk", "--n", "1"],
     ["multipliers", "--operator", "cosine", "--n", "1"],
+    ["multipliers", "--J", "-1"],
     ["forward", "--n", "2"],
     ["forward", "--input", "random-even:J=4,seed=-2"],
     ["diffop", "--n", "2"],

@@ -3,9 +3,9 @@
 ``GRID_OPERATIONS`` lists each such operation once: the five transforms on
 both paths, the two Laplacians and the four inversions.  On band-14 samples,
 a call without ``band_limit=`` equals, bit for bit, the same call with
-``band_limit=14``; the same values with no recorded band raise
-``InvalidArgumentError``; and on a grid too coarse for band 14 they raise
-``ResolutionError``.  ``test_every_grid_operation_is_listed`` keeps the
+``band_limit=14``; a fractional ``band_limit=`` and the same values with
+no recorded band raise ``InvalidArgumentError``; and on a grid too coarse
+for band 14 they raise ``ResolutionError``.  ``test_every_grid_operation_is_listed`` keeps the
 table whole: a public function that reaches ``spectral.as_spectrum`` must
 have a row.
 """
@@ -81,6 +81,8 @@ def test_grid_samples_are_read_at_their_band(name, n):
     assert samples.meta["band_limit"] == BAND
     got = operation(samples, pole=f.pole)
     assert _outcome(got) == _outcome(operation(samples, pole=f.pole, band_limit=BAND))
+    with pytest.raises(InvalidArgumentError, match="integer band limit"):
+        operation(samples, pole=f.pole, band_limit=BAND - 0.5)
     with pytest.raises(InvalidArgumentError):
         operation(GridFunction(samples.grid, samples.values), pole=f.pole)
     with pytest.raises(ResolutionError):

@@ -25,6 +25,7 @@ from funkinv.spectral import (
     HarmonicSpectrum,
     _rng,
     analyze,
+    as_spectrum,
     cosine_multiplier,
     delta_op_eigenvalue,
     funk_hecke_multiplier_quadrature,
@@ -625,6 +626,28 @@ def test_multiplier_table():
     assert log_table.degrees == (2, 4, 6, 8)
     with pytest.raises(InvalidArgumentError):
         multiplier_table("nope", 3, 8)
+    # a negative or fractional band is refused, not tabulated as no degrees
+    for bad in (-1, -2, 8.5):
+        with pytest.raises(InvalidArgumentError, match="max_degree"):
+            multiplier_table("cosine", 3, bad, lam=-1.0)
+    same = multiplier_table("cosine", 3, np.int64(8), lam=-1.0)
+    assert same.degrees == table.degrees and np.array_equal(same.values, table.values)
+
+
+def test_as_spectrum_needs_an_integer_band_limit():
+    # a fractional band is refused rather than truncated (every operation on
+    # grid samples: test_grid_samples.py); numpy integers and the band
+    # recorded by synthesis are taken as they are
+    f = random_even_spectrum(3, 6, seed=7).to_grid(build_grid(3, 9))
+    for bad in (4.7, 4.0, "4"):
+        with pytest.raises(InvalidArgumentError, match="integer band limit"):
+            as_spectrum(f, bad)
+    want = analyze(f, 4)
+    for band in (4, np.int64(4), np.int32(4)):
+        got, grid = as_spectrum(f, band)
+        assert grid is f.grid and got.max_degree == 4
+        assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(as_spectrum(f)[0].coeffs, analyze(f, 6).coeffs)
 
 
 def _mp_cosine(j, n, lam):

@@ -536,6 +536,7 @@ def test_subsphere_rule_is_built_once(monkeypatch):
     real = transforms._product_rule
     monkeypatch.setattr(transforms, "_product_rule", lambda *a: calls.append(a) or real(*a))
     transforms._subsphere_rule.cache_clear()
+    transforms._shell_rule.cache_clear()  # it holds the kept rows of built rules
     first = check_identity("thm4.1-i", 5, 2, samples=3600)
     assert check_identity("thm4.1-i", 5, 2, samples=3600) == first
     assert calls == []
@@ -545,10 +546,10 @@ def test_subsphere_rule_is_built_once(monkeypatch):
         psi(haar_frames(5, 2, 50, seed=seed))
     assert calls == [(3, 3)]
     for d in (1, 2, 3):
-        nodes, weights = transforms._subsphere_rule(d, 4)
+        rule = transforms._subsphere_rule(d, 4)
         fresh = transforms._subsphere_rule.__wrapped__(d, 4)
-        assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
-        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in zip(rule, fresh, strict=True))
+        assert not any(a.flags.writeable for a in rule)
 
 
 def test_check_identity_entry_point():

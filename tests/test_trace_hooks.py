@@ -155,10 +155,12 @@ def test_quadrature_point_counts(J):
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("J", [4, 12])
 def test_zonal_quadrature_point_counts(spans, monkeypatch, n, J):
-    # a zonal spectrum takes the pole-adapted rule: J//2 + 1 heights per Funk
-    # output at n-k >= 2 and 2 (J//2 + 1)^2 per k = 1 cosine output (two span
-    # heights per fiber height, at each of J//2 + 1 radii), whatever n is; no
-    # null-space basis of a frame stack is built, only that of the pole
+    # a zonal spectrum takes the pole-adapted rule at one node of each
+    # antipodal pair: of the J//2 + 1 heights per Funk output at n-k >= 2,
+    # the lower half and a middle one (J//4 + 1), and of the 2 (J//2 + 1)^2
+    # per k = 1 cosine output (two span heights per fiber height, at each of
+    # J//2 + 1 radii) half, whatever n is; no null-space basis of a frame
+    # stack is built, only that of the pole
     f = fk.random_even_spectrum(n, J, seed=n, pole=np.arange(1.0, n + 1))
     bases = []
     real = transforms.null_space_basis
@@ -183,10 +185,10 @@ def test_zonal_quadrature_point_counts(spans, monkeypatch, n, J):
         counts[f"funk_k k={k}"] = evaluated(lambda: funk_k_function(f, n, k, profile_degree=J)(fr))
     heights = J // 2 + 1
     assert counts == {
-        "funk_geodesic_values": heights,
-        "cosine_quadrature_values": 2 * heights**2,
-        "cosine_k": 2 * heights**2,
-        **{f"funk_k k={k}": heights for k in frames},
+        "funk_geodesic_values": J // 4 + 1,
+        "cosine_quadrature_values": heights**2,
+        "cosine_k": heights**2,
+        **{f"funk_k k={k}": J // 4 + 1 for k in frames},
     }
     assert bases and all(np.array_equal(u, f.pole[:, None]) for u in bases)
 

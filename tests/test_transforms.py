@@ -25,11 +25,14 @@ from funkinv.spectral import (
     zonal_eval,
 )
 from funkinv.diffops import WeightedOpSpec, weighted_laplacian_spectrum
-from funkinv.stiefel import haar_frames
+from funkinv.stiefel import cosine_k_function, funk_k_function, haar_frames
 from funkinv.transforms import (
     OPERATORS,
     _chebyshev_moments,
+    _center_rule,
     _frame_shell_values,
+    _height_rule,
+    _shell_rule,
     _subsphere_rule,
     cosine_quadrature_values,
     cosine_spectrum,
@@ -583,6 +586,61 @@ def test_pole_adapted_shell_rule_matches_the_product_rule(n):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, k, J, i)
 
 
+def _odd_content_inputs():
+    """Inputs with every degree 0..J present, odd ones included: a full
+    n = 3 table at J = 7 and zonal n = 4, 5 tables about an oblique pole."""
+    rng = np.random.default_rng(2700)
+    out = []
+    for n, J in ((3, 7), (4, 7), (5, 8)):
+        size = (J + 1) ** 2 if n == 3 else J + 1
+        coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        coeffs /= 1.0 + np.arange(size)
+        out.append(HarmonicSpectrum(n, J, coeffs, None if n == 3 else _poles(n)[2]))
+    return out
+
+
+@pytest.mark.parametrize("f", _odd_content_inputs(), ids=lambda f: f"n{f.n}-{f.kind}")
+def test_odd_degree_content_is_projected_out(f):
+    # a spectrum is integrated at one node of each antipodal pair of shell
+    # points, which is exact for its even part only; on input with odd degrees
+    # the spectrum path must still equal the spectral path (multipliers, which
+    # annihilate odd degrees) and the callable path (the full product rule)
+    n, J = f.n, f.max_degree
+    f0 = f.with_zero_mean()
+    points = haar_frames(n, 1, 6, seed=n)[:, :, 0]
+    sphere = [
+        (lambda g: cosine_quadrature_values(g, points, n, 0.5, profile_degree=J), f,
+         cosine_spectrum(f, 0.5)),
+        (lambda g: sine_quadrature_values(g, points, n, -0.5 + 0.2j, profile_degree=J), f,
+         sine_spectrum(f, -0.5 + 0.2j)),
+        (lambda g: funk_geodesic_values(g, points, profile_degree=J), f, funk_spectrum(f)),
+        (lambda g: log_cosine_quadrature_values(g, points, n, profile_degree=J), f0,
+         log_cosine_spectrum(f0)),
+        (lambda g: log_sine_quadrature_values(g, points, n, profile_degree=J), f0,
+         log_sine_spectrum(f0)),
+    ]
+    for i, (quadrature, g, spectral) in enumerate(sphere):
+        got = quadrature(g)
+        want = spectral.evaluate(points)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, i)
+        assert np.max(np.abs(got - quadrature(g.evaluate))) <= 1e-13 * np.max(np.abs(want)), (n, i)
+    # the frame functions at k = 2; at k = n-1 (n = 3) they also have a
+    # spectral path: the sine transform at the unit normal of the frame's
+    # span, and the even part at it for the Funk transform (a two-point sphere)
+    frames = haar_frames(n, 2, 5, seed=10 + n)
+    normals = null_space_basis(frames)[:, :, 0]
+    frame = [(funk_k_function, {}, f.even_projected())]
+    frame += [(cosine_k_function, {"lam": lam}, sine_spectrum(f, lam))
+              for lam in (0.5 + 0.3j, -1.5)]
+    for function, kw, spectral in frame:
+        got = function(f, n, 2, **kw, profile_degree=J)(frames)
+        want = function(f.evaluate, n, 2, **kw, profile_degree=J)(frames)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, kw)
+        if n == 3:
+            exact = spectral.evaluate(normals)
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact)), (n, kw)
+
+
 def _sphere_moment(alpha) -> float:
     """Mean of the monomial x^alpha over S^{d-1}, d = len(alpha): zero unless
     every exponent is even, else prod Gamma(b_i) / Gamma(sum b_i) times
@@ -599,7 +657,7 @@ def test_subsphere_rule_integrates_every_monomial_up_to_its_degree(d):
     # the shell engine's product rule on S^{d-1}, sized J//2 + 1, is exact
     # for every monomial of degree <= J; its weights are a probability rule
     for J in range(13):
-        nodes, weights = _subsphere_rule(d, J)
+        nodes, weights, _ = _subsphere_rule(d, J)
         assert abs(weights.sum() - 1.0) <= 1e-14 and np.all(weights > 0)
         powers = nodes[None, :, :] ** np.arange(J + 1)[:, None, None]  # (J+1, N, d)
         for alpha in itertools.product(range(J + 1), repeat=d):
@@ -607,6 +665,80 @@ def test_subsphere_rule_integrates_every_monomial_up_to_its_degree(d):
                 continue
             monomial = np.prod(powers[list(alpha), :, range(d)], axis=0)
             assert abs(monomial @ weights - _sphere_moment(alpha)) <= 1e-14, (d, J, alpha)
+
+
+def _rules():
+    """Every (rule, d) the shell engine reads, its point of r = 0 included."""
+    return ([(_subsphere_rule, d) for d in range(1, 6)] + [(_height_rule, d) for d in range(1, 7)]
+            + [(_center_rule, cols) for cols in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("rule, d", _rules(), ids=lambda v: getattr(v, "__name__", str(v)))
+def test_antipode_maps_are_involutions(rule, d):
+    # nodes[anti] == -nodes bitwise, with equal weights, so the half rule of a
+    # shell keeps one node of each pair at exactly twice its weight
+    for J in range(13):
+        nodes, weights, anti = rule(d, J)
+        assert np.array_equal(anti[anti], np.arange(len(anti)))
+        assert np.array_equal(nodes[anti], -nodes) and np.array_equal(weights[anti], weights)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("span, fiber", [((_subsphere_rule, 1), (_subsphere_rule, 2)),
+                                         ((_subsphere_rule, 2), (_subsphere_rule, 1)),
+                                         ((_subsphere_rule, 2), (_subsphere_rule, 2)),
+                                         ((_subsphere_rule, 1), (_subsphere_rule, 3)),
+                                         ((_center_rule, 2), (_subsphere_rule, 3)),
+                                         ((_height_rule, 2), (_height_rule, 3)),
+                                         ((_height_rule, 1), (_height_rule, 4)),
+                                         ((_center_rule, 1), (_height_rule, 5))],
+                         ids=lambda rule: f"{rule[0].__name__}{rule[1]}")
+def test_half_shell_rule_integrates_every_even_monomial(span, fiber):
+    # the half product integrates every monomial in (theta, omega) of even
+    # total degree <= J, the ones that antipodal symmetry leaves; heights
+    # are the first coordinate of a sphere point, the point of r = 0 is 0
+    def moment(rule, d, alpha):
+        if rule is _center_rule:
+            return float(not any(alpha))
+        return _sphere_moment(alpha if rule is _subsphere_rule else alpha + (0,) * (d - 1))
+
+    for J in range(9):
+        theta, omega, weights = _shell_rule(*span, *fiber, J, True)
+        # a pair is its own antipode when both of its nodes are
+        fixed = np.prod([np.sum(anti == np.arange(len(anti)))
+                         for anti in (span[0](span[1], J)[2], fiber[0](fiber[1], J)[2])])
+        assert 2 * len(weights) - fixed == len(_shell_rule(*span, *fiber, J, False)[2])
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        nodes = np.concatenate([theta, omega], axis=1)
+        split = theta.shape[1]
+        powers = nodes[None, :, :] ** np.arange(J + 1)[:, None, None]
+        for alpha in itertools.product(range(J + 1), repeat=nodes.shape[1]):
+            if sum(alpha) > J or sum(alpha) % 2:
+                continue
+            monomial = np.prod(powers[list(alpha), :, range(nodes.shape[1])], axis=0)
+            want = moment(*span, alpha[:split]) * moment(*fiber, alpha[split:])
+            assert abs(monomial @ weights - want) <= 1e-14, (J, alpha)
+
+
+def test_shell_rules_are_built_once_per_key():
+    # the kept nodes and weights are cached with the rules: batch after batch
+    # of a frame function reads one table per (span, fiber, J, half) key
+    J = 6
+    zonal = random_even_spectrum(5, J, seed=3, pole=_poles(5)[2])
+    full = random_even_spectrum(3, J, seed=4)
+    _shell_rule.cache_clear()
+    for seed in range(4):
+        frames = haar_frames(5, 2, 7, seed=seed)
+        funk_k_function(zonal, 5, 2, profile_degree=J)(frames)
+        cosine_k_function(zonal, 5, 2, 0.5, profile_degree=J)(frames)
+        funk_k_function(zonal.evaluate, 5, 2, profile_degree=J)(frames)
+        cosine_quadrature_values(full, haar_frames(3, 1, 5, seed=seed)[:, :, 0], 3, 0.5,
+                                 profile_degree=J)
+    info = _shell_rule.cache_info()
+    assert (info.misses, info.hits) == (4, 12)
+    rule = _shell_rule(_height_rule, 2, _height_rule, 3, J, True)
+    assert rule is _shell_rule(_height_rule, 2, _height_rule, 3, J, True)
+    assert not any(a.flags.writeable for a in rule)
 
 
 def test_pole_adapted_shell_rule_rejects_other_dimensions():
