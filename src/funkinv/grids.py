@@ -41,8 +41,9 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-14
 WEIGHT_SUM_TOL = 1e-13
-# spread of nodes[:, 0] allowed within one ring; build_grid's normalization
-# moves a ring's heights by at most an ulp
+# spread of nodes[:, 0] allowed within one ring, and distance of a node from
+# its ring's uniform azimuth; build_grid's normalization moves a node by at
+# most an ulp
 RING_TOL = 1e-15
 
 
@@ -75,6 +76,14 @@ class QuadratureGrid:
         node's); every :func:`build_grid` output has this layout, because
         its first polar index varies slowest.  None for any other grid.
         A function zonal about +-e_1 is constant on each ring.
+    uniform_azimuth : whether n = 3, the grid has ``ring_heights`` and node k
+        of each ring of A = N / resolution nodes (A even) sits at azimuth
+        phi = 2 pi k / A about e_1, phi = atan2(x_3, x_2), to ``RING_TOL``;
+        worked out from the nodes like ``ring_heights``.  Every n = 3
+        :func:`build_grid` output has it, and its first node of each ring
+        sits at phi = 0 exactly.  On such a grid each order m of the harmonic
+        basis (polar about e_1) is e^{i m phi} times its value at that first
+        node, so full n = 3 analysis and synthesis run one FFT per ring.
     """
 
     n: int
@@ -84,6 +93,7 @@ class QuadratureGrid:
     exactness_degree: int = 0
     resolution: int = 0
     ring_heights: np.ndarray | None = field(init=False, default=None, compare=False)
+    uniform_azimuth: bool = field(init=False, default=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -107,7 +117,9 @@ class QuadratureGrid:
             anti = np.ascontiguousarray(self.antipode, dtype=np.intp)
             anti.setflags(write=False)
             object.__setattr__(self, "antipode", anti)
-        object.__setattr__(self, "ring_heights", _ring_heights(nodes, self.resolution))
+        heights = _ring_heights(nodes, self.resolution)
+        object.__setattr__(self, "ring_heights", heights)
+        object.__setattr__(self, "uniform_azimuth", _uniform_azimuth(nodes, heights))
 
     @property
     def num_nodes(self) -> int:
@@ -175,6 +187,19 @@ def _ring_heights(nodes: np.ndarray, rings: int) -> np.ndarray | None:
         return None
     heights.setflags(write=False)
     return heights
+
+
+def _uniform_azimuth(nodes: np.ndarray, heights: np.ndarray | None) -> bool:
+    """Whether node k of each ring of S^2 nodes sits at azimuth 2 pi k / A
+    about e_1, A the (even) ring size: (x_2, x_3) = r (cos, sin) of that angle."""
+    size = 0 if heights is None else len(nodes) // len(heights)
+    if nodes.shape[1] != 3 or size == 0 or size % 2:
+        return False
+    cos_az, sin_az = _azimuth_tables(size)
+    x2, x3 = nodes[:, 1].reshape(-1, size), nodes[:, 2].reshape(-1, size)
+    radius = np.hypot(x2, x3)
+    off = np.maximum(np.abs(x2 - radius * cos_az), np.abs(x3 - radius * sin_az))
+    return bool(np.max(off) <= RING_TOL)
 
 
 def _symmetric_rule(num_nodes: int, alpha: float):

@@ -15,7 +15,8 @@ ways:
 
 The module also provides the band-limited representation
 (:class:`HarmonicSpectrum`) used as the cross-validation oracle everywhere:
-full (j, m) tables for n = 3, zonal tables about a stored pole for n > 3.
+full (j, m) tables for n = 3 (polar about e_1), zonal tables about a stored
+pole for n > 3.
 """
 
 from __future__ import annotations
@@ -60,8 +61,11 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-12
-# every spectrum normalizes its pole again, which moves some unit vectors by an ulp
+# poles normalized from different vectors along one direction differ by an ulp
 AXIS_TOL = 1e-14
+# a pole whose squared norm is this close to 1 is a unit vector to rounding
+# (as_direction leaves it within 3 ulp) and is kept bitwise
+POLE_UNIT_TOL = 1e-15
 UNIT_TOL = 1e-9  # shell points, x/|x| and grid nodes are unit vectors only to rounding
 
 
@@ -386,9 +390,10 @@ def _legendre_rows(x: np.ndarray, max_degree: int):
 
 
 def _polar_azimuth(points: np.ndarray):
-    """cos(theta) and e^{i phi} of points on S^2."""
+    """cos(theta) and e^{i phi} of points on S^2 about the pole e_1:
+    cos(theta) = x_1 and phi = atan2(x_3, x_2)."""
     pts = np.asarray(points, dtype=float)
-    return pts[:, 2], np.exp(1j * np.arctan2(pts[:, 1], pts[:, 0]))
+    return pts[:, 0], np.exp(1j * np.arctan2(pts[:, 2], pts[:, 1]))
 
 
 def harmonic_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
@@ -399,6 +404,9 @@ def harmonic_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
     orthonormal associated Legendre function (Condon-Shortley phase) from the
     three-term recurrence of :func:`_legendre_rows`, and
     Y_{j,-m} = (-1)^m conj(Y_jm).  Each Y_jm has unit mean square over S^2.
+    The pole is e_1: cos(theta) = x_1 and phi = atan2(x_3, x_2), so the rings
+    of ``build_grid(3, .)`` are circles of constant theta, and at a point with
+    phi = 0 (x_3 = 0, x_2 > 0) every entry is real.
     """
     ct, e_phi = _polar_azimuth(points)
     out = np.empty((ct.shape[0], (max_degree + 1) ** 2), dtype=complex)
@@ -448,6 +456,61 @@ def _ring_nodes(grid: QuadratureGrid, pole) -> np.ndarray | None:
     return grid.nodes[:: grid.num_nodes // len(grid.ring_heights)]
 
 
+def _ring_basis(grid: QuadratureGrid, max_degree: int):
+    """(basis, bins) for the FFT route on a grid with ``uniform_azimuth``.
+
+    ``basis`` is ``harmonic_basis`` at the first node of each ring, where
+    phi = 0 and every entry is real; column j*(j+1)+m at node k of ring r is
+    basis[r, col] e^{2 pi i m k / A}.  ``bins[col]`` is m mod A, the FFT bin
+    of the column's order on a ring of A nodes.
+    """
+    size = grid.num_nodes // len(grid.ring_heights)
+    basis = harmonic_basis(grid.nodes[::size], max_degree).real
+    j = _degree_index(max_degree, True)
+    return basis, (np.arange(len(j)) - j * (j + 1)) % size
+
+
+def _ring_synthesis(grid: QuadratureGrid, spectrum: "HarmonicSpectrum") -> np.ndarray:
+    """Full n = 3 samples on a grid with ``uniform_azimuth``, one FFT per ring.
+
+    Each term c_jm Y_jm at a ring's first node is added into the FFT bin
+    m mod A of its ring (orders past the Nyquist bin fold onto the bins they
+    alias to on A nodes), and one inverse FFT per ring sums
+    sum_m e^{i m phi_k} over the ring's nodes.  A real spectrum's bins are
+    Hermitian, so its samples come from a real inverse FFT and are exactly
+    real.
+    """
+    basis, bins = _ring_basis(grid, spectrum.max_degree)
+    rings, size = basis.shape[0], grid.num_nodes // basis.shape[0]
+    terms = basis * spectrum.coeffs
+    flat = (np.arange(rings)[:, None] * size + bins).ravel()
+    folded = (np.bincount(flat, terms.real.ravel(), rings * size)
+              + 1j * np.bincount(flat, terms.imag.ravel(), rings * size)).reshape(rings, size)
+    if spectrum.is_real:
+        values = np.fft.irfft(folded[:, : size // 2 + 1], size, axis=1, norm="forward")
+    else:
+        values = np.fft.ifft(folded, axis=1, norm="forward")
+    return values.ravel()
+
+
+def _ring_analysis(grid: QuadratureGrid, wf: np.ndarray, max_degree: int) -> np.ndarray:
+    """Full n = 3 coefficients of weighted samples ``wf`` on a grid with
+    ``uniform_azimuth``: one FFT per ring gives sum_k wf e^{-i m phi_k} in
+    bin m mod A, and each column is that bin contracted with the real basis
+    over the rings."""
+    basis, bins = _ring_basis(grid, max_degree)
+    spectra = np.fft.fft(wf.reshape(basis.shape[0], -1), axis=1)
+    return np.einsum("rc,rc->c", basis, spectra[:, bins])
+
+
+def _unit_pole(pole) -> np.ndarray:
+    """A copy of ``pole`` as a unit vector: kept bitwise when its squared norm
+    is within ``POLE_UNIT_TOL`` of 1, so normalizing a spectrum's pole again
+    cannot move it by an ulp; normalized by ``as_direction`` otherwise."""
+    pole = np.array(pole, dtype=float).reshape(-1)
+    return pole if abs(pole @ pole - 1.0) <= POLE_UNIT_TOL else as_direction(pole)
+
+
 @lru_cache(maxsize=None)
 def _degree_index(max_degree: int, full: bool) -> np.ndarray:
     """The read-only ``HarmonicSpectrum.degrees`` of each storage kind."""
@@ -464,9 +527,13 @@ class HarmonicSpectrum:
     Two storage kinds:
 
     * full (n = 3 only): ``coeffs`` is a flat complex array of length
-      (J+1)^2 against the orthonormal basis of :func:`harmonic_basis`;
+      (J+1)^2 against the orthonormal basis of :func:`harmonic_basis`, whose
+      pole is e_1 (the axis of ``build_grid(3, .)``'s rings);
     * zonal (any n): ``coeffs[j]`` multiplies the degree-j zonal profile
-      about the stored ``pole``.
+      about the stored ``pole``.  A pole given as a unit vector to rounding
+      (squared norm within ``POLE_UNIT_TOL`` of 1, as every spectrum's is)
+      is kept bitwise, so a derived spectrum keeps its source's pole; any
+      other is normalized.
 
     ``degrees`` gives the degree of each coefficient, so a degree-wise
     operator is one product ``coeffs * table[degrees]``.
@@ -485,7 +552,7 @@ class HarmonicSpectrum:
             if self.n != 3:
                 raise InvalidArgumentError("full (j, m) tables are only kept for n = 3")
         else:
-            pole = as_direction(self.pole)
+            pole = _unit_pole(self.pole)
             if len(pole) != self.n:
                 raise InvalidArgumentError("pole dimension mismatch")
             pole.setflags(write=False)
@@ -629,15 +696,22 @@ class HarmonicSpectrum:
     def to_grid(self, grid: QuadratureGrid) -> GridFunction:
         """Sample the spectrum at the grid's nodes.
 
-        A zonal table about +-e_1 (within ``AXIS_TOL``) on a grid with
-        ``ring_heights`` is constant on each ring, so it is evaluated at the
-        first node of each ring and each value repeated over its ring;
-        anything else is evaluated at every node.
+        A full table on a grid with ``uniform_azimuth`` takes one FFT per
+        ring (:func:`_ring_synthesis`): its per-order sums are formed at the
+        ring heights from ``harmonic_basis`` at the first node of each ring,
+        folded mod the ring size and inverted, and a real spectrum gives
+        exactly real samples.  A zonal table about +-e_1 (within
+        ``AXIS_TOL``) on a grid with ``ring_heights`` is constant on each
+        ring, so it is evaluated at the first node of each ring and each
+        value repeated over its ring.  Anything else is evaluated at every
+        node.
         """
         if grid.n != self.n:
             raise InvalidArgumentError("grid dimension mismatch")
         ring = _ring_nodes(grid, self.pole)
-        if ring is None:
+        if self.pole is None and grid.uniform_azimuth:
+            values = _ring_synthesis(grid, self)
+        elif ring is None:
             values = self.evaluate(grid.nodes)
         else:
             values = np.repeat(self.evaluate(ring), grid.num_nodes // len(ring))
@@ -652,13 +726,17 @@ class HarmonicSpectrum:
 def analyze(f: GridFunction, max_degree: int, pole=None) -> HarmonicSpectrum:
     """Project grid samples onto harmonics up to ``max_degree`` by quadrature.
 
-    Needs grid exactness degree >= 2*max_degree.  For n > 3 the projection is
-    restricted to zonal functions and ``pole`` must be supplied; each
-    coefficient is the weighted inner product with its profile over the
-    profile's squared norm.  The profiles come block by block from
-    :func:`_zonal_blocks`, and each block's (J+1, block) rows are contracted
-    with the real and imaginary parts of the weighted samples in one real
-    matrix product.  When the pole is within ``AXIS_TOL`` of +-e_1 and the
+    Needs grid exactness degree >= 2*max_degree.  For n = 3 without a pole
+    the result is a full table: on a grid with ``uniform_azimuth`` the
+    weighted samples take one FFT per ring and each column contracts its
+    order's bin with ``harmonic_basis`` at the first node of each ring
+    (:func:`_ring_analysis`); any other grid forms the dense basis at every
+    node.  For n > 3 the projection is restricted to zonal functions and
+    ``pole`` must be supplied; each coefficient is the weighted inner
+    product with its profile over the profile's squared norm.  The profiles
+    come block by block from :func:`_zonal_blocks`, and each block's
+    (J+1, block) rows are contracted with the real and imaginary parts of
+    the weighted samples in one real matrix product.  When the pole is within ``AXIS_TOL`` of +-e_1 and the
     grid has ``ring_heights``, every profile is constant on each ring: the
     weighted samples are first summed per ring (pairwise summation), and the
     profiles are taken only at the first node of each ring.
@@ -673,9 +751,11 @@ def analyze(f: GridFunction, max_degree: int, pole=None) -> HarmonicSpectrum:
     if pole is None:
         if grid.n != 3:
             raise InvalidArgumentError("n > 3 analysis is zonal; supply the pole direction")
+        if grid.uniform_azimuth:
+            return HarmonicSpectrum(3, max_degree, _ring_analysis(grid, wf, max_degree))
         basis = harmonic_basis(grid.nodes, max_degree)
         return HarmonicSpectrum(3, max_degree, basis.conj().T @ wf)
-    pole = as_direction(pole)
+    pole = _unit_pole(pole)
     points = _ring_nodes(grid, pole)
     if points is None:
         points = grid.nodes

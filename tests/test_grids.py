@@ -148,6 +148,8 @@ def test_build_grid_records_its_rings(n, res):
     # x_1 runs through the first polar rule, Gauss-Jacobi with alpha = (n-3)/2
     assert np.max(np.abs(heights - _symmetric_rule(res, (n - 3) / 2.0)[0])) <= 1e-15
     assert np.max(np.abs(g.nodes[:, 0].reshape(res, -1) - heights[:, None])) <= 1e-15
+    # only S^2 rings are circles about e_1 sampled at uniform azimuths
+    assert g.uniform_azimuth == (n == 3)
 
 
 def test_permuted_grid_has_no_rings_and_the_same_spectrum():

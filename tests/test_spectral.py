@@ -505,6 +505,61 @@ def test_zonal_route_on_the_polar_axis(n, res, J, sign):
     assert np.max(np.abs(back.coeffs - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
 
+def _complex_full_spectrum(J, seed):
+    # odd degrees and no conjugate symmetry, so every (j, m) entry matters
+    rng = np.random.default_rng(seed)
+    size = (J + 1) ** 2
+    return HarmonicSpectrum(3, J, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("J", range(17))
+def test_ring_route_matches_the_dense_reference(J):
+    # on build_grid(3, .) every order is e^{i m phi} times its value at the
+    # first node of its ring, so to_grid and analyze run one FFT per ring
+    f = _complex_full_spectrum(J, seed=J)
+    for res in sorted({max(J + 1, 4), max(J + 3, 4)}):  # build_grid needs res >= 4
+        grid = build_grid(3, res)
+        assert grid.uniform_azimuth
+        values = f.to_grid(grid).values
+        assert _relative_gap(values, f.evaluate(grid.nodes)) <= 1e-14
+        want = harmonic_basis(grid.nodes, J).conj().T @ (grid.weights * values)
+        assert _relative_gap(analyze(GridFunction(grid, values), J).coeffs, want) <= 1e-14
+
+
+def test_ring_route_folds_orders_past_the_ring_size():
+    # 12 nodes per ring carry orders -16..16 only aliased onto their bins
+    f = _complex_full_spectrum(16, seed=3)
+    grid = build_grid(3, 6)
+    assert _relative_gap(f.to_grid(grid).values, f.evaluate(grid.nodes)) <= 1e-14
+    real = random_even_spectrum(3, 16, seed=4)
+    assert not np.any(real.to_grid(grid).values.imag)
+    assert not np.any(real.to_grid(build_grid(3, 17)).values.imag)
+
+
+def test_grids_off_the_ring_layout_take_the_dense_path():
+    # the same nodes without a resolution, and rings with one node moved in
+    # azimuth, are summed node by node as before
+    grid = build_grid(3, 9)
+    bare = QuadratureGrid(3, grid.nodes, grid.weights, grid.antipode, grid.exactness_degree)
+    nodes = np.array(grid.nodes)
+    turn = 1e-3
+    nodes[20, 1:] = [math.cos(turn) * nodes[20, 1] - math.sin(turn) * nodes[20, 2],
+                     math.sin(turn) * nodes[20, 1] + math.cos(turn) * nodes[20, 2]]
+    moved = QuadratureGrid(3, nodes, grid.weights, None, grid.exactness_degree, grid.resolution)
+    assert moved.ring_heights is not None
+    assert not bare.uniform_azimuth and not moved.uniform_azimuth
+    f = _complex_full_spectrum(8, seed=5)
+    for g in (bare, moved):
+        values = f.to_grid(g).values
+        assert np.array_equal(values, f.evaluate(g.nodes))
+        want = harmonic_basis(g.nodes, 8).conj().T @ (g.weights * values)
+        assert np.array_equal(analyze(GridFunction(g, values), 8).coeffs, want)
+
+
 @pytest.mark.parametrize("pole", [[1.0, 2.0, -0.5, 0.3, 0.7], [1.0, 1e-13, 0.0, 0.0, 0.0]])
 def test_off_axis_pole_runs_the_block_engine(pole):
     # any pole farther than AXIS_TOL from +-e_1 sees the grid node by node,
@@ -542,9 +597,10 @@ def test_addition_formula_links_basis_and_zonal():
 
 def _lpmv_basis(points, max_degree):
     """Reference harmonics from scipy's lpmv (Condon-Shortley phase) and the
-    factorial normalization; overflows past degree ~85."""
-    ct = np.clip(points[:, 2], -1.0, 1.0)
-    phi = np.arctan2(points[:, 1], points[:, 0])
+    factorial normalization, polar about e_1 (phi = atan2(x_3, x_2));
+    overflows past degree ~85."""
+    ct = np.clip(points[:, 0], -1.0, 1.0)
+    phi = np.arctan2(points[:, 2], points[:, 1])
     out = np.empty((len(points), (max_degree + 1) ** 2), dtype=complex)
     for j in range(max_degree + 1):
         base = j * (j + 1)
@@ -788,11 +844,16 @@ def test_degree_index_matches_per_degree_reference(n, zonal):
 
 
 def test_spectra_about_one_pole_stay_compatible():
-    # every spectrum normalizes its pole again, which moves this one by an ulp
-    # per step, so spectra reached along different chains must still combine
+    # a derived spectrum keeps its source's pole bitwise: normalizing a unit
+    # vector again would move it by an ulp per step
     f = random_even_spectrum(5, 6, seed=1, pole=np.random.default_rng(5).standard_normal(5))
     g = f
     for _ in range(4):
         g = 1.0 * g
-    assert not np.array_equal(g.pole, f.pole)
+    assert np.array_equal(g.pole, f.pole)
     assert (g - f).norm() == 0.0
+    h = random_even_spectrum(4, 6, seed=2, pole=[1.0, 2.0, 3.0, 4.0])
+    for derived in (h.even_projected(), h.scale_degrees(np.arange(7.0)), h * 2, h + h):
+        assert np.array_equal(derived.pole, h.pole)
+    # poles along one direction normalized from different vectors still combine
+    assert (h - random_even_spectrum(4, 6, seed=2, pole=[3.0, 6.0, 9.0, 12.0])).norm() == 0.0

@@ -210,13 +210,13 @@ def test_zonal_blocks_record_one_span_per_call(spans):
     ]
 
 
-@pytest.mark.parametrize("n, res", [(4, 10), (5, 6), (5, 12)])
+@pytest.mark.parametrize("n, res", [(3, 9), (3, 12), (4, 10), (5, 6), (5, 12)])
 def test_axis_synthesis_evaluates_one_point_per_ring(spans, n, res):
     # a zonal spectrum about the grid's polar axis is synthesized from one
     # node per ring; an oblique pole still evaluates every node
     grid = fk.build_grid(n, res)
-    on_axis = fk.random_even_spectrum(n, 8, seed=3)
-    oblique = fk.random_even_spectrum(n, 8, seed=3, pole=np.arange(1.0, n + 1))
+    on_axis = fk.random_even_spectrum(n, 8, seed=3, zonal=True)
+    oblique = fk.random_even_spectrum(n, 8, seed=3, pole=np.arange(1.0, n + 1), zonal=True)
     tracer = spans.Tracer()
     with tracer.recording():
         on_axis.to_grid(grid)
@@ -225,6 +225,25 @@ def test_axis_synthesis_evaluates_one_point_per_ring(spans, n, res):
         ("spectral.evaluate", res),
         ("spectral.evaluate", grid.num_nodes),
     ]
+    if n == 3:
+        # a full table on the rings forms the basis at one node per ring and
+        # evaluates no point; the same nodes without rings form it at every node
+        full = fk.random_even_spectrum(3, 8, seed=3)
+        bare = fk.QuadratureGrid(3, grid.nodes, grid.weights, None, grid.exactness_degree)
+        tracer = spans.Tracer()
+        with tracer.recording():
+            values = full.to_grid(grid)
+            fk.analyze(values, 8)
+            full.to_grid(bare)
+            fk.analyze(fk.GridFunction(bare, values.values), 8)
+        assert [(s.name, s.n) for s in tracer.spans] == [
+            ("spectral.harmonic_basis", res * 81),
+            ("spectral.analyze", 0),
+            ("spectral.harmonic_basis", res * 81),
+            ("spectral.evaluate", grid.num_nodes),
+            ("spectral.analyze", 0),
+            ("spectral.harmonic_basis", grid.num_nodes * 81),
+        ]
 
 
 def test_frame_paths_run_no_qr(monkeypatch):
