@@ -69,21 +69,19 @@ class QuadratureGrid:
         or None for grids without antipodal pairing
     exactness_degree : largest polynomial degree integrated exactly (0 when unknown)
     resolution : number of 1D polar nodes used in construction (0 if unknown)
-    ring_heights : (resolution,) read-only heights x_1 of the grid's rings,
-        worked out from the nodes, not passed in.  Set when ``resolution``
-        divides N and x_1 is constant to ``RING_TOL`` on each of the
-        ``resolution`` contiguous blocks of nodes (the value is the first
-        node's); every :func:`build_grid` output has this layout, because
-        its first polar index varies slowest.  None for any other grid.
-        A function zonal about +-e_1 is constant on each ring.
-    uniform_azimuth : whether n = 3, the grid has ``ring_heights`` and node k
-        of each ring of A = N / resolution nodes (A even) sits at azimuth
-        phi = 2 pi k / A about e_1, phi = atan2(x_3, x_2), to ``RING_TOL``;
-        worked out from the nodes like ``ring_heights``.  Every n = 3
-        :func:`build_grid` output has it, and its first node of each ring
-        sits at phi = 0 exactly.  On such a grid each order m of the harmonic
-        basis (polar about e_1) is e^{i m phi} times its value at that first
-        node, so full n = 3 analysis and synthesis run one FFT per ring.
+    ring_size : nodes per ring, worked out from the nodes, not passed in.
+        N / ``resolution`` when ``resolution`` divides N, x_1 is constant to
+        ``RING_TOL`` on each of the ``resolution`` contiguous blocks of
+        nodes and, at n = 3, node k of each block of A nodes (A even) sits
+        at azimuth phi = 2 pi k / A about e_1, phi = atan2(x_3, x_2), to
+        ``RING_TOL``; 1 for any other grid, so each node is its own ring.
+        Every :func:`build_grid` output has rings of 2 resolution^(n-2)
+        nodes, because its first polar index varies slowest, and at n = 3
+        the first node of each ring sits at phi = 0 exactly.  A function
+        zonal about +-e_1 is constant on each ring, and each order m of the
+        n = 3 harmonic basis (polar about e_1) is e^{i m phi} times its
+        value at the ring's first node, so :mod:`funkinv.spectral` analyzes
+        and synthesizes every grid ring by ring, with one FFT per ring.
     """
 
     n: int
@@ -92,8 +90,7 @@ class QuadratureGrid:
     antipode: np.ndarray | None
     exactness_degree: int = 0
     resolution: int = 0
-    ring_heights: np.ndarray | None = field(init=False, default=None, compare=False)
-    uniform_azimuth: bool = field(init=False, default=False, compare=False)
+    ring_size: int = field(init=False, default=1, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -117,9 +114,7 @@ class QuadratureGrid:
             anti = np.ascontiguousarray(self.antipode, dtype=np.intp)
             anti.setflags(write=False)
             object.__setattr__(self, "antipode", anti)
-        heights = _ring_heights(nodes, self.resolution)
-        object.__setattr__(self, "ring_heights", heights)
-        object.__setattr__(self, "uniform_azimuth", _uniform_azimuth(nodes, heights))
+        object.__setattr__(self, "ring_size", _ring_size(nodes, self.resolution))
 
     @property
     def num_nodes(self) -> int:
@@ -177,29 +172,26 @@ class GridFunction:
         return f"GridFunction(nodes={self.grid.num_nodes}, meta={self.meta})"
 
 
-def _ring_heights(nodes: np.ndarray, rings: int) -> np.ndarray | None:
-    """x_1 of each of ``rings`` contiguous node blocks, if constant on each."""
+def _ring_size(nodes: np.ndarray, rings: int) -> int:
+    """Nodes per ring when ``rings`` contiguous blocks of nodes are rings
+    (x_1 constant on each and, on S^2, node k of each at azimuth 2 pi k / A
+    about e_1, A the even block size: (x_2, x_3) = r (cos, sin) of that
+    angle); 1 otherwise."""
     if rings <= 0 or len(nodes) % rings:
-        return None
-    x1 = nodes[:, 0].reshape(rings, -1)
-    heights = x1[:, 0].copy()
-    if np.max(np.abs(x1 - heights[:, None])) > RING_TOL:
-        return None
-    heights.setflags(write=False)
-    return heights
-
-
-def _uniform_azimuth(nodes: np.ndarray, heights: np.ndarray | None) -> bool:
-    """Whether node k of each ring of S^2 nodes sits at azimuth 2 pi k / A
-    about e_1, A the (even) ring size: (x_2, x_3) = r (cos, sin) of that angle."""
-    size = 0 if heights is None else len(nodes) // len(heights)
-    if nodes.shape[1] != 3 or size == 0 or size % 2:
-        return False
+        return 1
+    size = len(nodes) // rings
+    x1 = nodes[:, 0].reshape(rings, size)
+    if np.max(np.abs(x1 - x1[:, :1])) > RING_TOL:
+        return 1
+    if nodes.shape[1] != 3:
+        return size
+    if size % 2:
+        return 1
     cos_az, sin_az = _azimuth_tables(size)
-    x2, x3 = nodes[:, 1].reshape(-1, size), nodes[:, 2].reshape(-1, size)
+    x2, x3 = nodes[:, 1].reshape(rings, size), nodes[:, 2].reshape(rings, size)
     radius = np.hypot(x2, x3)
     off = np.maximum(np.abs(x2 - radius * cos_az), np.abs(x3 - radius * sin_az))
-    return bool(np.max(off) <= RING_TOL)
+    return size if np.max(off) <= RING_TOL else 1
 
 
 def _symmetric_rule(num_nodes: int, alpha: float):

@@ -16,7 +16,10 @@ ways:
 The module also provides the band-limited representation
 (:class:`HarmonicSpectrum`) used as the cross-validation oracle everywhere:
 full (j, m) tables for n = 3 (polar about e_1), zonal tables about a stored
-pole for n > 3.
+pole for n > 3.  Grid analysis and synthesis run one route for every grid:
+ring by ring, over the grid's ``ring_size`` nodes per ring, with one FFT per
+ring for full tables and one value per ring for zonal tables about +-e_1;
+scattered nodes, and any other pole, are rings of one node.
 """
 
 from __future__ import annotations
@@ -422,85 +425,65 @@ def harmonic_basis(points: np.ndarray, max_degree: int) -> np.ndarray:
     return out
 
 
-def _synthesize_full(points: np.ndarray, max_degree: int, coeffs: np.ndarray) -> np.ndarray:
-    """sum_jm c_jm Y_jm at the points, one order at a time.
+def _synthesize_full(first: np.ndarray, size: int, spectrum: "HarmonicSpectrum") -> np.ndarray:
+    """sum_jm c_jm Y_jm at every node of rings of ``size`` nodes, ring by ring.
 
-    For each m >= 0 the Legendre rows are contracted with the coefficients of
-    orders +m and -m, so the (N, (J+1)^2) basis is never formed:
-    sum_m e^{i m phi} sum_j c_jm Pbar_jm + (-1)^m e^{-i m phi} sum_j c_{j,-m} Pbar_jm.
+    ``first`` (R, 3) holds the first node of each ring; node k of a ring sits
+    2 pi k / size further in azimuth about e_1 than its first node, so order
+    m takes the factor e^{2 pi i m k / size} there.  For each m >= 0 the
+    Legendre rows at the first nodes are contracted with the coefficients of
+    orders +m and -m, so no basis matrix is formed, and the two sums, times
+    the first node's e^{+-i m phi}, are added into FFT bins +-m mod ``size``
+    of their ring (orders past the Nyquist bin fold onto the bins they alias
+    to).  One inverse FFT per ring then puts the bins on the nodes.  At size
+    1 every order lands in bin 0 and no FFT runs: the values at scattered
+    points.  For size > 1 a real spectrum's bins are Hermitian, so its
+    samples come from a real inverse FFT and are exactly real.
     """
-    ct, e_phi = _polar_azimuth(points)
-    out = np.zeros(ct.shape[0], dtype=complex)
+    max_degree, c = spectrum.max_degree, spectrum.coeffs
+    # weights[m, :, j]: the real and imaginary parts of c_jm and of
+    # (-1)^m c_{j,-m}, the weights of Pbar_jm in the sums of orders +m and -m
+    j = spectrum.degrees
+    order = np.arange(len(j)) - j * (j + 1)
+    plus, minus = order >= 0, order < 0
+    weights = np.zeros((max_degree + 1, 4, max_degree + 1))
+    weights[order[plus], :2, j[plus]] = c[plus].view(float).reshape(-1, 2)
+    signed = np.where(order % 2, -c, c)[minus]
+    weights[-order[minus], 2:, j[minus]] = signed.view(float).reshape(-1, 2)
+    ct, e_phi = _polar_azimuth(first)
+    bins = np.zeros((len(first), size), dtype=complex)
     phase = np.ones_like(e_phi)
     for m, rows in _legendre_rows(ct, max_degree):
-        j = np.arange(m, max_degree + 1)
-        plus = coeffs[j * (j + 1) + m]
         if not m:
-            sums = np.stack([plus.real, plus.imag]) @ rows
-            out += sums[0] + 1j * sums[1]
+            sums = weights[0, :2] @ rows
+            bins[:, 0] += sums[0] + 1j * sums[1]
             continue
         phase = phase * e_phi
-        minus = (-1.0) ** m * coeffs[j * (j + 1) - m]
         # real rows, so contract real and imaginary parts in one real product
-        sums = np.stack([plus.real, plus.imag, minus.real, minus.imag]) @ rows
-        out += phase * (sums[0] + 1j * sums[1]) + np.conj(phase) * (sums[2] + 1j * sums[3])
-    return out
+        sums = weights[m, :, m:] @ rows
+        up, down = phase * (sums[0] + 1j * sums[1]), np.conj(phase) * (sums[2] + 1j * sums[3])
+        if m % size == -m % size:
+            # orders +-m share one bin (always at size 1): add them as one term
+            bins[:, m % size] += up + down
+        else:
+            bins[:, m % size] += up
+            bins[:, -m % size] += down
+    if size > 1:
+        if spectrum.is_real:
+            bins = np.fft.irfft(bins[:, : size // 2 + 1], size, axis=1, norm="forward")
+        else:
+            bins = np.fft.ifft(bins, axis=1, norm="forward")
+    return bins.ravel()
 
 
-def _ring_nodes(grid: QuadratureGrid, pole) -> np.ndarray | None:
-    """The first node of each ring of ``grid`` when a profile of u.pole is
-    constant on every ring: the grid has ``ring_heights`` and the pole is
-    within ``AXIS_TOL`` of +-e_1.  None otherwise, or when pole is None."""
-    if pole is None or grid.ring_heights is None or np.max(np.abs(pole[1:])) > AXIS_TOL:
-        return None
-    return grid.nodes[:: grid.num_nodes // len(grid.ring_heights)]
-
-
-def _ring_basis(grid: QuadratureGrid, max_degree: int):
-    """(basis, bins) for the FFT route on a grid with ``uniform_azimuth``.
-
-    ``basis`` is ``harmonic_basis`` at the first node of each ring, where
-    phi = 0 and every entry is real; column j*(j+1)+m at node k of ring r is
-    basis[r, col] e^{2 pi i m k / A}.  ``bins[col]`` is m mod A, the FFT bin
-    of the column's order on a ring of A nodes.
-    """
-    size = grid.num_nodes // len(grid.ring_heights)
-    basis = harmonic_basis(grid.nodes[::size], max_degree).real
-    j = _degree_index(max_degree, True)
-    return basis, (np.arange(len(j)) - j * (j + 1)) % size
-
-
-def _ring_synthesis(grid: QuadratureGrid, spectrum: "HarmonicSpectrum") -> np.ndarray:
-    """Full n = 3 samples on a grid with ``uniform_azimuth``, one FFT per ring.
-
-    Each term c_jm Y_jm at a ring's first node is added into the FFT bin
-    m mod A of its ring (orders past the Nyquist bin fold onto the bins they
-    alias to on A nodes), and one inverse FFT per ring sums
-    sum_m e^{i m phi_k} over the ring's nodes.  A real spectrum's bins are
-    Hermitian, so its samples come from a real inverse FFT and are exactly
-    real.
-    """
-    basis, bins = _ring_basis(grid, spectrum.max_degree)
-    rings, size = basis.shape[0], grid.num_nodes // basis.shape[0]
-    terms = basis * spectrum.coeffs
-    flat = (np.arange(rings)[:, None] * size + bins).ravel()
-    folded = (np.bincount(flat, terms.real.ravel(), rings * size)
-              + 1j * np.bincount(flat, terms.imag.ravel(), rings * size)).reshape(rings, size)
-    if spectrum.is_real:
-        values = np.fft.irfft(folded[:, : size // 2 + 1], size, axis=1, norm="forward")
-    else:
-        values = np.fft.ifft(folded, axis=1, norm="forward")
-    return values.ravel()
-
-
-def _ring_analysis(grid: QuadratureGrid, wf: np.ndarray, max_degree: int) -> np.ndarray:
-    """Full n = 3 coefficients of weighted samples ``wf`` on a grid with
-    ``uniform_azimuth``: one FFT per ring gives sum_k wf e^{-i m phi_k} in
-    bin m mod A, and each column is that bin contracted with the real basis
-    over the rings."""
-    basis, bins = _ring_basis(grid, max_degree)
-    spectra = np.fft.fft(wf.reshape(basis.shape[0], -1), axis=1)
-    return np.einsum("rc,rc->c", basis, spectra[:, bins])
+def _ring_size_about(grid: QuadratureGrid, pole) -> int:
+    """Nodes per ring of ``grid`` seen by a table about ``pole``: the grid's
+    ``ring_size`` for a full table (pole None) and for a pole within
+    ``AXIS_TOL`` of +-e_1, whose profiles are constant on each ring; 1, each
+    node its own ring, for any other pole."""
+    if pole is None or np.max(np.abs(pole[1:])) <= AXIS_TOL:
+        return grid.ring_size
+    return 1
 
 
 def _unit_pole(pole) -> np.ndarray:
@@ -659,8 +642,9 @@ class HarmonicSpectrum:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Synthesize sample values at unit points of shape (N, n).
 
-        Full tables sum sum_m e^{i m phi} sum_j c_jm Pbar_jm(cos theta) order by
-        order from the Legendre recurrence, taking the negative orders from the
+        Full tables run :func:`_synthesize_full` with each point its own
+        ring: sum_m e^{i m phi} sum_j c_jm Pbar_jm(cos theta) order by order
+        from the Legendre recurrence, taking the negative orders from the
         same rows through Y_{j,-m} = (-1)^m conj(Y_jm); the result equals
         ``harmonic_basis(points, J) @ coeffs`` without forming that matrix.
         Zonal tables sum coeffs[j] times the degree-j profile of u.pole, block
@@ -678,7 +662,7 @@ class HarmonicSpectrum:
         if not np.all(np.abs(np.square(pts) @ np.ones(self.n) - 1.0) <= UNIT_TOL):
             raise DomainError("points must be unit vectors")
         if self.pole is None:
-            return _synthesize_full(pts, self.max_degree, self.coeffs)
+            return _synthesize_full(pts, 1, self)
         t = pts @ self.pole
         out = np.empty(pts.shape[0], dtype=complex)
         # a zero part adds +-0 to a sum that is never -0, so skipping it
@@ -696,25 +680,23 @@ class HarmonicSpectrum:
     def to_grid(self, grid: QuadratureGrid) -> GridFunction:
         """Sample the spectrum at the grid's nodes.
 
-        A full table on a grid with ``uniform_azimuth`` takes one FFT per
-        ring (:func:`_ring_synthesis`): its per-order sums are formed at the
-        ring heights from ``harmonic_basis`` at the first node of each ring,
-        folded mod the ring size and inverted, and a real spectrum gives
-        exactly real samples.  A zonal table about +-e_1 (within
-        ``AXIS_TOL``) on a grid with ``ring_heights`` is constant on each
+        The grid is taken ring by ring, over rings of
+        ``_ring_size_about(grid, pole)`` nodes (see :func:`analyze`).  A full
+        table runs :func:`_synthesize_full` on the rings: per-order sums at
+        the first node of each ring, folded mod the ring size and inverted
+        by one FFT per ring, so a real spectrum gives exactly real samples
+        on rings of more than one node.  A zonal table is constant on each
         ring, so it is evaluated at the first node of each ring and each
-        value repeated over its ring.  Anything else is evaluated at every
-        node.
+        value repeated over its ring.
         """
         if grid.n != self.n:
             raise InvalidArgumentError("grid dimension mismatch")
-        ring = _ring_nodes(grid, self.pole)
-        if self.pole is None and grid.uniform_azimuth:
-            values = _ring_synthesis(grid, self)
-        elif ring is None:
-            values = self.evaluate(grid.nodes)
+        size = _ring_size_about(grid, self.pole)
+        first = grid.nodes[::size]
+        if self.pole is None:
+            values = _synthesize_full(first, size, self)
         else:
-            values = np.repeat(self.evaluate(ring), grid.num_nodes // len(ring))
+            values = np.repeat(self.evaluate(first), size)
         return GridFunction(grid, values, {"band_limit": self.max_degree})
 
     @staticmethod
@@ -727,44 +709,48 @@ def analyze(f: GridFunction, max_degree: int, pole=None) -> HarmonicSpectrum:
     """Project grid samples onto harmonics up to ``max_degree`` by quadrature.
 
     Needs grid exactness degree >= 2*max_degree.  For n = 3 without a pole
-    the result is a full table: on a grid with ``uniform_azimuth`` the
-    weighted samples take one FFT per ring and each column contracts its
-    order's bin with ``harmonic_basis`` at the first node of each ring
-    (:func:`_ring_analysis`); any other grid forms the dense basis at every
-    node.  For n > 3 the projection is restricted to zonal functions and
-    ``pole`` must be supplied; each coefficient is the weighted inner
-    product with its profile over the profile's squared norm.  The profiles
-    come block by block from :func:`_zonal_blocks`, and each block's
-    (J+1, block) rows are contracted with the real and imaginary parts of
-    the weighted samples in one real matrix product.  When the pole is within ``AXIS_TOL`` of +-e_1 and the
-    grid has ``ring_heights``, every profile is constant on each ring: the
-    weighted samples are first summed per ring (pairwise summation), and the
-    profiles are taken only at the first node of each ring.
+    the result is a full table; for n > 3 the projection is restricted to
+    zonal functions and ``pole``, a vector of n entries, must be supplied.
+    Both run ring by ring over rings of ``_ring_size_about(grid, pole)``
+    nodes: the grid's ``ring_size`` for a full table or a pole within
+    ``AXIS_TOL`` of +-e_1, and 1 (each node its own ring) otherwise.  A
+    full table takes one FFT of the weighted samples per ring, and each
+    column contracts its order's bin m mod ``size`` with the conjugate of
+    ``harmonic_basis`` at the first node of each ring.  A zonal table sums
+    the weighted samples per ring (pairwise summation), since every profile
+    is constant on a ring, and each coefficient is the weighted inner
+    product with its profile at the first nodes over the profile's squared
+    norm; the profiles come block by block from :func:`_zonal_blocks`, and
+    each block's (J+1, block) rows are contracted with the real and
+    imaginary parts of the ring sums in one real matrix product.
     """
     grid = f.grid
+    if pole is None:
+        if grid.n != 3:
+            raise InvalidArgumentError("n > 3 analysis is zonal; supply the pole direction")
+    else:
+        pole = _unit_pole(pole)
+        if len(pole) != grid.n:
+            raise InvalidArgumentError(f"pole must have {grid.n} entries, got {len(pole)}")
     if grid.exactness_degree < 2 * max_degree:
         raise ResolutionError(
             f"analysis to degree {max_degree} needs exactness >= {2 * max_degree}, "
             f"grid has {grid.exactness_degree}"
         )
+    size = _ring_size_about(grid, pole)
+    first = grid.nodes[::size]
     wf = grid.weights * f.values
     if pole is None:
-        if grid.n != 3:
-            raise InvalidArgumentError("n > 3 analysis is zonal; supply the pole direction")
-        if grid.uniform_azimuth:
-            return HarmonicSpectrum(3, max_degree, _ring_analysis(grid, wf, max_degree))
-        basis = harmonic_basis(grid.nodes, max_degree)
-        return HarmonicSpectrum(3, max_degree, basis.conj().T @ wf)
-    pole = _unit_pole(pole)
-    points = _ring_nodes(grid, pole)
-    if points is None:
-        points = grid.nodes
-    else:
-        wf = wf.reshape(len(points), -1).sum(axis=1)
+        j = _degree_index(max_degree, True)
+        bins = (np.arange(len(j)) - j * (j + 1)) % size
+        spectra = np.fft.fft(wf.reshape(-1, size), axis=1)
+        basis = harmonic_basis(first, max_degree).conj()
+        return HarmonicSpectrum(3, max_degree, np.einsum("rc,rc->c", basis, spectra[:, bins]))
+    wf = wf.reshape(-1, size).sum(axis=1)
     # (points, 2) real view: column 0 the real parts, column 1 the imaginary parts
     parts = wf.view(float).reshape(-1, 2)
     sums = np.zeros((max_degree + 1, 2))
-    for lo, hi, rows in _zonal_blocks(grid.n, points @ pole, max_degree):
+    for lo, hi, rows in _zonal_blocks(grid.n, first @ pole, max_degree):
         sums += rows @ parts[lo:hi]
     sums /= _zonal_norms(max_degree, grid.n)[:, None]
     return HarmonicSpectrum(grid.n, max_degree, sums[:, 0] + 1j * sums[:, 1], pole)

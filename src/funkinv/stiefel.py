@@ -152,7 +152,9 @@ def haar_frames(n: int, k: int, count: int, seed: int | None = None, rng=None) -
     The Q factor, with R's diagonal positive, of standard Gaussian n x k
     matrices, which is what makes the distribution exactly invariant
     (Mezzadri 2007), computed by Gram-Schmidt over the stack.  Rank-deficient
-    draws (probability zero, but checked) are resampled.
+    draws (probability zero, but checked) are resampled.  The draws come
+    from ``rng`` or from the generator keyed by ``seed`` (default 0); giving
+    both raises InvalidArgumentError.
     """
     try:
         n, k, count = operator.index(n), operator.index(k), operator.index(count)
@@ -164,6 +166,8 @@ def haar_frames(n: int, k: int, count: int, seed: int | None = None, rng=None) -
         raise InvalidArgumentError(f"need count >= 0, got {count}")
     if rng is None:
         rng = _rng(0 if seed is None else seed)
+    elif seed is not None:
+        raise InvalidArgumentError("pass seed or rng, not both")
     frames, short = _gram_schmidt(rng.standard_normal((count, n, k)))
     redo = np.flatnonzero(short)
     while len(redo):

@@ -460,48 +460,48 @@ def _frame_cosine_values(f, frames: np.ndarray, lam: complex, J: int) -> np.ndar
 
 
 def cosine_quadrature_values(
-    f, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
+    f, points: np.ndarray, lam: complex, *, profile_degree: int
 ) -> np.ndarray:
-    """lam-cosine transform values at unit points, by exact kernel quadrature
-    of an input of band limit ``profile_degree`` (a spectrum or a callable on
-    unit points, as for every quadrature below): the k = 1 frame kernel, for
-    real and complex lam alike."""
+    """lam-cosine transform values at unit points (S, n) of S^{n-1}, by exact
+    kernel quadrature of an input of band limit ``profile_degree`` (a
+    spectrum or a callable on unit points, as for every quadrature below,
+    each of which reads n from the points): the k = 1 frame kernel, for real
+    and complex lam alike."""
     return _frame_cosine_values(f, _point_frames(points), lam, profile_degree)
 
 
 def sine_quadrature_values(
-    f, points: np.ndarray, n: int, lam: complex, *, profile_degree: int
+    f, points: np.ndarray, lam: complex, *, profile_degree: int
 ) -> np.ndarray:
     """lam-sine transform values at unit points, by exact kernel quadrature
     of an input of band limit ``profile_degree``: (1-t^2)^((lam+n-3)/2) is
     the k = 1 frame kernel with a = (lam+n-3)/2, b = -1/2."""
     lam = complex(lam)
     check_off_even_poles(lam)
-    raw = _frame_kernel_values(f, _point_frames(points), (lam + n - 3.0) / 2.0, -0.5,
-                               profile_degree)
+    frames = _point_frames(points)
+    n = frames.shape[1]
+    raw = _frame_kernel_values(f, frames, (lam + n - 3.0) / 2.0, -0.5, profile_degree)
     return 2.0 * math.sqrt(math.pi) * gammafn.gamma(-lam / 2.0) / math.gamma((n - 1) / 2.0) * raw
 
 
-def log_cosine_quadrature_values(
-    f, points: np.ndarray, n: int, *, profile_degree: int
-) -> np.ndarray:
+def log_cosine_quadrature_values(f, points: np.ndarray, *, profile_degree: int) -> np.ndarray:
     """Logarithmic cosine transform values at unit points, by exact kernel
     quadrature of an input of band limit ``profile_degree``: log(1/|t|) is
     -1/2 times the derivative of ((1+y)/2)^b = |t|^(2b) in b at b = -1/2."""
-    raw = _frame_kernel_values(f, _point_frames(points), (n - 3) / 2.0, -0.5,
-                               profile_degree, wrt="b")
+    frames = _point_frames(points)
+    raw = _frame_kernel_values(f, frames, (frames.shape[1] - 3) / 2.0, -0.5, profile_degree,
+                               wrt="b")
     return -2.0 * raw
 
 
-def log_sine_quadrature_values(
-    f, points: np.ndarray, n: int, *, profile_degree: int
-) -> np.ndarray:
+def log_sine_quadrature_values(f, points: np.ndarray, *, profile_degree: int) -> np.ndarray:
     """Logarithmic sine transform values at unit points, by exact kernel
     quadrature of an input of band limit ``profile_degree``: log(1/(1-t^2))
     is minus the derivative of ((1-y)/2)^a = (1-t^2)^a in a, taken at
     a = (n-3)/2, the exponent of the shell measure."""
-    raw = _frame_kernel_values(f, _point_frames(points), (n - 3) / 2.0, -0.5,
-                               profile_degree, wrt="a")
+    frames = _point_frames(points)
+    n = frames.shape[1]
+    raw = _frame_kernel_values(f, frames, (n - 3) / 2.0, -0.5, profile_degree, wrt="a")
     # prefactor fixed by the limit of the lam-sine family at lam = 0, equal to
     # the factorization through the Funk transform (see tests)
     return (-2.0 * math.sqrt(math.pi) / math.gamma((n - 1) / 2.0)) * raw
@@ -530,7 +530,7 @@ class _Operator:
     """A forward transform as :func:`_transform` runs it.
 
     ``spectral(spec, lam)`` is the spectral path and ``quadrature(spec,
-    points, n, lam, J)`` the quadrature path for input of band limit J, which
+    points, lam, J)`` the quadrature path for input of band limit J, which
     sizes every rule.  Both paths take every lam off {0, 2, 4, ...}, so
     ``auto`` is quadrature for grid samples and spectral for a spectrum.  The
     paths look their functions up in this module at call time, so a tracer
@@ -548,28 +548,28 @@ OPERATORS = {
     "cosine": _Operator(
         "cosine",
         lambda spec, lam: cosine_spectrum(spec, lam),
-        lambda ev, x, n, lam, J: cosine_quadrature_values(ev, x, n, lam, profile_degree=J),
+        lambda ev, x, lam, J: cosine_quadrature_values(ev, x, lam, profile_degree=J),
     ),
     "funk": _Operator(
         "funk",
         lambda spec, lam: funk_spectrum(spec),
-        lambda ev, x, n, lam, J: funk_geodesic_values(ev, x, profile_degree=J),
+        lambda ev, x, lam, J: funk_geodesic_values(ev, x, profile_degree=J),
     ),
     "logcos": _Operator(
         "log-cosine",
         lambda spec, lam: log_cosine_spectrum(spec),
-        lambda ev, x, n, lam, J: log_cosine_quadrature_values(ev, x, n, profile_degree=J),
+        lambda ev, x, lam, J: log_cosine_quadrature_values(ev, x, profile_degree=J),
         mean_zero=True,
     ),
     "sine": _Operator(
         "sine",
         lambda spec, lam: sine_spectrum(spec, lam),
-        lambda ev, x, n, lam, J: sine_quadrature_values(ev, x, n, lam, profile_degree=J),
+        lambda ev, x, lam, J: sine_quadrature_values(ev, x, lam, profile_degree=J),
     ),
     "logsine": _Operator(
         "log-sine",
         lambda spec, lam: log_sine_spectrum(spec),
-        lambda ev, x, n, lam, J: log_sine_quadrature_values(ev, x, n, profile_degree=J),
+        lambda ev, x, lam, J: log_sine_quadrature_values(ev, x, profile_degree=J),
         mean_zero=True,
     ),
 }
@@ -601,7 +601,7 @@ def _transform(key, f, *, lam=None, path="auto", band_limit=None, pole=None):
     if path == "spectral":
         out = op.spectral(spec, lam).to_grid(grid)
         return out.with_values(out.values, **meta)
-    values = op.quadrature(spec, grid.nodes, grid.n, lam, spec.max_degree)
+    values = op.quadrature(spec, grid.nodes, lam, spec.max_degree)
     return GridFunction(grid, values, meta)
 
 

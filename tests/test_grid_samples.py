@@ -3,16 +3,17 @@
 ``GRID_OPERATIONS`` lists each such operation once: the five transforms on
 both paths, the two Laplacians and the four inversions.  On band-14 samples,
 a call without ``band_limit=`` equals, bit for bit, the same call with
-``band_limit=14``; a fractional ``band_limit=`` and the same values with
-no recorded band raise ``InvalidArgumentError``; and on a grid too coarse
-for band 14 they raise ``ResolutionError``.  ``test_every_grid_operation_is_listed`` keeps the
-table whole: a public function that reaches ``spectral.as_spectrum`` must
-have a row.
+``band_limit=14``; a fractional ``band_limit=``, the same values with no
+recorded band and a pole of the wrong length raise ``InvalidArgumentError``;
+and on a grid too coarse for band 14 they raise ``ResolutionError``.
+``test_every_grid_operation_is_listed`` keeps the table whole: a public
+function that reaches ``spectral.as_spectrum`` must have a row.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import funkinv
@@ -87,6 +88,10 @@ def test_grid_samples_are_read_at_their_band(name, n):
         operation(GridFunction(samples.grid, samples.values), pole=f.pole)
     with pytest.raises(ResolutionError):
         operation(f.to_grid(build_grid(n, 10)), pole=f.pole)
+    # a pole with the wrong number of entries is refused before any work
+    for size in (n - 1, n + 2):
+        with pytest.raises(InvalidArgumentError, match=f"pole must have {n} entries"):
+            operation(samples, pole=np.eye(size)[0])
 
 
 def grid_operations(paths) -> set:

@@ -143,13 +143,13 @@ def test_homogeneous_extension_errors():
 @pytest.mark.parametrize("n,res", [(3, 16), (4, 6), (5, 5)])
 def test_build_grid_records_its_rings(n, res):
     g = build_grid(n, res)
-    heights = g.ring_heights
-    assert heights.shape == (res,) and not heights.flags.writeable
+    assert g.ring_size == g.num_nodes // res
     # x_1 runs through the first polar rule, Gauss-Jacobi with alpha = (n-3)/2
+    heights = g.nodes[:: g.ring_size, 0]
     assert np.max(np.abs(heights - _symmetric_rule(res, (n - 3) / 2.0)[0])) <= 1e-15
     assert np.max(np.abs(g.nodes[:, 0].reshape(res, -1) - heights[:, None])) <= 1e-15
-    # only S^2 rings are circles about e_1 sampled at uniform azimuths
-    assert g.uniform_azimuth == (n == 3)
+    # the same nodes without a resolution are rings of one node
+    assert QuadratureGrid(n, g.nodes, g.weights, None, g.exactness_degree).ring_size == 1
 
 
 def test_permuted_grid_has_no_rings_and_the_same_spectrum():
@@ -157,7 +157,7 @@ def test_permuted_grid_has_no_rings_and_the_same_spectrum():
     perm = np.random.default_rng(3).permutation(g.num_nodes)
     shuffled = QuadratureGrid(4, g.nodes[perm], g.weights[perm], None, g.exactness_degree,
                               g.resolution)
-    assert shuffled.ring_heights is None
+    assert shuffled.ring_size == 1
     f = random_even_spectrum(4, 6, seed=5) * (0.5 + 1j)
     on_rings, scattered = f.to_grid(g), f.to_grid(shuffled)
     assert np.max(np.abs(scattered.values - on_rings.values[perm])) <= 1e-13

@@ -523,7 +523,7 @@ def test_ring_route_matches_the_dense_reference(J):
     f = _complex_full_spectrum(J, seed=J)
     for res in sorted({max(J + 1, 4), max(J + 3, 4)}):  # build_grid needs res >= 4
         grid = build_grid(3, res)
-        assert grid.uniform_azimuth
+        assert grid.ring_size == 2 * res
         values = f.to_grid(grid).values
         assert _relative_gap(values, f.evaluate(grid.nodes)) <= 1e-14
         want = harmonic_basis(grid.nodes, J).conj().T @ (grid.weights * values)
@@ -540,34 +540,47 @@ def test_ring_route_folds_orders_past_the_ring_size():
     assert not np.any(real.to_grid(build_grid(3, 17)).values.imag)
 
 
-def test_grids_off_the_ring_layout_take_the_dense_path():
+def _turned_grid(res, node, turn):
+    """build_grid(3, res) with one node turned ``turn`` rad about e_1: x_1 is
+    still constant on every ring, but the azimuths are no longer uniform."""
+    grid = build_grid(3, res)
+    nodes = np.array(grid.nodes)
+    nodes[node, 1:] = [math.cos(turn) * nodes[node, 1] - math.sin(turn) * nodes[node, 2],
+                       math.sin(turn) * nodes[node, 1] + math.cos(turn) * nodes[node, 2]]
+    return QuadratureGrid(3, nodes, grid.weights, None, grid.exactness_degree, grid.resolution)
+
+
+def test_grids_off_the_ring_layout_are_rings_of_one_node():
     # the same nodes without a resolution, and rings with one node moved in
-    # azimuth, are summed node by node as before
+    # azimuth, are rings of one node: to_grid runs the engine of evaluate at
+    # every node, and analyze contracts the basis at every node
     grid = build_grid(3, 9)
     bare = QuadratureGrid(3, grid.nodes, grid.weights, grid.antipode, grid.exactness_degree)
-    nodes = np.array(grid.nodes)
-    turn = 1e-3
-    nodes[20, 1:] = [math.cos(turn) * nodes[20, 1] - math.sin(turn) * nodes[20, 2],
-                     math.sin(turn) * nodes[20, 1] + math.cos(turn) * nodes[20, 2]]
-    moved = QuadratureGrid(3, nodes, grid.weights, None, grid.exactness_degree, grid.resolution)
-    assert moved.ring_heights is not None
-    assert not bare.uniform_azimuth and not moved.uniform_azimuth
+    moved = _turned_grid(9, 20, 1e-3)
+    assert bare.ring_size == 1 and moved.ring_size == 1
     f = _complex_full_spectrum(8, seed=5)
     for g in (bare, moved):
         values = f.to_grid(g).values
         assert np.array_equal(values, f.evaluate(g.nodes))
         want = harmonic_basis(g.nodes, 8).conj().T @ (g.weights * values)
-        assert np.array_equal(analyze(GridFunction(g, values), 8).coeffs, want)
+        assert _relative_gap(analyze(GridFunction(g, values), 8).coeffs, want) <= 1e-14
 
 
-@pytest.mark.parametrize("pole", [[1.0, 2.0, -0.5, 0.3, 0.7], [1.0, 1e-13, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("pole", [[1.0, 2.0, -0.5, 0.3, 0.7], [1.0, 1e-13, 0.0, 0.0, 0.0],
+                                  [-1.0, 1e-13, 0.0, 0.0, 0.0], None])
 def test_off_axis_pole_runs_the_block_engine(pole):
     # any pole farther than AXIS_TOL from +-e_1 sees the grid node by node,
-    # bitwise as on the same nodes without rings
-    grid = build_grid(5, 9)
-    bare = QuadratureGrid(5, grid.nodes, grid.weights, grid.antipode, grid.exactness_degree)
-    assert grid.ring_heights is not None and bare.ring_heights is None
-    f = random_even_spectrum(5, 8, seed=11, pole=pole) * (1.0 - 0.5j)
+    # bitwise as on the same nodes without rings; so does a full table on
+    # rings whose azimuths are not uniform
+    if pole is None:
+        grid = _turned_grid(9, 20, 1e-3)
+        f = _complex_full_spectrum(8, seed=11)
+    else:
+        grid = build_grid(5, 9)
+        assert grid.ring_size > 1
+        f = random_even_spectrum(5, 8, seed=11, pole=pole) * (1.0 - 0.5j)
+    bare = QuadratureGrid(grid.n, grid.nodes, grid.weights, grid.antipode, grid.exactness_degree)
+    assert bare.ring_size == 1
     values = f.to_grid(grid).values
     assert np.array_equal(values, f.evaluate(grid.nodes))
     assert np.array_equal(values, f.to_grid(bare).values)

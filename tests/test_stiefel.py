@@ -73,6 +73,15 @@ def test_haar_orthonormy_and_reproducibility():
     assert not np.array_equal(fr, haar_frames(5, 2, 1, seed=8)[0])
 
 
+def test_haar_frames_take_a_seed_or_a_generator_not_both():
+    # a generator alone is drawn from as it is; with a seed as well, one of
+    # the two would be ignored
+    assert np.array_equal(haar_frames(5, 2, 3, rng=_rng(5)), haar_frames(5, 2, 3, seed=5))
+    for seed in (5, 6):
+        with pytest.raises(InvalidArgumentError, match="not both"):
+            haar_frames(5, 2, 3, seed=seed, rng=_rng(1))
+
+
 def test_haar_projection_moment():
     # E[|u^T v|^2] = k/n by the trace identity for the projector onto the span
     n, k = 5, 2

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -129,14 +130,14 @@ def test_cosine_annihilates_odd(probes):
     coeffs[3 * 4 + 1] = 0.5  # degree 3
     f_odd = HarmonicSpectrum(3, 3, coeffs)
     assert np.max(np.abs(cosine_spectrum(f_odd, 0.5).coeffs)) == 0.0
-    quad = cosine_quadrature_values(f_odd.evaluate, probes, 3, 0.5, profile_degree=3)
+    quad = cosine_quadrature_values(f_odd.evaluate, probes, 0.5, profile_degree=3)
     assert np.max(np.abs(quad)) <= 1e-14
 
 
 def test_cosine_degree2_zonal(probes):
     pole = np.array([0.48, -0.6, 0.64])
     f = HarmonicSpectrum(3, 2, np.array([0, 0, 1.0 + 0j]), pole)
-    out = cosine_quadrature_values(f.evaluate, probes, 3, 1.0, profile_degree=2)
+    out = cosine_quadrature_values(f.evaluate, probes, 1.0, profile_degree=2)
     want = cosine_multiplier(2, 3, 1.0) * f.evaluate(probes)
     assert np.max(np.abs(out - want)) <= 1e-12
 
@@ -144,7 +145,7 @@ def test_cosine_degree2_zonal(probes):
 def test_cosine_path_agreement(even_f3, probes, oracle_gate):
     for lam in (-0.5, -0.25, 0.3, 1.0, 1.7):
         quad = cosine_quadrature_values(
-            even_f3.evaluate, probes, 3, lam, profile_degree=even_f3.max_degree
+            even_f3.evaluate, probes, lam, profile_degree=even_f3.max_degree
         )
         spec = cosine_spectrum(even_f3, lam).evaluate(probes)
         assert np.max(np.abs(quad - spec)) <= 1e-12
@@ -153,7 +154,7 @@ def test_cosine_path_agreement(even_f3, probes, oracle_gate):
 def test_cosine_path_agreement_complex(even_f3, probes):
     for lam in (-0.5 + 0.4j, 1.2 - 0.9j):
         quad = cosine_quadrature_values(
-            even_f3.evaluate, probes, 3, lam, profile_degree=even_f3.max_degree
+            even_f3.evaluate, probes, lam, profile_degree=even_f3.max_degree
         )
         spec = cosine_spectrum(even_f3, lam).evaluate(probes)
         assert np.max(np.abs(quad - spec)) <= 1e-12
@@ -163,7 +164,7 @@ def test_cosine_path_agreement_n4(even_f4, grid4):
     probes4 = grid4.nodes[::97]
     for lam in (-0.5, 1.0):
         quad = cosine_quadrature_values(
-            even_f4.evaluate, probes4, 4, lam, profile_degree=even_f4.max_degree
+            even_f4.evaluate, probes4, lam, profile_degree=even_f4.max_degree
         )
         spec = cosine_spectrum(even_f4, lam).evaluate(probes4)
         assert np.max(np.abs(quad - spec)) <= 1e-12
@@ -190,7 +191,7 @@ def test_cosine_guards(grid3, even_f3):
     with pytest.raises(PoleError):
         cosine_spectrum(even_f3, 4.0 + 1e-11)
     # Re lam <= -1 is no longer out of the quadrature's domain
-    got = cosine_quadrature_values(even_f3.evaluate, grid3.nodes[:2], 3, -1.2, profile_degree=8)
+    got = cosine_quadrature_values(even_f3.evaluate, grid3.nodes[:2], -1.2, profile_degree=8)
     want = cosine_spectrum(even_f3, -1.2).evaluate(grid3.nodes[:2])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(InvalidArgumentError):
@@ -325,12 +326,12 @@ def test_log_cosine_zero_input(grid3):
 def test_log_cosine_zonal_and_path_agreement(probes):
     pole = np.array([0.8, 0.0, 0.6])
     f = HarmonicSpectrum(3, 2, np.array([0, 0, 1.0 + 0j]), pole)
-    quad = log_cosine_quadrature_values(f.evaluate, probes, 3, profile_degree=2)
+    quad = log_cosine_quadrature_values(f.evaluate, probes, profile_degree=2)
     want = log_cosine_multiplier(2, 3) * f.evaluate(probes)
     assert np.max(np.abs(quad - want)) <= 1e-12
     # random mean-zero function
     f0 = random_even_spectrum(3, 8, seed=9).with_zero_mean()
-    quad = log_cosine_quadrature_values(f0.evaluate, probes, 3, profile_degree=8)
+    quad = log_cosine_quadrature_values(f0.evaluate, probes, profile_degree=8)
     spec = log_cosine_spectrum(f0).evaluate(probes)
     assert np.max(np.abs(quad - spec)) <= 1e-12
 
@@ -345,7 +346,7 @@ def test_log_cosine_is_limit_of_cosine_family(probes):
 def test_log_sine_consistency(probes):
     pole = np.array([0.0, 0.6, 0.8])
     f = HarmonicSpectrum(3, 2, np.array([0, 0, 1.0 + 0j]), pole)
-    quad = log_sine_quadrature_values(f.evaluate, probes, 3, profile_degree=2)
+    quad = log_sine_quadrature_values(f.evaluate, probes, profile_degree=2)
     comp = log_sine_spectrum(f).evaluate(probes)
     assert np.max(np.abs(quad - comp)) <= 1e-12
 
@@ -378,7 +379,7 @@ def test_sine_constant():
 def test_sine_path_agreement(even_f3, probes):
     for lam in (-0.5, -1.5, 1.0):
         quad = sine_quadrature_values(
-            even_f3.evaluate, probes, 3, lam, profile_degree=even_f3.max_degree
+            even_f3.evaluate, probes, lam, profile_degree=even_f3.max_degree
         )
         spec = sine_spectrum(even_f3, lam).evaluate(probes)
         assert np.max(np.abs(quad - spec)) <= 1e-12
@@ -388,7 +389,7 @@ def test_sine_factorization(even_f3, probes):
     # quadrature sine against the spectral composition through the Funk transform
     lam = -0.5
     lhs = sine_quadrature_values(
-        even_f3.evaluate, probes, 3, lam, profile_degree=even_f3.max_degree
+        even_f3.evaluate, probes, lam, profile_degree=even_f3.max_degree
     )
     rhs = funk_scale(3) * cosine_spectrum(funk_spectrum(even_f3), lam).evaluate(probes)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -398,7 +399,7 @@ def test_sine_guards(even_f3, probes):
     with pytest.raises(PoleError):
         sine_spectrum(even_f3, 0.0)
     # Re lam <= 1-n is no longer out of the quadrature's domain
-    got = sine_quadrature_values(even_f3.evaluate, probes, 3, -2.5, profile_degree=8)
+    got = sine_quadrature_values(even_f3.evaluate, probes, -2.5, profile_degree=8)
     want = sine_spectrum(even_f3, -2.5).evaluate(probes)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -493,6 +494,26 @@ def _random_spectrum(n, J, seed):
     return HarmonicSpectrum(n, J, coeffs / (1.0 + degrees) ** 2, pole).with_zero_mean()
 
 
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_quadrature_values_read_n_from_the_points(n):
+    # each kernel's exponents follow the dimension of the points; there is
+    # no separate n argument to disagree with them
+    J = 6
+    spec = _random_spectrum(n, J, seed=n)
+    points = np.random.default_rng(n).standard_normal((5, n))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    for fn, transform, lam in (
+        (cosine_quadrature_values, cosine_spectrum, (0.5,)),
+        (sine_quadrature_values, sine_spectrum, (0.5,)),
+        (log_cosine_quadrature_values, lambda f: log_cosine_spectrum(f), ()),
+        (log_sine_quadrature_values, lambda f: log_sine_spectrum(f), ()),
+    ):
+        assert "n" not in inspect.signature(fn).parameters
+        got = fn(spec.evaluate, points, *lam, profile_degree=J)
+        want = transform(spec, *lam).evaluate(points)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n, J", [(3, 6), (3, 20), (3, 32), (4, 8), (5, 8), (6, 8)])
 @pytest.mark.parametrize("key, lam", [
     ("cosine", 0.5), ("cosine", 0.5 + 1.0j), ("cosine", -0.7 - 0.4j),
@@ -512,7 +533,7 @@ def test_quadrature_matches_spectral_for_every_kernel(key, lam, n, J):
     points = np.random.default_rng(J).standard_normal((12, n))
     points /= np.linalg.norm(points, axis=1)[:, None]
     op = OPERATORS[key]
-    got = op.quadrature(spec.evaluate, points, n, lam, J)
+    got = op.quadrature(spec.evaluate, points, lam, J)
     want = op.spectral(spec, lam).evaluate(points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -548,9 +569,9 @@ def test_quadrature_end_points(n):
     points /= np.linalg.norm(points, axis=1)[:, None]
     f = spec.evaluate(points)
     funk = funk_geodesic_values(spec.evaluate, points, profile_degree=J)
-    cosine = cosine_quadrature_values(spec.evaluate, points, n, -1.0, profile_degree=J)
+    cosine = cosine_quadrature_values(spec.evaluate, points, -1.0, profile_degree=J)
     assert np.max(np.abs(cosine - funk_scale(n) * funk)) <= 1e-13 * np.max(np.abs(funk))
-    sine = sine_quadrature_values(spec.evaluate, points, n, 1.0 - n, profile_degree=J)
+    sine = sine_quadrature_values(spec.evaluate, points, 1.0 - n, profile_degree=J)
     assert np.max(np.abs(sine - f)) <= 1e-13 * np.max(np.abs(f))
 
 
@@ -609,14 +630,14 @@ def test_odd_degree_content_is_projected_out(f):
     f0 = f.with_zero_mean()
     points = haar_frames(n, 1, 6, seed=n)[:, :, 0]
     sphere = [
-        (lambda g: cosine_quadrature_values(g, points, n, 0.5, profile_degree=J), f,
+        (lambda g: cosine_quadrature_values(g, points, 0.5, profile_degree=J), f,
          cosine_spectrum(f, 0.5)),
-        (lambda g: sine_quadrature_values(g, points, n, -0.5 + 0.2j, profile_degree=J), f,
+        (lambda g: sine_quadrature_values(g, points, -0.5 + 0.2j, profile_degree=J), f,
          sine_spectrum(f, -0.5 + 0.2j)),
         (lambda g: funk_geodesic_values(g, points, profile_degree=J), f, funk_spectrum(f)),
-        (lambda g: log_cosine_quadrature_values(g, points, n, profile_degree=J), f0,
+        (lambda g: log_cosine_quadrature_values(g, points, profile_degree=J), f0,
          log_cosine_spectrum(f0)),
-        (lambda g: log_sine_quadrature_values(g, points, n, profile_degree=J), f0,
+        (lambda g: log_sine_quadrature_values(g, points, profile_degree=J), f0,
          log_sine_spectrum(f0)),
     ]
     for i, (quadrature, g, spectral) in enumerate(sphere):
@@ -732,7 +753,7 @@ def test_shell_rules_are_built_once_per_key():
         funk_k_function(zonal, 5, 2, profile_degree=J)(frames)
         cosine_k_function(zonal, 5, 2, 0.5, profile_degree=J)(frames)
         funk_k_function(zonal.evaluate, 5, 2, profile_degree=J)(frames)
-        cosine_quadrature_values(full, haar_frames(3, 1, 5, seed=seed)[:, :, 0], 3, 0.5,
+        cosine_quadrature_values(full, haar_frames(3, 1, 5, seed=seed)[:, :, 0], 0.5,
                                  profile_degree=J)
     info = _shell_rule.cache_info()
     assert (info.misses, info.hits) == (4, 12)
